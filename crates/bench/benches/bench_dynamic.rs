@@ -74,9 +74,10 @@ fn bench_apply_batch(c: &mut Criterion) {
     group.finish();
 }
 
-/// Snapshot-publication overhead on WS-10k: the cost of building one
-/// canonical `SolutionView` from the live solver — the extra work every
-/// published epoch pays on top of the raw `apply_batch`.
+/// Snapshot-publication overhead on WS-10k: the cost of publishing one
+/// canonical `SolutionView` from the live solver (cloning its page
+/// tables) — the extra work every published epoch pays on top of the raw
+/// `apply_batch`.
 fn bench_publish(c: &mut Criterion) {
     let g = watts_strogatz(10_000, 16, 0.1, 42);
     let solver = DynamicSolver::new(&g, 3).expect("bootstrap");

@@ -14,6 +14,18 @@
 //!   snapshot + replay the log tail**, reproducing the exact epoch, `|S|`
 //!   and membership of the killed process.
 //!
+//! Publication costs O(Δ) page copies for a batch that adds or removes Δ
+//! groups, not O(|S| + N) work: the solver keeps the view's canonical
+//! group pages current as the batch runs (the leader-order invariant of
+//! the `view` module: canonical order is the order of each group's
+//! smallest member), so publishing an epoch clones a table of `Arc`
+//! pages (one pointer per 1024 nodes), and the next batch copies only
+//! the pages it writes. A view a reader still holds pins just the pages
+//! written since its publication. [`ServingSolver::compact`] and
+//! [`ServingSolver::export_state`] re-slot the solver
+//! ([`DynamicSolver::canonicalize`]) without touching a single page, and
+//! render `S` in canonical order straight off the pages (no sort).
+//!
 //! State directory layout (files are **generation-named**; `meta.json`
 //! names the live generation and its atomic rename is the commit point):
 //!
@@ -438,14 +450,7 @@ impl ServingSolver {
                 .map(|(u, v)| Json::Arr(vec![Json::u64(u as u64), Json::u64(v as u64)]))
                 .collect(),
         );
-        let cliques = Json::Arr(
-            self.solver
-                .solution()
-                .sorted_cliques()
-                .iter()
-                .map(|c| Json::Arr(c.iter().map(|u| Json::u64(u as u64)).collect()))
-                .collect(),
-        );
+        let cliques = cliques_to_json(&self.solver);
         Json::Obj(vec![
             ("version".into(), Json::u64(META_VERSION)),
             ("epoch".into(), Json::u64(self.epoch)),
@@ -540,14 +545,7 @@ fn write_state(
     // generation fully intact (the new base is an orphan, GC'd later).
     let loaded = LoadedGraph::identity(solver.graph().to_csr());
     write_snapshot_path(&loaded, dir.join(base_file(gen)))?;
-    let cliques = Json::Arr(
-        solver
-            .solution()
-            .sorted_cliques()
-            .iter()
-            .map(|c| Json::Arr(c.iter().map(|u| Json::u64(u as u64)).collect()))
-            .collect(),
-    );
+    let cliques = cliques_to_json(solver);
     let meta = Json::Obj(vec![
         ("version".into(), Json::u64(META_VERSION)),
         ("gen".into(), Json::u64(gen)),
@@ -561,6 +559,18 @@ fn write_state(
     std::fs::write(&tmp, meta.render())?;
     std::fs::rename(&tmp, dir.join(META_FILE))?;
     Ok(())
+}
+
+/// Renders `S` in canonical order, read off the solver's maintained
+/// group pages (no sort).
+fn cliques_to_json(solver: &DynamicSolver) -> Json {
+    let canonical = solver.canonical_solution();
+    Json::Arr(
+        canonical
+            .iter_members()
+            .map(|c| Json::Arr(c.iter().map(|&u| Json::u64(u as u64)).collect()))
+            .collect(),
+    )
 }
 
 /// Best-effort removal of generation-named state files: the given

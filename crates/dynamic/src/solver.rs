@@ -145,7 +145,7 @@ impl DynamicSolver {
     pub fn rebuild(&mut self) -> Result<SolveReport, SolveError> {
         let csr = self.graph.to_csr();
         let report = Engine::solve(&csr, self.request)?;
-        self.state = SolutionState::from_solution(&report.solution, csr.num_nodes());
+        self.state.reslot(&report.solution, csr.num_nodes());
         self.index = CandidateIndex::build(&self.graph, &self.state);
         Ok(report)
     }
@@ -193,8 +193,17 @@ impl DynamicSolver {
     /// An epoch-stamped, canonical read snapshot of the current solution
     /// (see [`crate::SolutionView`]). The epoch is supplied by the caller —
     /// [`crate::ServingSolver`] counts applied batches.
+    ///
+    /// The solver keeps the view's pages up to date as it mutates `S`, so
+    /// this clones a table of shared pages: no sort, no copy of `S`.
     pub fn solution_view(&self, epoch: u64) -> crate::SolutionView {
-        crate::SolutionView::new(epoch, self.graph.num_nodes(), &self.solution(), self.stats)
+        crate::SolutionView::publish(epoch, self.graph.num_nodes(), self.state.groups(), self.stats)
+    }
+
+    /// The current solution in canonical (sorted-clique) order, read off
+    /// the maintained group pages without sorting.
+    pub fn canonical_solution(&self) -> Solution {
+        self.state.groups().to_solution()
     }
 
     /// Renormalises the internal slot bookkeeping to the canonical
@@ -206,12 +215,11 @@ impl DynamicSolver {
     /// solver behaves exactly like one freshly built from its own solution
     /// — which is how [`crate::ServingSolver`] makes a live process and a
     /// snapshot-restored process bit-identical from the snapshot point on.
+    ///
+    /// Published views are slot-free, so this leaves their pages untouched.
     pub fn canonicalize(&mut self) {
-        let mut canonical = Solution::new(self.k);
-        for c in self.solution().sorted_cliques() {
-            canonical.push(c);
-        }
-        self.state = SolutionState::from_solution(&canonical, self.graph.num_nodes());
+        let canonical = self.canonical_solution();
+        self.state.reslot(&canonical, self.graph.num_nodes());
         self.index = CandidateIndex::build(&self.graph, &self.state);
     }
 
@@ -244,7 +252,7 @@ impl DynamicSolver {
         for c in sorted {
             canonical.push(c);
         }
-        self.state = SolutionState::from_solution(&canonical, self.graph.num_nodes());
+        self.state.reslot(&canonical, self.graph.num_nodes());
         self.index = CandidateIndex::build(&self.graph, &self.state);
     }
 

@@ -1,3 +1,4 @@
+use crate::view::GroupPages;
 use dkc_clique::Clique;
 use dkc_core::Solution;
 use dkc_graph::NodeId;
@@ -8,6 +9,12 @@ pub type CliqueId = u32;
 
 /// The mutable solution `S`: cliques in reusable slots plus the
 /// node → owning-clique map that defines *free* vs *non-free* nodes.
+///
+/// [`SolutionState::add`] and [`SolutionState::remove`] are the only
+/// mutation points of `S`: every swap, refill and absorb goes through
+/// them. Both also keep the slot-free, canonically ordered group pages
+/// that [`crate::SolutionView`]s are published from, so publication never
+/// re-sorts `S`.
 #[derive(Debug, Clone)]
 pub struct SolutionState {
     k: usize,
@@ -16,6 +23,7 @@ pub struct SolutionState {
     /// `owner[u] = Some(slot)` iff `u` is covered by the clique in `slot`.
     owner: Vec<Option<CliqueId>>,
     len: usize,
+    groups: GroupPages,
 }
 
 impl SolutionState {
@@ -27,6 +35,7 @@ impl SolutionState {
             free_slots: Vec::new(),
             owner: vec![None; num_nodes],
             len: 0,
+            groups: GroupPages::new(k),
         }
     }
 
@@ -97,6 +106,13 @@ impl SolutionState {
     /// # Panics
     /// Panics if a member is already covered or the size differs from `k`.
     pub fn add(&mut self, c: Clique) -> CliqueId {
+        let slot = self.insert_slot(c);
+        self.groups.add(c.as_slice());
+        slot
+    }
+
+    /// [`SolutionState::add`] without the group pages.
+    fn insert_slot(&mut self, c: Clique) -> CliqueId {
         assert_eq!(c.len(), self.k, "clique size must equal k");
         let slot = match self.free_slots.pop() {
             Some(s) => {
@@ -132,7 +148,46 @@ impl SolutionState {
         }
         self.free_slots.push(slot);
         self.len -= 1;
+        self.groups.remove(c.as_slice());
         c
+    }
+
+    /// The canonically ordered group pages views are published from.
+    pub(crate) fn groups(&self) -> &GroupPages {
+        &self.groups
+    }
+
+    /// Replaces `S` by `solution`, issuing slots in its order exactly as
+    /// [`SolutionState::from_solution`] does, but editing the group pages
+    /// only where the group sets differ: re-slotting the same groups
+    /// (canonicalisation) writes no page at all.
+    pub(crate) fn reslot(&mut self, solution: &Solution, num_nodes: usize) {
+        let mut next = SolutionState::new(self.k, num_nodes);
+        for c in solution.cliques() {
+            next.insert_slot(c);
+        }
+        let mut groups = std::mem::replace(&mut self.groups, GroupPages::new(self.k));
+        let stale: Vec<Clique> = groups
+            .iter()
+            .filter(|row| next.clique_at(row[0]).is_none_or(|c| c.as_slice() != *row))
+            .map(Clique::from_sorted)
+            .collect();
+        for c in &stale {
+            groups.remove(c.as_slice());
+        }
+        for (_, c) in next.iter() {
+            if groups.members_of(c.as_slice()[0]) != Some(c.as_slice()) {
+                groups.add(c.as_slice());
+            }
+        }
+        debug_assert_eq!(groups.len(), next.len);
+        next.groups = groups;
+        *self = next;
+    }
+
+    /// The clique covering `u`.
+    fn clique_at(&self, u: NodeId) -> Option<&Clique> {
+        self.owner(u).and_then(|slot| self.clique(slot))
     }
 
     /// Snapshots into an immutable [`Solution`] (slot order).

@@ -3,9 +3,10 @@
 //! solution must stay comparable to a from-scratch static solve.
 
 use dkc_core::{approx_guarantee_holds, Algo, Engine, SolveRequest};
-use dkc_dynamic::{DynamicSolver, EdgeUpdate, ServingSolver};
-use dkc_graph::CsrGraph;
+use dkc_dynamic::{DynamicSolver, EdgeUpdate, ServingSolver, SolutionView, UpdateStats};
+use dkc_graph::{CsrGraph, NodeId};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn graph_strategy(max_n: u32, max_m: usize) -> impl Strategy<Value = CsrGraph> {
     (6..=max_n).prop_flat_map(move |n| {
@@ -35,8 +36,198 @@ fn ops_strategy(max_node: u32, max_len: usize) -> impl Strategy<Value = Vec<Edge
     )
 }
 
+/// Spreads node ids `stride` apart (`u ↦ u · stride`), so a small graph
+/// and its update stream span many view pages.
+fn spread_out(
+    g: &CsrGraph,
+    batches: &[Vec<EdgeUpdate>],
+    stride: u32,
+) -> (CsrGraph, Vec<Vec<EdgeUpdate>>) {
+    let edges: Vec<_> = g.edges().into_iter().map(|(a, b)| (a * stride, b * stride)).collect();
+    let spread = |u: &EdgeUpdate| match *u {
+        EdgeUpdate::Insert(a, b) => EdgeUpdate::Insert(a * stride, b * stride),
+        EdgeUpdate::Delete(a, b) => EdgeUpdate::Delete(a * stride, b * stride),
+    };
+    let n = (g.num_nodes() - 1) * stride as usize + 1;
+    let batches = batches.iter().map(|b| b.iter().map(spread).collect()).collect();
+    (CsrGraph::from_edges(n, edges).unwrap(), batches)
+}
+
+/// Everything a reader can observe of a view, as owned data: a deep copy
+/// that shares nothing with the view's pages.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    epoch: u64,
+    num_nodes: usize,
+    k: usize,
+    len: usize,
+    covered_nodes: usize,
+    stats: UpdateStats,
+    /// `group_of(u)` and `members_of(u)` for every node and one past the range.
+    group_of: Vec<(Option<usize>, Option<Vec<NodeId>>)>,
+    /// `group(i)` for every index and one past the end.
+    groups: Vec<Option<Vec<NodeId>>>,
+    /// The canonical iteration.
+    walk: Vec<Vec<NodeId>>,
+}
+
+fn observe(v: &SolutionView) -> Observed {
+    Observed {
+        epoch: v.epoch(),
+        num_nodes: v.num_nodes(),
+        k: v.k(),
+        len: v.len(),
+        covered_nodes: v.covered_nodes(),
+        stats: *v.stats(),
+        group_of: (0..=v.num_nodes() as NodeId)
+            .map(|u| (v.group_of(u), v.members_of(u).map(<[NodeId]>::to_vec)))
+            .collect(),
+        groups: (0..=v.len()).map(|i| v.group(i).map(<[NodeId]>::to_vec)).collect(),
+        walk: v.cliques().map(<[NodeId]>::to_vec).collect(),
+    }
+}
+
+/// What a view of the solver's current state must show, computed from
+/// the sorted cliques alone — no view code involved.
+fn model(epoch: u64, solver: &DynamicSolver) -> Observed {
+    let n = solver.graph().num_nodes();
+    let walk: Vec<Vec<NodeId>> =
+        solver.solution().sorted_cliques().iter().map(|c| c.as_slice().to_vec()).collect();
+    let mut group_of = vec![(None, None); n + 1];
+    for (i, row) in walk.iter().enumerate() {
+        for &u in row {
+            group_of[u as usize] = (Some(i), Some(row.clone()));
+        }
+    }
+    let mut groups: Vec<Option<Vec<NodeId>>> = walk.iter().cloned().map(Some).collect();
+    groups.push(None);
+    Observed {
+        epoch,
+        num_nodes: n,
+        k: solver.k(),
+        len: walk.len(),
+        covered_nodes: walk.len() * solver.k(),
+        stats: *solver.stats(),
+        group_of,
+        groups,
+        walk,
+    }
+}
+
+/// Checks a published view against the from-scratch reference built from
+/// the solver's own solution and against the plain model, then returns
+/// its deep copy.
+fn check_against_reference(
+    view: &SolutionView,
+    solver: &DynamicSolver,
+) -> Result<Observed, TestCaseError> {
+    let reference = SolutionView::new(
+        view.epoch(),
+        solver.graph().num_nodes(),
+        &solver.solution(),
+        *solver.stats(),
+    );
+    let seen = observe(view);
+    prop_assert_eq!(&seen, &observe(&reference));
+    prop_assert_eq!(&seen, &model(view.epoch(), solver));
+    prop_assert_eq!(view, &reference);
+    let canonical = solver.canonical_solution();
+    prop_assert_eq!(canonical.store(), &solver.solution().sorted_store());
+    Ok(seen)
+}
+
+/// Every view held since its publication still equals its deep copy.
+fn check_held(held: &[(Arc<SolutionView>, Observed)]) -> Result<(), TestCaseError> {
+    let last = held.last().map_or(0, |(v, _)| v.epoch());
+    prop_assert!(held[0].0.epoch() + 20 <= last, "the first view must be held 20 epochs");
+    for (view, copy) in held {
+        prop_assert_eq!(&observe(view), copy, "view of epoch {} changed", view.epoch());
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Incrementally maintained views equal from-scratch views. Serving
+    /// path: random batch splits whose inserts grow the node range, mixed
+    /// with improvement slices, compactions and export/import round
+    /// trips. Every earlier view is held to the end and must never change
+    /// (copy-on-write isolation).
+    #[test]
+    fn serving_views_equal_from_scratch_views(
+        g in graph_strategy(12, 40),
+        batches in proptest::collection::vec(ops_strategy(18, 6), 22..28),
+        actions in proptest::collection::vec(0u8..6, 28),
+        k in 3usize..=4,
+        wide in any::<bool>(),
+    ) {
+        // Wide cases spread the nodes over up to six pages, about three
+        // per page.
+        let (g, batches) = spread_out(&g, &batches, if wide { 331 } else { 1 });
+        let mut serving = ServingSolver::in_memory(&g, SolveRequest::new(Algo::Lp, k)).unwrap();
+        let first = serving.view();
+        let seen = check_against_reference(&first, serving.solver())?;
+        let mut held = vec![(Arc::clone(&first), seen)];
+        for (i, batch) in batches.iter().enumerate() {
+            let (_, view) = serving.apply_batch(batch).unwrap();
+            held.push((Arc::clone(&view), check_against_reference(&view, serving.solver())?));
+            let view = match actions[i] {
+                0 => serving.improve(16, i as u64).unwrap().1,
+                1 => {
+                    serving.compact().unwrap();
+                    serving.view()
+                }
+                2 => {
+                    let doc = serving.export_state();
+                    let imported = ServingSolver::import_state(&doc).unwrap();
+                    prop_assert_eq!(&*imported.view(), &*serving.view());
+                    prop_assert_eq!(observe(&imported.view()), observe(&serving.view()));
+                    serving.view()
+                }
+                _ => continue,
+            };
+            held.push((Arc::clone(&view), check_against_reference(&view, serving.solver())?));
+        }
+        check_held(&held)?;
+    }
+
+    /// The same equivalence on the bare solver, through the operations
+    /// that re-slot `S`: `rebuild`, `canonicalize` and `improve`.
+    #[test]
+    fn solver_views_track_reslotting(
+        g in graph_strategy(12, 40),
+        batches in proptest::collection::vec(ops_strategy(18, 6), 22..28),
+        actions in proptest::collection::vec(0u8..6, 28),
+        k in 3usize..=4,
+        wide in any::<bool>(),
+    ) {
+        // Wide cases spread the nodes over up to six pages, about three
+        // per page.
+        let (g, batches) = spread_out(&g, &batches, if wide { 331 } else { 1 });
+        let mut solver = DynamicSolver::new(&g, k).unwrap();
+        let mut epoch = 0;
+        let first = Arc::new(solver.solution_view(epoch));
+        let mut held = vec![(Arc::clone(&first), check_against_reference(&first, &solver)?)];
+        for (i, batch) in batches.iter().enumerate() {
+            solver.apply_batch(batch.iter().copied());
+            match actions[i] {
+                0 => {
+                    solver.rebuild().unwrap();
+                }
+                1 => solver.canonicalize(),
+                2 => {
+                    solver.improve(16, i as u64);
+                }
+                _ => {}
+            }
+            epoch += 1;
+            let view = Arc::new(solver.solution_view(epoch));
+            held.push((Arc::clone(&view), check_against_reference(&view, &solver)?));
+            solver.validate().map_err(TestCaseError::fail)?;
+        }
+        check_held(&held)?;
+    }
 
     /// The heavyweight invariant check: after EVERY update the solution is
     /// valid, maximal, and the incremental index equals a fresh Algorithm 5

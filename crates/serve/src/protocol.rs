@@ -307,7 +307,7 @@ pub fn group_of_reply(view: &SolutionView, node: NodeId) -> Json {
     match view.group_of(node) {
         Some(group) => {
             m.push(("group".into(), Json::usize(group)));
-            let members = view.group(group).expect("group index from the same view");
+            let members = view.members_of(node).expect("covered node of the same view");
             m.push((
                 "members".into(),
                 Json::Arr(members.iter().map(|&u| Json::u64(u as u64)).collect()),
@@ -327,15 +327,12 @@ pub fn solution_reply(view: &SolutionView) -> Json {
     m.push(("k".into(), Json::usize(view.k())));
     m.push(("size".into(), Json::usize(view.len())));
     m.push(("covered_nodes".into(), Json::usize(view.covered_nodes())));
-    m.push((
-        "cliques".into(),
-        Json::Arr(
-            view.cliques()
-                .iter()
-                .map(|c| Json::Arr(c.iter().map(|&u| Json::u64(u as u64)).collect()))
-                .collect(),
-        ),
-    ));
+    // The canonical walk has no size hint; reserve |S| up front.
+    let mut cliques = Vec::with_capacity(view.len());
+    cliques.extend(
+        view.cliques().map(|c| Json::Arr(c.iter().map(|&u| Json::u64(u as u64)).collect())),
+    );
+    m.push(("cliques".into(), Json::Arr(cliques)));
     Json::Obj(m)
 }
 

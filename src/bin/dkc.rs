@@ -273,7 +273,17 @@ fn parse_args() -> Args {
             }
             "--mis-nodes" => args.mis_nodes = Some(value().parse().unwrap_or_else(|_| usage())),
             "--json" => args.json = true,
-            "--scale" => args.scale = Some(value().parse().unwrap_or_else(|_| usage())),
+            "--scale" => {
+                // Stand-ins are subsampled, never blown up: reject anything
+                // outside (0, 1] here instead of tripping the generator's
+                // assertion.
+                let scale: f64 = value().parse().unwrap_or_else(|_| usage());
+                if !(scale.is_finite() && scale > 0.0 && scale <= 1.0) {
+                    eprintln!("--scale must be a number in (0, 1], got {scale}");
+                    usage();
+                }
+                args.scale = Some(scale);
+            }
             "--seed" => args.seed = Some(value().parse().unwrap_or_else(|_| usage())),
             "--dataset" => args.dataset = Some(value()),
             "--data-dir" => args.data_dir = Some(value()),

@@ -139,3 +139,32 @@ fn check_passes_on_own_baseline_and_fails_on_inflated_counter() {
     assert!(stderr.contains("perf gate FAILED"), "{stderr}");
     assert!(stderr.contains("kcliques"), "{stderr}");
 }
+
+#[test]
+fn out_of_range_scale_is_a_usage_error_not_a_panic() {
+    let dir = scratch_dir("scale");
+    let out = dir.join("out.dkcsr");
+    let runs: [&[&str]; 4] = [
+        &["gen", "DS", out.to_str().unwrap(), "--scale", "10"],
+        &["bench", "--scale", "0"],
+        &["bench", "--scale", "-0.5"],
+        &["cache", "FTB", "--data-dir", dir.to_str().unwrap(), "--scale", "NaN"],
+    ];
+    for args in runs {
+        let output = Command::new(env!("CARGO_BIN_EXE_dkc"))
+            .current_dir(&dir)
+            .args(args)
+            .output()
+            .expect("dkc runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(
+            output.status.code(),
+            Some(2),
+            "{args:?} must exit with the usage code: {stderr}"
+        );
+        assert!(stderr.contains("--scale must be a number in (0, 1]"), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
+    }
+    assert!(!out.exists(), "nothing is generated on a usage error");
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -128,7 +128,7 @@ fn serving_view_tracks_the_maintained_solution() {
     let view = reader.current();
     assert_eq!(view.epoch(), 5);
     // Membership is consistent with the group list.
-    for (i, clique) in view.cliques().iter().enumerate() {
+    for (i, clique) in view.cliques().enumerate() {
         for &u in clique {
             assert_eq!(view.group_of(u), Some(i));
         }
