@@ -35,12 +35,27 @@
 //! a batch that adds or removes Δ groups costs O(Δ) page copies. A reader
 //! still holding an older view keeps its pages alive: a retained view pins
 //! exactly the pages touched since it was published, never a full copy.
+//!
+//! # Rendering cost
+//!
+//! Each leader page also caches, once a reader asks for it, the JSON text
+//! of the groups it leads (`[a,b,c],[d,e,f],…`, see
+//! [`SolutionView::cliques_json`]). The text depends on the page's leader
+//! bits and on the rows stored at those leaders, and both are written only
+//! by `add` and `remove`, which always flip a bit of that same leader page.
+//! Flipping a bit drops the cached text, and a page copied by
+//! `Arc::make_mut` starts without one, so the text can never outlive the
+//! rows it renders. The writer never renders; readers fill the cache, and
+//! every later view that shares a page shares its text. Rendering a new
+//! epoch therefore re-renders only the pages the batches since the last
+//! render touched, plus one concatenation. A retained view pins the text
+//! of the pages it pins, about the size of their part of the reply.
 
 use crate::UpdateStats;
 use dkc_clique::CliqueStore;
 use dkc_core::Solution;
 use dkc_graph::NodeId;
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, OnceLock, RwLock};
 
 /// Nodes per page (a power of two).
 pub(crate) const PAGE: usize = 1024;
@@ -53,21 +68,41 @@ fn split(u: NodeId) -> (usize, usize) {
     (u as usize / PAGE, u as usize % PAGE)
 }
 
-/// One page of the leader bitset, with the rank of every word's first bit.
-#[derive(Debug, Clone)]
+/// One page of the leader bitset, with the rank of every word's first bit
+/// and the page's cached JSON text (see "Rendering cost").
+#[derive(Debug)]
 struct LeaderPage {
     words: [u64; WORDS],
     /// `before[w]` = set bits in `words[..w]`.
     before: [u16; WORDS],
     count: u32,
+    /// The comma-joined rows of the groups led from this page, filled by
+    /// the first reader that renders them and dropped by every `set`.
+    json: OnceLock<Box<str>>,
+}
+
+impl Clone for LeaderPage {
+    /// A copy starts without cached text: `Arc::make_mut` copies a page
+    /// only to write it, and the write would drop the text anyway.
+    fn clone(&self) -> Self {
+        LeaderPage {
+            words: self.words,
+            before: self.before,
+            count: self.count,
+            json: OnceLock::new(),
+        }
+    }
 }
 
 impl LeaderPage {
-    const EMPTY: LeaderPage = LeaderPage { words: [0; WORDS], before: [0; WORDS], count: 0 };
+    fn empty() -> Self {
+        LeaderPage { words: [0; WORDS], before: [0; WORDS], count: 0, json: OnceLock::new() }
+    }
 
     fn set(&mut self, o: usize, on: bool) {
         let (w, bit) = (o / 64, 1u64 << (o % 64));
         debug_assert_eq!(self.words[w] & bit != 0, !on, "leader bit already in that state");
+        self.json.take();
         self.words[w] ^= bit;
         for b in &mut self.before[w + 1..] {
             *b = if on { *b + 1 } else { *b - 1 };
@@ -134,7 +169,7 @@ impl GroupPages {
         while self.owner.len() < need {
             self.owner.push(Arc::new(vec![FREE; PAGE]));
             self.rows.push(Arc::new(vec![0; PAGE * self.k]));
-            self.leaders.push(Arc::new(LeaderPage::EMPTY));
+            self.leaders.push(Arc::new(LeaderPage::empty()));
         }
     }
 
@@ -197,6 +232,36 @@ impl GroupPages {
         )
     }
 
+    /// The JSON text of the groups led from page `p`, rendered on first
+    /// use and cached in the page.
+    fn page_json(&self, p: usize) -> &str {
+        let page = &self.leaders[p];
+        page.json.get_or_init(|| {
+            let rows = &self.rows[p];
+            // Ids below 10^7 take at most 7 digits plus a separator.
+            let mut out = Vec::with_capacity(page.count as usize * (8 * self.k + 2));
+            for (i, o) in page.offsets().enumerate() {
+                if i > 0 {
+                    out.push(b',');
+                }
+                out.push(b'[');
+                for (j, &u) in rows[o * self.k..(o + 1) * self.k].iter().enumerate() {
+                    if j > 0 {
+                        out.push(b',');
+                    }
+                    push_decimal(&mut out, u);
+                }
+                out.push(b']');
+            }
+            String::from_utf8(out).expect("ASCII digits and punctuation").into_boxed_str()
+        })
+    }
+
+    /// The JSON text of every page that leads a group, in leader order.
+    pub(crate) fn json_pages(&self) -> impl Iterator<Item = &str> + '_ {
+        (0..self.leaders.len()).filter(|&p| self.leaders[p].count > 0).map(|p| self.page_json(p))
+    }
+
     /// The groups as a [`Solution`] in canonical order.
     pub(crate) fn to_solution(&self) -> Solution {
         let mut flat = Vec::with_capacity(self.len * self.k);
@@ -205,6 +270,21 @@ impl GroupPages {
         }
         Solution::from_store(CliqueStore::from_flat(self.k, flat))
     }
+}
+
+/// Appends the decimal digits of `u`.
+fn push_decimal(out: &mut Vec<u8>, mut u: NodeId) {
+    let mut digits = [0u8; 10];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (u % 10) as u8;
+        u /= 10;
+        if u == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[i..]);
 }
 
 /// One immutable, epoch-stamped snapshot of the maintained solution.
@@ -315,6 +395,17 @@ impl SolutionView {
     /// All groups, in canonical order (a walk of the leader bitset).
     pub fn cliques(&self) -> impl Iterator<Item = &[NodeId]> + '_ {
         self.groups.iter()
+    }
+
+    /// All groups as JSON text, one fragment per page that leads a group:
+    /// the comma-joined `[a,b,c]` rows of that page's groups, in canonical
+    /// order, so `"[" + fragments.join(",") + "]"` is the JSON array of
+    /// [`SolutionView::cliques`]. A fragment is rendered on first use and
+    /// then shared by every view that shares its page, so a view published
+    /// after Δ page writes renders only those Δ pages (see the module
+    /// docs).
+    pub fn cliques_json(&self) -> impl Iterator<Item = &str> + '_ {
+        self.groups.json_pages()
     }
 
     /// Nodes covered by some group (`k · |S|`).
@@ -527,5 +618,52 @@ mod tests {
         // The view held across every publication is untouched.
         assert_eq!(before.epoch(), 0);
         assert_eq!(before.group_of(30_000), Some(10_000));
+    }
+
+    /// `"[" + fragments + "]"`, the JSON array of a view's groups.
+    fn rendered(v: &SolutionView) -> String {
+        format!("[{}]", v.cliques_json().collect::<Vec<_>>().join(","))
+    }
+
+    /// `(fragments of `next` that are the same allocation as `prev`'s,
+    /// fragments of `next`)`, page by page.
+    fn fragments_shared(next: &SolutionView, prev: &SolutionView) -> (usize, usize) {
+        let (a, b): (Vec<&str>, Vec<&str>) =
+            (next.cliques_json().collect(), prev.cliques_json().collect());
+        assert_eq!(a.len(), b.len(), "every page of the chain leads a group");
+        (a.iter().zip(&b).filter(|(x, y)| std::ptr::eq(**x, **y)).count(), a.len())
+    }
+
+    #[test]
+    fn one_update_rendering_renders_a_constant_number_of_pages() {
+        let n = 52 * PAGE as u32;
+        let g = triangle_chain(n);
+        let mut serving = ServingSolver::in_memory(&g, SolveRequest::new(Algo::Lp, 3)).unwrap();
+        let before = serving.view();
+        let original = rendered(&before);
+        let tree = |v: &SolutionView| {
+            let rows = v.cliques().map(|c| {
+                dkc_json::Json::Arr(c.iter().map(|&u| dkc_json::Json::u64(u as u64)).collect())
+            });
+            dkc_json::Json::Arr(rows.collect()).render()
+        };
+        assert_eq!(original, tree(&before));
+        for update in [EdgeUpdate::Delete(30_000, 30_001), EdgeUpdate::Insert(30_000, 30_001)] {
+            let prev = serving.view();
+            rendered(&prev);
+            let (_, next) = serving.apply_batch(&[update]).unwrap();
+            let (shared, total) = fragments_shared(&next, &prev);
+            assert!(total >= 50, "the chain leads groups from at least 50 pages");
+            assert!(total - shared <= 2, "{} of {total} pages re-rendered", total - shared);
+            assert_eq!(rendered(&next), tree(&next));
+        }
+        // Compaction re-slots the same groups: nothing is re-rendered.
+        let prev = serving.view();
+        rendered(&prev);
+        serving.compact().unwrap();
+        let (shared, total) = fragments_shared(&serving.view(), &prev);
+        assert_eq!(shared, total, "canonicalisation must not re-render pages");
+        // The view held across every publication renders its own bytes.
+        assert_eq!(rendered(&before), original);
     }
 }

@@ -5,6 +5,7 @@
 use dkc_core::{approx_guarantee_holds, Algo, Engine, SolveRequest};
 use dkc_dynamic::{DynamicSolver, EdgeUpdate, ServingSolver, SolutionView, UpdateStats};
 use dkc_graph::{CsrGraph, NodeId};
+use dkc_json::Json;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -43,14 +44,36 @@ fn spread_out(
     batches: &[Vec<EdgeUpdate>],
     stride: u32,
 ) -> (CsrGraph, Vec<Vec<EdgeUpdate>>) {
-    let edges: Vec<_> = g.edges().into_iter().map(|(a, b)| (a * stride, b * stride)).collect();
-    let spread = |u: &EdgeUpdate| match *u {
-        EdgeUpdate::Insert(a, b) => EdgeUpdate::Insert(a * stride, b * stride),
-        EdgeUpdate::Delete(a, b) => EdgeUpdate::Delete(a * stride, b * stride),
+    relabel(g, batches, |u| u * stride)
+}
+
+/// Renames every node id through the increasing map `f`; the graph keeps
+/// `f(n - 1) + 1` nodes.
+fn relabel(
+    g: &CsrGraph,
+    batches: &[Vec<EdgeUpdate>],
+    f: impl Fn(NodeId) -> NodeId,
+) -> (CsrGraph, Vec<Vec<EdgeUpdate>>) {
+    let edges: Vec<_> = g.edges().into_iter().map(|(a, b)| (f(a), f(b))).collect();
+    let rename = |u: &EdgeUpdate| match *u {
+        EdgeUpdate::Insert(a, b) => EdgeUpdate::Insert(f(a), f(b)),
+        EdgeUpdate::Delete(a, b) => EdgeUpdate::Delete(f(a), f(b)),
     };
-    let n = (g.num_nodes() - 1) * stride as usize + 1;
-    let batches = batches.iter().map(|b| b.iter().map(spread).collect()).collect();
+    let n = f(g.num_nodes() as NodeId - 1) as usize + 1;
+    let batches = batches.iter().map(|b| b.iter().map(rename).collect()).collect();
     (CsrGraph::from_edges(n, edges).unwrap(), batches)
+}
+
+/// The groups' JSON array through the view's cached page fragments.
+fn fragments_json(v: &SolutionView) -> String {
+    format!("[{}]", v.cliques_json().collect::<Vec<_>>().join(","))
+}
+
+/// The oracle: the same array rendered as a `Json` tree, the way the
+/// `solution` reply was rendered before views cached page fragments.
+fn tree_json<'a>(rows: impl Iterator<Item = &'a [NodeId]>) -> String {
+    let rows = rows.map(|row| Json::Arr(row.iter().map(|&u| Json::u64(u as u64)).collect()));
+    Json::Arr(rows.collect()).render()
 }
 
 /// Everything a reader can observe of a view, as owned data: a deep copy
@@ -69,6 +92,8 @@ struct Observed {
     groups: Vec<Option<Vec<NodeId>>>,
     /// The canonical iteration.
     walk: Vec<Vec<NodeId>>,
+    /// The groups' JSON array (`cliques_json`, joined).
+    json: String,
 }
 
 fn observe(v: &SolutionView) -> Observed {
@@ -84,6 +109,7 @@ fn observe(v: &SolutionView) -> Observed {
             .collect(),
         groups: (0..=v.len()).map(|i| v.group(i).map(<[NodeId]>::to_vec)).collect(),
         walk: v.cliques().map(<[NodeId]>::to_vec).collect(),
+        json: fragments_json(v),
     }
 }
 
@@ -101,6 +127,7 @@ fn model(epoch: u64, solver: &DynamicSolver) -> Observed {
     }
     let mut groups: Vec<Option<Vec<NodeId>>> = walk.iter().cloned().map(Some).collect();
     groups.push(None);
+    let json = tree_json(walk.iter().map(Vec::as_slice));
     Observed {
         epoch,
         num_nodes: n,
@@ -111,6 +138,7 @@ fn model(epoch: u64, solver: &DynamicSolver) -> Observed {
         group_of,
         groups,
         walk,
+        json,
     }
 }
 
@@ -227,6 +255,101 @@ proptest! {
             solver.validate().map_err(TestCaseError::fail)?;
         }
         check_held(&held)?;
+    }
+
+    /// Cached page text never goes stale. The bare solver publishes a view
+    /// per batch through random batch splits, node-growing inserts,
+    /// `rebuild`, `canonicalize`, `improve` and export/import round trips;
+    /// each view must render the tree oracle's bytes when published, and
+    /// the retained ones again at the end, at least 20 epochs later. Most
+    /// views are dropped right after their render, so the solver's pages
+    /// are often unshared and written in place, which must drop their
+    /// text too. The layouts put ids on both sides of 9/10, on both sides
+    /// of 99,999/100,000 (behind ~97 pages that lead no group), and grow
+    /// the graph up to `dkc serve`'s default growth cap.
+    #[test]
+    fn solution_json_equals_the_tree_rendering(
+        g in graph_strategy(12, 40),
+        batches in proptest::collection::vec(ops_strategy(18, 6), 22..28),
+        actions in proptest::collection::vec(0u8..8, 28),
+        keep in proptest::collection::vec(any::<bool>(), 28),
+        k in 3usize..=4,
+        layout in 0usize..3,
+    ) {
+        let n = g.num_nodes() as NodeId;
+        // The default cap of an n-node server, max(2n, n + 1024) - 1.
+        let cap = n + 1023;
+        let (g, batches) = match layout {
+            0 => relabel(&g, &batches, |u| u),
+            1 => relabel(&g, &batches, |u| 99_990 + u),
+            // Ids the graph does not have yet end exactly at the cap.
+            _ => relabel(&g, &batches, |u| if u < n { u } else { cap - 17 + u }),
+        };
+        let oracle = |solver: &DynamicSolver| {
+            let sorted = solver.solution().sorted_cliques();
+            tree_json(sorted.iter().map(|c| c.as_slice()))
+        };
+        let mut solver = DynamicSolver::new(&g, k).unwrap();
+        let first = Arc::new(solver.solution_view(0));
+        let rendered = fragments_json(&first);
+        prop_assert_eq!(&rendered, &oracle(&solver));
+        let mut held = vec![(first, rendered)];
+        for (i, batch) in batches.iter().enumerate() {
+            solver.apply_batch(batch.iter().copied());
+            match actions[i] {
+                0 => {
+                    solver.rebuild().unwrap();
+                }
+                1 => solver.canonicalize(),
+                2 => {
+                    solver.improve(16, i as u64);
+                }
+                3 => {
+                    let doc = ServingSolver::from_solver(solver.clone()).export_state();
+                    solver = ServingSolver::import_state(&doc).unwrap().solver().clone();
+                }
+                _ => {}
+            }
+            let view = solver.solution_view(i as u64 + 1);
+            let rendered = fragments_json(&view);
+            prop_assert_eq!(&rendered, &oracle(&solver), "epoch {}", i + 1);
+            if keep[i] {
+                held.push((Arc::new(view), rendered));
+            }
+        }
+        prop_assert!(held[0].0.epoch() + 20 <= batches.len() as u64);
+        for (view, rendered) in &held {
+            prop_assert_eq!(&fragments_json(view), rendered, "view of epoch {} changed", view.epoch());
+        }
+    }
+
+    /// Views built from scratch render the tree oracle's bytes for every
+    /// group size, `k = 1` and empty `S` included, with ids around digit
+    /// and page boundaries and up to the default growth cap of a
+    /// 100,001-node server (200,001).
+    #[test]
+    fn view_json_equals_the_tree_rendering(
+        k_pick in 0usize..3,
+        picks in proptest::collection::vec((0usize..17, 0u32..3), 0..40),
+    ) {
+        const AROUND: [NodeId; 17] = [
+            0, 8, 98, 998, 1022, 1023, 2046, 9_998, 65_534, 99_998, 99_999, 100_000,
+            131_070, 199_998, 199_999, 200_000, 200_001,
+        ];
+        let k = [1, 3, 4][k_pick];
+        let ids: std::collections::BTreeSet<NodeId> =
+            picks.iter().map(|&(i, d)| (AROUND[i] + d).min(200_001)).collect();
+        let ids: Vec<NodeId> = ids.into_iter().collect();
+        let mut s = dkc_core::Solution::new(k);
+        for row in ids.chunks_exact(k) {
+            s.push(dkc_clique::Clique::new(row));
+        }
+        let view = SolutionView::new(0, 200_002, &s, UpdateStats::default());
+        let sorted = s.sorted_cliques();
+        let expected = tree_json(sorted.iter().map(|c| c.as_slice()));
+        prop_assert_eq!(fragments_json(&view), expected.clone());
+        // A second render reads the cached text.
+        prop_assert_eq!(fragments_json(&view), expected);
     }
 
     /// The heavyweight invariant check: after EVERY update the solution is

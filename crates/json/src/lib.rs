@@ -44,6 +44,11 @@ pub enum Json {
     Arr(Vec<Json>),
     /// An object: ordered `(key, value)` members.
     Obj(Vec<(String, Json)>),
+    /// A pre-rendered fragment, written verbatim by [`Json::render_into`]
+    /// and never produced by [`Json::parse`]. The caller guarantees the
+    /// text is one valid compact JSON value; it lets a hot path splice in
+    /// text it rendered (or cached) itself instead of building a tree.
+    Raw(String),
 }
 
 /// Parse failure: byte offset plus a short description.
@@ -185,6 +190,7 @@ impl Json {
             Json::Bool(false) => out.push_str("false"),
             Json::Num(tok) => out.push_str(tok),
             Json::Str(s) => render_string(s, out),
+            Json::Raw(text) => out.push_str(text),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, v) in items.iter().enumerate() {
@@ -438,5 +444,26 @@ mod tests {
         let v = Json::parse(" { \"a\" : [ 1 , null , \"x\\u0041\" ] } ").unwrap();
         assert_eq!(v.get("a").unwrap().as_arr().unwrap()[2].as_str(), Some("xA"));
         assert_eq!(v.get("a").unwrap().as_arr().unwrap()[1].as_opt_u64(), Some(None));
+    }
+
+    #[test]
+    fn raw_fragments_render_verbatim() {
+        let tree = Json::Arr(vec![
+            Json::Arr(vec![Json::u64(1), Json::u64(22)]),
+            Json::Arr(vec![Json::u64(333), Json::u64(4444)]),
+        ]);
+        let doc = |cliques: Json| {
+            Json::Obj(vec![("ok".into(), Json::Bool(true)), ("cliques".into(), cliques)])
+        };
+        let raw = doc(Json::Raw("[[1,22],[333,4444]]".into()));
+        let text = raw.render();
+        assert_eq!(text, r#"{"ok":true,"cliques":[[1,22],[333,4444]]}"#);
+        // render and render_into agree, also when appending.
+        let mut out = String::from("> ");
+        raw.render_into(&mut out);
+        assert_eq!(out, format!("> {text}"));
+        // Parsing yields the equivalent ordinary tree, never a Raw.
+        assert_eq!(text, doc(tree.clone()).render());
+        assert_eq!(Json::parse(&text).unwrap(), doc(tree));
     }
 }

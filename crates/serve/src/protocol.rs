@@ -327,12 +327,21 @@ pub fn solution_reply(view: &SolutionView) -> Json {
     m.push(("k".into(), Json::usize(view.k())));
     m.push(("size".into(), Json::usize(view.len())));
     m.push(("covered_nodes".into(), Json::usize(view.covered_nodes())));
-    // The canonical walk has no size hint; reserve |S| up front.
-    let mut cliques = Vec::with_capacity(view.len());
-    cliques.extend(
-        view.cliques().map(|c| Json::Arr(c.iter().map(|&u| Json::u64(u as u64)).collect())),
-    );
-    m.push(("cliques".into(), Json::Arr(cliques)));
+    // The view caches each page's text, so this re-renders only the pages
+    // written since they were last rendered; the rest is one copy.
+    let pages: Vec<&str> = view.cliques_json().collect();
+    let len = pages.iter().map(|p| p.len()).sum::<usize>() + pages.len().saturating_sub(1) + 2;
+    let mut cliques = String::with_capacity(len);
+    cliques.push('[');
+    for (i, page) in pages.iter().enumerate() {
+        if i > 0 {
+            cliques.push(',');
+        }
+        cliques.push_str(page);
+    }
+    cliques.push(']');
+    debug_assert_eq!(cliques.len(), len);
+    m.push(("cliques".into(), Json::Raw(cliques)));
     Json::Obj(m)
 }
 
@@ -526,5 +535,50 @@ mod tests {
         assert!(g1.contains("\"group\":0") && g1.contains("\"members\":[0,1,2]"), "{g1}");
         let g5 = group_of_reply(&view, 5).render();
         assert!(g5.contains("\"group\":null"), "{g5}");
+    }
+
+    /// The `solution` reply as it was rendered before the views cached
+    /// per-page text: one `Json` tree node per group member.
+    fn solution_tree(view: &SolutionView) -> Json {
+        Json::Obj(vec![
+            ("ok".into(), Json::Bool(true)),
+            ("epoch".into(), Json::u64(view.epoch())),
+            ("k".into(), Json::usize(view.k())),
+            ("size".into(), Json::usize(view.len())),
+            ("covered_nodes".into(), Json::usize(view.covered_nodes())),
+            (
+                "cliques".into(),
+                Json::Arr(
+                    view.cliques()
+                        .map(|c| Json::Arr(c.iter().map(|&u| Json::u64(u as u64)).collect()))
+                        .collect(),
+                ),
+            ),
+        ])
+    }
+
+    #[test]
+    fn solution_reply_renders_the_tree_form() {
+        use dkc_clique::Clique;
+        use dkc_core::Solution;
+        use dkc_dynamic::UpdateStats;
+        // Empty S, one group, and groups over several pages (with empty
+        // pages between them) at digit boundaries.
+        let mut cases = vec![Solution::new(3)];
+        let mut one = Solution::new(3);
+        one.push(Clique::new(&[8, 9, 10]));
+        cases.push(one);
+        let mut spread = Solution::new(4);
+        for row in [[99_997, 99_998, 99_999, 100_000], [0, 1, 2, 3], [9, 10, 5000, 200_000]] {
+            spread.push(Clique::new(&row));
+        }
+        cases.push(spread);
+        for s in &cases {
+            let view = SolutionView::new(7, 200_001, s, UpdateStats::default());
+            for _ in 0..2 {
+                // The second render reads the cached page text.
+                assert_eq!(solution_reply(&view).render(), solution_tree(&view).render());
+            }
+        }
     }
 }

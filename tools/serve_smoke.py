@@ -6,8 +6,9 @@ Drives a freshly started server through the full protocol surface
 validates every
 reply as JSON, writes all reply lines to a file for external
 `python3 -m json.tool` validation, and — on a second invocation with
-``--expect-epoch/--expect-size`` — asserts that a restarted server
-reproduced the pre-shutdown epoch and |S| via snapshot + log replay.
+``--verify-restart`` — asserts that a restarted server reproduced the
+pre-shutdown epoch and |S| via snapshot + log replay, and that its
+`solution` reply is byte-identical to the live server's.
 
 Usage:
     serve_smoke.py --port P --replies OUT.jsonl [phase flags]
@@ -18,6 +19,14 @@ Phases:
     --verify-restart EPOCH SIZE
                     after a restart: assert stats report exactly this
                     epoch/|S|, then shut the server down
+
+    --solution-line FILE
+                    with --drive: save the raw `solution` reply line of the
+                    final epoch; with --verify-restart: require the
+                    restarted server's line to equal it byte for byte. The
+                    live server renders that reply from page fragments
+                    cached over earlier epochs, the restarted one from
+                    scratch.
 """
 
 import argparse
@@ -44,6 +53,10 @@ class Client:
         self.replies = open(replies_path, "a", encoding="utf-8")
 
     def call(self, request: dict) -> dict:
+        return self.call_raw(request)[1]
+
+    def call_raw(self, request: dict) -> tuple:
+        """The reply line exactly as received, and its parsed value."""
         self.file.write(json.dumps(request) + "\n")
         self.file.flush()
         line = self.file.readline()
@@ -51,7 +64,14 @@ class Client:
             raise SystemExit(f"connection closed while awaiting reply to {request}")
         self.replies.write(line if line.endswith("\n") else line + "\n")
         reply = json.loads(line)  # every reply must be valid JSON
-        return reply
+        return line, reply
+
+    def solution_line(self, epoch: int) -> str:
+        line, sol = self.call_raw({"cmd": "query", "what": "solution"})
+        if sol.get("ok") is not True or sol["epoch"] != epoch:
+            raise SystemExit(f"solution at epoch {epoch} expected: {line}")
+        assert sol["size"] == len(sol["cliques"]), "torn solution reply"
+        return line
 
     def call_ok(self, request: dict) -> dict:
         reply = self.call(request)
@@ -60,7 +80,7 @@ class Client:
         return reply
 
 
-def drive(client: Client) -> None:
+def drive(client: Client, solution_path) -> None:
     # 1. Baseline stats.
     stats = client.call_ok({"cmd": "query", "what": "stats"})
     k = stats["k"]
@@ -75,6 +95,16 @@ def drive(client: Client) -> None:
     ins = [{"op": "insert", "u": u, "v": v} for (u, v) in victims]
     r2 = client.call_ok({"cmd": "update", "updates": ins})
     assert r2["epoch"] > r1["epoch"], (r1, r2)
+
+    # 2b. Grow the graph past its first 1024-node page (below the default
+    #     growth cap of 115 + 1023) with a triangle of fresh nodes, so the
+    #     solution spans two pages and later epochs reuse the far page's
+    #     cached text.
+    far = [(1100, 1101), (1101, 1102), (1100, 1102)]
+    grow = [{"op": "insert", "u": u, "v": v} for (u, v) in far]
+    r3 = client.call_ok({"cmd": "update", "updates": grow})
+    g = client.call_ok({"cmd": "query", "what": "group_of", "node": 1100})
+    assert g["members"] == [1100, 1101, 1102], (r3, g)
 
     # 3. Queries at a consistent epoch.
     sol = client.call_ok({"cmd": "query", "what": "solution"})
@@ -112,19 +142,35 @@ def drive(client: Client) -> None:
     assert imp["stats"]["uplift"] == imp["size"] - pre["size"], (pre, imp)
 
     final = client.call_ok({"cmd": "query", "what": "stats"})
+    line = client.solution_line(final["epoch"])
+    if solution_path:
+        with open(solution_path, "w", encoding="utf-8", newline="") as f:
+            f.write(line)
     client.call_ok({"cmd": "shutdown"})
     print(f"EPOCH {final['epoch']} SIZE {final['size']}")
     sys.stderr.write(f"drive ok: epoch={final['epoch']} |S|={final['size']} (k={k}, |S0|={size0})\n")
 
 
-def verify_restart(client: Client, epoch: int, size: int) -> None:
+def verify_restart(client: Client, epoch: int, size: int, solution_path) -> None:
     stats = client.call_ok({"cmd": "query", "what": "stats"})
     assert stats["epoch"] == epoch, f"restart lost epochs: {stats['epoch']} != {epoch}"
     assert stats["size"] == size, f"restart changed |S|: {stats['size']} != {size}"
-    sol = client.call_ok({"cmd": "query", "what": "solution"})
-    assert sol["epoch"] == epoch and sol["size"] == size, sol
+    line = client.solution_line(epoch)
+    assert json.loads(line)["size"] == size, line
+    if solution_path:
+        with open(solution_path, encoding="utf-8", newline="") as f:
+            live = f.read()
+        if line != live:
+            at = next((i for i, (a, b) in enumerate(zip(line, live)) if a != b), None)
+            at = min(len(line), len(live)) if at is None else at
+            raise SystemExit(
+                f"restarted solution differs from the live one at byte {at}:\n"
+                f"  live:      {live[max(0, at - 40):at + 40]!r}\n"
+                f"  restarted: {line[max(0, at - 40):at + 40]!r}"
+            )
     client.call_ok({"cmd": "shutdown"})
-    sys.stderr.write(f"restart ok: epoch={epoch} |S|={size} reproduced\n")
+    same = ", solution bytes identical" if solution_path else ""
+    sys.stderr.write(f"restart ok: epoch={epoch} |S|={size} reproduced{same}\n")
 
 
 def main() -> None:
@@ -134,12 +180,13 @@ def main() -> None:
     parser.add_argument("--drive", action="store_true")
     parser.add_argument("--verify-restart", nargs=2, type=int, metavar=("EPOCH", "SIZE"))
     parser.add_argument("--shutdown", action="store_true")
+    parser.add_argument("--solution-line", metavar="FILE")
     args = parser.parse_args()
     client = Client(args.port, args.replies)
     if args.drive:
-        drive(client)
+        drive(client, args.solution_line)
     elif args.verify_restart:
-        verify_restart(client, *args.verify_restart)
+        verify_restart(client, *args.verify_restart, args.solution_line)
     elif args.shutdown:
         client.call_ok({"cmd": "shutdown"})
     else:
