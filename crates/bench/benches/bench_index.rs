@@ -15,13 +15,16 @@ fn bench_index_build(c: &mut Criterion) {
     for (id, scale) in [(DatasetId::Hst, 1.0), (DatasetId::Fb, 0.02)] {
         let g = id.standin(scale, 42);
         for k in [3usize, 4] {
-            let solution = Engine::solve(&g, SolveRequest::new(Algo::Lp, k)).expect("LP").solution;
+            let request = SolveRequest::new(Algo::Lp, k);
+            let solution = Engine::solve(&g, request).expect("LP").solution;
             let dyn_g = DynGraph::from_csr(&g);
             let state = SolutionState::from_solution(&solution, g.num_nodes());
             group.bench_with_input(
                 BenchmarkId::new(id.name(), k),
                 &(&dyn_g, &state),
-                |b, (dyn_g, state)| b.iter(|| CandidateIndex::build(dyn_g, state).len()),
+                |b, (dyn_g, state)| {
+                    b.iter(|| CandidateIndex::build(dyn_g, state, request.par).len())
+                },
             );
         }
     }

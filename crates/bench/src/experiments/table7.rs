@@ -25,10 +25,11 @@ pub fn run(cfg: &ReproConfig) -> String {
         let mut times = Vec::new();
         let mut sizes = Vec::new();
         for &k in &cfg.ks {
-            let solution = Engine::solve(&g, cfg.request(Algo::Lp, k)).expect("LP solve").solution;
+            let request = cfg.request(Algo::Lp, k);
+            let solution = Engine::solve(&g, request).expect("LP solve").solution;
             let dyn_g = DynGraph::from_csr(&g);
             let state = SolutionState::from_solution(&solution, g.num_nodes());
-            let (index, elapsed) = timed(|| CandidateIndex::build(&dyn_g, &state));
+            let (index, elapsed) = timed(|| CandidateIndex::build(&dyn_g, &state, request.par));
             times.push(format!("{:.1}", elapsed.as_secs_f64() * 1e3));
             sizes.push(human_count(index.len() as u64));
         }

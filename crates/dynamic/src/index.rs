@@ -1,12 +1,13 @@
 use crate::state::{CliqueId, SolutionState};
-use dkc_clique::{collect_kcliques_in_subset, Clique};
+use dkc_clique::{for_each_kclique_in_subset, Clique};
 use dkc_graph::{DynGraph, NodeId};
+use dkc_par::ParConfig;
 use std::collections::BTreeSet;
 
 /// Identifier of a candidate clique inside the index (slot; reused).
 pub type CandId = u32;
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct Candidate {
     clique: Clique,
     attached: CliqueId,
@@ -24,7 +25,7 @@ struct Candidate {
 /// Besides the per-clique lists, an inverted node → candidates map supports
 /// the incremental repairs of Algorithms 6/7 (dropping candidates hit by an
 /// edge deletion or by nodes changing free status).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CandidateIndex {
     cands: Vec<Option<Candidate>>,
     vacant: Vec<CandId>,
@@ -45,9 +46,54 @@ pub(crate) struct RebuildReport {
     pub all_free: Vec<Clique>,
 }
 
+/// What Algorithm 5 finds for one clique `C` of `S`, in enumeration
+/// order: its candidates, plus any k-cliques of only free nodes.
+#[derive(Debug, Default)]
+struct Found {
+    candidates: Vec<Clique>,
+    all_free: Vec<Clique>,
+}
+
+/// Work-stealing chunks per worker in one [`CandidateIndex::build`]
+/// window. A window's per-clique results are held until its insertion
+/// step, so this bounds the transient memory of a build.
+const WINDOW_CHUNKS_PER_WORKER: usize = 16;
+
+/// Algorithm 5 for one clique: enumerates every k-clique on
+/// `B = C ∪ N_F(C)` (the clique plus its free neighbours) and sorts those
+/// mixing free and non-free nodes from those of free nodes only. Reads
+/// `g` and `state` only, so cliques can be searched concurrently.
+fn enumerate_for_clique(g: &DynGraph, state: &SolutionState, clique: &Clique) -> Found {
+    let mut b: Vec<NodeId> = clique.as_slice().to_vec();
+    for u in clique.iter() {
+        b.extend(g.neighbors(u).iter().copied().filter(|&w| state.is_free(w)));
+    }
+    let k = clique.len();
+    let mut found = Found::default();
+    for_each_kclique_in_subset(g, &b, k, |members| {
+        let cand = Clique::from_sorted(members);
+        if cand == *clique {
+            return;
+        }
+        if members.iter().all(|&u| state.is_free(u)) {
+            found.all_free.push(cand);
+        } else {
+            // By construction of B, every non-free member lies in `clique`.
+            debug_assert!(cand.iter().all(|u| state.is_free(u) || clique.contains(u)));
+            found.candidates.push(cand);
+        }
+    });
+    found
+}
+
 impl CandidateIndex {
     /// Builds the index from scratch — Algorithm 5 over every clique in `S`.
-    pub fn build(g: &DynGraph, state: &SolutionState) -> Self {
+    ///
+    /// The per-clique searches run on `par`'s workers, a bounded window of
+    /// slots at a time; each window's results are inserted in slot order,
+    /// so candidate ids and every list come out identical for any thread
+    /// count.
+    pub fn build(g: &DynGraph, state: &SolutionState, par: ParConfig) -> Self {
         let mut idx = CandidateIndex {
             cands: Vec::new(),
             vacant: Vec::new(),
@@ -55,10 +101,21 @@ impl CandidateIndex {
             by_node: vec![Vec::new(); g.num_nodes()],
             len: 0,
         };
-        let slots: Vec<CliqueId> = state.iter().map(|(id, _)| id).collect();
-        for slot in slots {
-            let report = idx.rebuild_for_clique(g, state, slot);
-            debug_assert!(report.all_free.is_empty(), "index built over a non-maximal solution");
+        let live: Vec<(CliqueId, &Clique)> = state.iter().collect();
+        let window = par.chunk.max(1) * par.threads.max(1) * WINDOW_CHUNKS_PER_WORKER;
+        for slots in live.chunks(window) {
+            let found = dkc_par::par_for_each_root(
+                par,
+                slots.len(),
+                || (),
+                |_, i, out| out.push(enumerate_for_clique(g, state, slots[i].1)),
+            );
+            for (&(slot, _), found) in slots.iter().zip(found) {
+                debug_assert!(found.all_free.is_empty(), "index built over a non-maximal solution");
+                for cand in found.candidates {
+                    idx.insert(cand, slot);
+                }
+            }
         }
         idx
     }
@@ -176,16 +233,14 @@ impl CandidateIndex {
     }
 
     /// Re-derives `C(slot)` from scratch (Algorithm 5 for one clique):
-    /// drops the old set, enumerates all k-cliques on
-    /// `B = C ∪ N_F(C)` (the clique plus its free neighbours) and stores
-    /// every one that mixes free and non-free nodes.
+    /// drops the old set and stores what [`enumerate_for_clique`] finds.
     pub(crate) fn rebuild_for_clique(
         &mut self,
         g: &DynGraph,
         state: &SolutionState,
         slot: CliqueId,
     ) -> RebuildReport {
-        let Some(clique) = state.clique(slot).copied() else {
+        let Some(clique) = state.clique(slot) else {
             return RebuildReport::default();
         };
         self.ensure_slot(slot);
@@ -194,41 +249,19 @@ impl CandidateIndex {
             .filter_map(|&id| self.cands[id as usize].as_ref().map(|c| c.clique))
             .collect();
         self.drop_attached(slot);
-
-        // B = C ∪ N_F(C).
-        let mut b: Vec<NodeId> = clique.as_slice().to_vec();
-        for u in clique.iter() {
-            for &w in g.neighbors(u) {
-                if state.is_free(w) {
-                    b.push(w);
-                }
-            }
-        }
-        let k = clique.len();
-        let mut report = RebuildReport::default();
-        for cand in collect_kcliques_in_subset(g, &b, k) {
-            if cand == clique {
-                continue;
-            }
-            let free_count = cand.iter().filter(|&u| state.is_free(u)).count();
-            if free_count == k {
-                report.all_free.push(cand);
-                continue;
-            }
-            // By construction of B, every non-free member lies in `clique`.
-            debug_assert!(cand.iter().all(|u| state.is_free(u) || clique.contains(u)));
-            if !old.contains(&cand) {
-                report.has_new = true;
-            }
+        let found = enumerate_for_clique(g, state, clique);
+        let has_new = found.candidates.iter().any(|c| !old.contains(c));
+        for cand in found.candidates {
             self.insert(cand, slot);
         }
-        report
+        RebuildReport { has_new, all_free: found.all_free }
     }
 
     /// Audits the incremental index against a from-scratch Algorithm 5 run.
-    /// Returns a description of the first mismatch. Test/debug helper.
+    /// Returns a description of the first mismatch. Test/debug helper; the
+    /// fresh index is built sequentially, the simplest reference.
     pub fn validate(&self, g: &DynGraph, state: &SolutionState) -> Result<(), String> {
-        let fresh = CandidateIndex::build(g, state);
+        let fresh = CandidateIndex::build(g, state, ParConfig::sequential());
         if fresh.len() != self.len() {
             return Err(format!(
                 "index size mismatch: incremental {} vs fresh {}",
@@ -294,7 +327,7 @@ mod tests {
         // The paper: C1 = (v3,v4,v5) has exactly one candidate (v1,v2,v3);
         // C2 = (v9,v10,v11) has none (no free neighbours complete a clique).
         let (g, state) = fig5_g1();
-        let idx = CandidateIndex::build(&g, &state);
+        let idx = CandidateIndex::build(&g, &state, ParConfig::sequential());
         assert_eq!(idx.len(), 1);
         let c1 = state.owner(2).unwrap();
         let c2 = state.owner(8).unwrap();
@@ -307,7 +340,7 @@ mod tests {
         // Fig. 5(b): adding (v5, v7) forms candidate (v5, v6, v7) for C1.
         let (mut g, state) = fig5_g1();
         g.insert_edge(4, 6);
-        let mut idx = CandidateIndex::build(&g, &state);
+        let mut idx = CandidateIndex::build(&g, &state, ParConfig::sequential());
         let c1 = state.owner(2).unwrap();
         let mut cands = idx.candidates_of(c1);
         cands.sort_unstable();
@@ -324,7 +357,7 @@ mod tests {
     fn drop_with_edge_removes_hit_candidates_only() {
         let (mut g, state) = fig5_g1();
         g.insert_edge(4, 6);
-        let mut idx = CandidateIndex::build(&g, &state);
+        let mut idx = CandidateIndex::build(&g, &state, ParConfig::sequential());
         assert_eq!(idx.len(), 2);
         idx.drop_with_edge(4, 6);
         assert_eq!(idx.len(), 1);
@@ -335,7 +368,7 @@ mod tests {
     #[test]
     fn drop_containing_node_clears_stale_candidates() {
         let (g, state) = fig5_g1();
-        let mut idx = CandidateIndex::build(&g, &state);
+        let mut idx = CandidateIndex::build(&g, &state, ParConfig::sequential());
         idx.drop_containing_node(1); // v2 is free and inside (v1,v2,v3)
         assert!(idx.is_empty());
     }
@@ -343,7 +376,7 @@ mod tests {
     #[test]
     fn drop_attached_clears_a_cliques_candidates() {
         let (g, state) = fig5_g1();
-        let mut idx = CandidateIndex::build(&g, &state);
+        let mut idx = CandidateIndex::build(&g, &state, ParConfig::sequential());
         let c1 = state.owner(2).unwrap();
         idx.drop_attached(c1);
         assert!(idx.is_empty());
@@ -355,7 +388,7 @@ mod tests {
     #[test]
     fn rebuild_reports_new_candidates() {
         let (mut g, state) = fig5_g1();
-        let mut idx = CandidateIndex::build(&g, &state);
+        let mut idx = CandidateIndex::build(&g, &state, ParConfig::sequential());
         let c1 = state.owner(2).unwrap();
         g.insert_edge(4, 6); // creates (v5, v6, v7)
         let report = idx.rebuild_for_clique(&g, &state, c1);
@@ -363,6 +396,89 @@ mod tests {
         assert!(report.all_free.is_empty());
         assert_eq!(idx.candidates_of(c1).len(), 2);
         idx.validate(&g, &state).unwrap();
+    }
+
+    /// A 240-node graph: sparse random edges plus dense planted groups,
+    /// with an LP solution of k-cliques (maximal by construction).
+    fn planted_graph(k: usize, seed: u64) -> (DynGraph, SolutionState) {
+        let n = 240u32;
+        let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move |bound: u32| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            (rng % bound as u64) as NodeId
+        };
+        let mut edges = Vec::new();
+        for _ in 0..500 {
+            edges.push((next(n), next(n)));
+        }
+        for base in (0..n - 6).step_by(6) {
+            for a in base..base + 6 {
+                for b in a + 1..base + 6 {
+                    if next(4) != 0 {
+                        edges.push((a, b));
+                    }
+                }
+            }
+        }
+        let csr = dkc_graph::CsrGraph::from_edges(n as usize, edges).unwrap();
+        let request = dkc_core::SolveRequest::new(dkc_core::Algo::Lp, k);
+        let solution = dkc_core::Engine::solve(&csr, request).unwrap().solution;
+        (DynGraph::from_csr(&csr), SolutionState::from_solution(&solution, csr.num_nodes()))
+    }
+
+    #[test]
+    fn build_is_identical_for_any_thread_count() {
+        let configs = [
+            ParConfig::new(2).with_chunk(1),
+            ParConfig::new(2).with_chunk(3),
+            ParConfig::new(4).with_chunk(2),
+            ParConfig::new(4).with_chunk(8),
+            ParConfig::new(1).with_chunk(5),
+        ];
+        for (k, seed) in [(3, 1), (3, 2), (4, 3)] {
+            let (g, state) = planted_graph(k, seed);
+            let reference = CandidateIndex::build(&g, &state, ParConfig::sequential());
+            assert!(reference.len() > 20, "the graph must yield candidates: {}", reference.len());
+            // Later deletions free ids and rebuilds reuse them; the ids
+            // must stay in lockstep too.
+            let churn = |idx: &mut CandidateIndex| {
+                let mut freed = Vec::new();
+                for (slot, c) in state.iter().step_by(3) {
+                    let ids = idx.by_clique[slot as usize].clone();
+                    if let Some(&id) = ids.first() {
+                        let cand = idx.cands[id as usize].as_ref().unwrap().clique;
+                        let (u, v) = (cand.as_slice()[0], cand.as_slice()[1]);
+                        idx.drop_with_edge(u, v);
+                    }
+                    if let Some(w) =
+                        g.neighbors(c.as_slice()[0]).iter().find(|&&w| state.is_free(w))
+                    {
+                        idx.drop_containing_node(*w);
+                    }
+                    freed.push(slot);
+                }
+                let vacant = idx.vacant.clone();
+                for slot in freed {
+                    idx.rebuild_for_clique(&g, &state, slot);
+                }
+                vacant
+            };
+            let mut reference_churned = reference.clone();
+            let reference_vacant = churn(&mut reference_churned);
+            assert!(!reference_vacant.is_empty(), "the churn must free ids");
+            for par in configs {
+                let mut idx = CandidateIndex::build(&g, &state, par);
+                assert_eq!(idx.len(), reference.len(), "{par:?}");
+                for (slot, _) in state.iter() {
+                    assert_eq!(idx.candidates_of(slot), reference.candidates_of(slot), "{par:?}");
+                }
+                assert!(idx == reference, "ids or lists differ under {par:?}");
+                assert_eq!(churn(&mut idx), reference_vacant, "freed ids under {par:?}");
+                assert!(idx == reference_churned, "reused ids differ under {par:?}");
+            }
+        }
     }
 
     #[test]

@@ -47,18 +47,26 @@
 //! left by a kill mid-append cannot corrupt later appends.
 //!
 //! Why restart is bit-identical: swap scheduling depends on internal slot
-//! order, so both [`ServingSolver::create`] and [`ServingSolver::compact`]
-//! first *canonicalise* the live solver ([`DynamicSolver::canonicalize`]).
-//! From that point the live process and any restore start from identical
-//! internal states and apply identical batch sequences — the deterministic
-//! update algorithms do the rest.
+//! order, so [`ServingSolver::create`] builds its solver from the solution
+//! in canonical order and [`ServingSolver::compact`] *canonicalises* the
+//! live solver ([`DynamicSolver::canonicalize`]), which yields the same
+//! state. From that point the live process and any restore start from
+//! identical internal states and apply identical batch sequences — the
+//! deterministic update algorithms do the rest.
+//!
+//! Cold start: [`ServingSolver::create`] is one engine solve, one
+//! (parallel) candidate-index build and one base-snapshot write straight
+//! from the input graph; [`ServingSolver::restore`] is one snapshot
+//! decode, one index build and the journal replay. `meta.json` is
+//! checked against the base graph before any solver is built, so a
+//! damaged state directory is an error, never a panic or a wrong index.
 
 use crate::log::{FsyncPolicy, LogError, LogRecord, UpdateLog};
 use crate::solver::{BatchOutcome, DynamicSolver, EdgeUpdate, UpdateStats};
 use crate::view::{SharedView, SolutionView};
-use dkc_clique::Clique;
+use dkc_clique::{Clique, MAX_K};
 use dkc_core::{Engine, Solution, SolveError, SolveReport, SolveRequest};
-use dkc_graph::io::{read_snapshot_path, write_snapshot_path, LoadedGraph};
+use dkc_graph::io::{read_snapshot_path, write_csr_snapshot_path};
 use dkc_graph::{CsrGraph, GraphError, NodeId};
 use dkc_improve::ImproveStats;
 use dkc_json::Json;
@@ -161,9 +169,7 @@ impl ServingSolver {
     /// An in-memory serving state (no durability): bootstraps `S` with
     /// `request` and publishes the epoch-0 view.
     pub fn in_memory(g: &CsrGraph, request: SolveRequest) -> Result<Self, SolveError> {
-        let mut solver = DynamicSolver::from_scratch(g, request)?;
-        solver.canonicalize();
-        Ok(Self::wrap(solver, 0, None))
+        Ok(Self::wrap(bootstrap(g, request)?, 0, None))
     }
 
     /// Wraps an existing solver (in-memory, no durability). The solver is
@@ -188,9 +194,8 @@ impl ServingSolver {
         // shadow the new base: start from a clean slate.
         remove_state_files(&dir, None);
         std::fs::remove_file(dir.join(META_FILE)).ok();
-        let mut solver = DynamicSolver::from_scratch(g, request)?;
-        solver.canonicalize();
-        write_state(&dir, &solver, 0, 0)?;
+        let solver = bootstrap(g, request)?;
+        write_state(&dir, &solver, g, 0, 0)?;
         let log = UpdateLog::open(dir.join(log_file(0)))?;
         Ok(Self::wrap(solver, 0, Some(Store { dir, gen: 0, log })))
     }
@@ -225,8 +230,8 @@ impl ServingSolver {
             meta.get("stats").ok_or_else(|| ServeStateError::Meta("missing stats".into()))?,
         )
         .map_err(ServeStateError::Meta)?;
-        let solution = solution_from_json(&meta, request.k)?;
         let loaded = read_snapshot_path(dir.join(base_file(gen)))?;
+        let solution = solution_from_json(&meta, request.k, &loaded.graph)?;
         let mut solver =
             DynamicSolver::from_solution_with_request(&loaded.graph, solution, request);
         solver.set_stats(stats);
@@ -401,7 +406,8 @@ impl ServingSolver {
         let path = match &mut self.store {
             Some(store) => {
                 let next = store.gen + 1;
-                write_state(&store.dir, &self.solver, epoch, next)?;
+                let base = self.solver.graph().to_csr();
+                write_state(&store.dir, &self.solver, &base, epoch, next)?;
                 let new_log_path = store.dir.join(log_file(next));
                 std::fs::remove_file(&new_log_path).ok(); // stale orphan from a crashed compact
                 store.log = UpdateLog::open(&new_log_path)?;
@@ -503,48 +509,83 @@ impl ServingSolver {
             let v = NodeId::try_from(v).map_err(|_| ServeStateError::Meta("bad edge".into()))?;
             edges.push((u, v));
         }
-        let solution = solution_from_json(doc, request.k)?;
         let graph = CsrGraph::from_edges(num_nodes, edges)?;
+        let solution = solution_from_json(doc, request.k, &graph)?;
         let mut solver = DynamicSolver::from_solution_with_request(&graph, solution, request);
         solver.set_stats(stats);
         Ok(Self::wrap(solver, epoch, None))
     }
 }
 
+/// Solves `g` with `request` and builds the solver from the solution in
+/// canonical (sorted-clique) order: the state of
+/// [`DynamicSolver::from_scratch`] followed by
+/// [`DynamicSolver::canonicalize`], with one index build instead of two.
+fn bootstrap(g: &CsrGraph, request: SolveRequest) -> Result<DynamicSolver, SolveError> {
+    let solution = Engine::solve(g, request)?.solution;
+    let canonical = Solution::from_store(solution.sorted_store());
+    Ok(DynamicSolver::from_solution_with_request(g, canonical, request))
+}
+
 /// Parses the `cliques` member rendered by [`write_state`] and
-/// [`ServingSolver::export_state`] back into a [`Solution`].
-fn solution_from_json(doc: &Json, k: usize) -> Result<Solution, ServeStateError> {
-    let mut solution = Solution::new(k);
+/// [`ServingSolver::export_state`] back into a [`Solution`], and checks it
+/// is a valid, maximal disjoint k-clique set of `g`. Damaged input is a
+/// [`ServeStateError::Meta`], never a panic: every check the solver's
+/// constructors would assert runs here first.
+fn solution_from_json(doc: &Json, k: usize, g: &CsrGraph) -> Result<Solution, ServeStateError> {
+    let bad = |m: String| ServeStateError::Meta(format!("cliques: {m}"));
     let cliques = doc
         .get("cliques")
         .and_then(Json::as_arr)
         .ok_or_else(|| ServeStateError::Meta("missing cliques".into()))?;
-    for c in cliques {
+    if !(1..=MAX_K).contains(&k) {
+        return Err(bad(format!("k = {k} is outside the supported range 1..={MAX_K}")));
+    }
+    let mut solution = Solution::new(k);
+    let mut nodes: Vec<NodeId> = Vec::with_capacity(k);
+    for (i, c) in cliques.iter().enumerate() {
         let members = c.as_arr().ok_or_else(|| ServeStateError::Meta("bad clique".into()))?;
-        let mut nodes: Vec<NodeId> = Vec::with_capacity(members.len());
+        if members.len() != k {
+            return Err(bad(format!("clique #{i} has {} members, expected {k}", members.len())));
+        }
+        nodes.clear();
         for m in members {
             let id = m
                 .as_u64()
                 .and_then(|v| NodeId::try_from(v).ok())
                 .ok_or_else(|| ServeStateError::Meta("bad clique member".into()))?;
+            if id as usize >= g.num_nodes() {
+                return Err(bad(format!(
+                    "clique #{i} member {id} is beyond the base graph's {} nodes",
+                    g.num_nodes()
+                )));
+            }
             nodes.push(id);
         }
-        solution.push(Clique::new(&nodes));
+        nodes.sort_unstable();
+        if let Some(w) = nodes.windows(2).find(|w| w[0] == w[1]) {
+            return Err(bad(format!("clique #{i} lists member {} twice", w[0])));
+        }
+        solution.push(Clique::from_sorted(&nodes));
     }
+    solution.verify(g).map_err(|e| bad(e.to_string()))?;
+    solution.verify_maximal(g).map_err(|e| bad(e.to_string()))?;
     Ok(solution)
 }
 
+/// Writes generation `gen`: the base snapshot of `base` (the solver's
+/// graph) and the `meta.json` that commits it.
 fn write_state(
     dir: &Path,
     solver: &DynamicSolver,
+    base: &CsrGraph,
     epoch: u64,
     gen: u64,
 ) -> Result<(), ServeStateError> {
     // The base goes to a generation-fresh name, never over the live
     // snapshot: until meta.json flips, a crash leaves the previous
     // generation fully intact (the new base is an orphan, GC'd later).
-    let loaded = LoadedGraph::identity(solver.graph().to_csr());
-    write_snapshot_path(&loaded, dir.join(base_file(gen)))?;
+    write_csr_snapshot_path(base, dir.join(base_file(gen)))?;
     let cliques = cliques_to_json(solver);
     let meta = Json::Obj(vec![
         ("version".into(), Json::u64(META_VERSION)),
@@ -641,8 +682,7 @@ mod tests {
     /// Simulates a compaction killed before the meta flip: only the new
     /// generation's base snapshot reaches disk.
     fn write_state_base_only(dir: &Path, solver: &DynamicSolver, gen: u64) {
-        let loaded = LoadedGraph::identity(solver.graph().to_csr());
-        write_snapshot_path(&loaded, dir.join(base_file(gen))).unwrap();
+        write_csr_snapshot_path(&solver.graph().to_csr(), dir.join(base_file(gen))).unwrap();
     }
 
     #[test]
@@ -771,7 +811,7 @@ mod tests {
         drop(live);
         let mut canonical = solver.clone();
         canonical.canonicalize();
-        super::write_state(&dir, &canonical, epoch, 1).unwrap();
+        super::write_state(&dir, &canonical, &canonical.graph().to_csr(), epoch, 1).unwrap();
         assert!(dir.join(log_file(0)).exists(), "old journal still present");
         let restored = ServingSolver::restore(&dir).unwrap();
         assert_eq!(restored.epoch(), epoch, "old journal must not be replayed");
@@ -978,6 +1018,131 @@ mod tests {
         let v = stats_to_json(&stats);
         assert_eq!(stats_from_json(&v).unwrap(), stats);
         assert!(stats_from_json(&Json::Null).is_err());
+    }
+
+    /// Two triangles bridged, plus the triangle {6, 7, 8} and the
+    /// isolated node 9: the LP state is {0,1,2}, {3,4,5}, {6,7,8}.
+    fn three_triangles() -> CsrGraph {
+        let mut edges = vec![(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)];
+        edges.extend([(6, 7), (7, 8), (6, 8)]);
+        CsrGraph::from_edges(10, edges).unwrap()
+    }
+
+    /// Creates a state of [`three_triangles`], replaces the `cliques` of
+    /// its `meta.json` and restores it.
+    fn restore_with_cliques(
+        tag: &str,
+        cliques: &[&[u64]],
+    ) -> Result<ServingSolver, ServeStateError> {
+        let dir = temp_dir(tag);
+        let g = three_triangles();
+        let created = ServingSolver::create(&dir, &g, SolveRequest::new(Algo::Lp, 3)).unwrap();
+        assert_eq!(created.view().len(), 3);
+        let meta_path = dir.join(META_FILE);
+        let Json::Obj(mut members) =
+            Json::parse(&std::fs::read_to_string(&meta_path).unwrap()).unwrap()
+        else {
+            panic!("meta.json is an object")
+        };
+        let rows = cliques.iter().map(|c| Json::Arr(c.iter().map(|&u| Json::u64(u)).collect()));
+        for (key, value) in &mut members {
+            if key == "cliques" {
+                *value = Json::Arr(rows.clone().collect());
+            }
+        }
+        std::fs::write(&meta_path, Json::Obj(members).render()).unwrap();
+        let restored = ServingSolver::restore(&dir);
+        std::fs::remove_dir_all(&dir).ok();
+        restored
+    }
+
+    fn meta_error(result: Result<ServingSolver, ServeStateError>) -> String {
+        match result {
+            Err(ServeStateError::Meta(m)) => m,
+            other => panic!("expected a Meta error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn restore_accepts_an_untouched_clique_list() {
+        let restored = restore_with_cliques("meta_ok", &[&[0, 1, 2], &[3, 4, 5], &[6, 7, 8]]);
+        assert_eq!(restored.unwrap().view().len(), 3);
+    }
+
+    #[test]
+    fn restore_rejects_overlapping_cliques() {
+        // A member of clique 0 moved into clique 1.
+        let m =
+            meta_error(restore_with_cliques("meta_overlap", &[&[0, 1, 2], &[2, 4, 5], &[6, 7, 8]]));
+        assert!(m.contains("share node 2"), "{m}");
+    }
+
+    #[test]
+    fn restore_rejects_a_duplicate_member() {
+        let m = meta_error(restore_with_cliques("meta_dup", &[&[0, 1, 2], &[3, 5, 5], &[6, 7, 8]]));
+        assert!(m.contains("member 5 twice"), "{m}");
+    }
+
+    #[test]
+    fn restore_rejects_a_wrong_clique_size() {
+        let m = meta_error(restore_with_cliques("meta_size", &[&[0, 1, 2], &[3, 4], &[6, 7, 8]]));
+        assert!(m.contains("clique #1 has 2 members, expected 3"), "{m}");
+    }
+
+    #[test]
+    fn restore_rejects_more_than_max_k_members() {
+        let many: Vec<u64> = (0..17).collect();
+        let m = meta_error(restore_with_cliques("meta_many", &[&many]));
+        assert!(m.contains("clique #0 has 17 members"), "{m}");
+    }
+
+    #[test]
+    fn restore_rejects_a_node_beyond_the_base_graph() {
+        let m =
+            meta_error(restore_with_cliques("meta_range", &[&[0, 1, 2], &[3, 4, 5], &[6, 7, 10]]));
+        assert!(m.contains("member 10 is beyond the base graph's 10 nodes"), "{m}");
+    }
+
+    #[test]
+    fn restore_rejects_a_non_edge() {
+        let m =
+            meta_error(restore_with_cliques("meta_edge", &[&[0, 1, 2], &[3, 4, 5], &[6, 7, 9]]));
+        assert!(m.contains("misses edge (6, 9)"), "{m}");
+    }
+
+    #[test]
+    fn restore_rejects_a_non_maximal_solution() {
+        // {6, 7, 8} is left free.
+        let m = meta_error(restore_with_cliques("meta_maximal", &[&[0, 1, 2], &[3, 4, 5]]));
+        assert!(m.contains("not maximal"), "{m}");
+    }
+
+    #[test]
+    fn import_rejects_an_invalid_clique_list() {
+        let mut s =
+            ServingSolver::in_memory(&three_triangles(), SolveRequest::new(Algo::Lp, 3)).unwrap();
+        let Json::Obj(mut members) = s.export_state() else { panic!("export is an object") };
+        for (key, value) in &mut members {
+            if key == "cliques" {
+                *value = Json::parse("[[0,1,2],[2,4,5],[6,7,8]]").unwrap();
+            }
+        }
+        let m = meta_error(ServingSolver::import_state(&Json::Obj(members)));
+        assert!(m.contains("share node 2"), "{m}");
+    }
+
+    #[test]
+    fn create_writes_the_base_of_the_solvers_graph() {
+        // The base snapshot is written from the input graph; it must hold
+        // the bytes the solver's own graph would produce.
+        let dir = temp_dir("base_bytes");
+        let g = three_triangles();
+        let created = ServingSolver::create(&dir, &g, SolveRequest::new(Algo::Lp, 3)).unwrap();
+        let mut expected = Vec::new();
+        dkc_graph::io::write_csr_snapshot(&created.solver().graph().to_csr(), &mut expected)
+            .unwrap();
+        assert!(std::fs::read(dir.join(base_file(0))).unwrap() == expected);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -126,7 +126,7 @@ impl DynamicSolver {
     fn with_request(g: &CsrGraph, solution: Solution, request: SolveRequest) -> Self {
         let graph = DynGraph::from_csr(g);
         let state = SolutionState::from_solution(&solution, g.num_nodes());
-        let index = CandidateIndex::build(&graph, &state);
+        let index = CandidateIndex::build(&graph, &state, request.par);
         DynamicSolver {
             k: solution.k(),
             graph,
@@ -146,7 +146,7 @@ impl DynamicSolver {
         let csr = self.graph.to_csr();
         let report = Engine::solve(&csr, self.request)?;
         self.state.reslot(&report.solution, csr.num_nodes());
-        self.index = CandidateIndex::build(&self.graph, &self.state);
+        self.index = CandidateIndex::build(&self.graph, &self.state, self.request.par);
         Ok(report)
     }
 
@@ -178,6 +178,17 @@ impl DynamicSolver {
     /// Number of candidate cliques in the index (Table VII's "index size").
     pub fn index_size(&self) -> usize {
         self.index.len()
+    }
+
+    /// The candidate-clique index, keyed by the slots of
+    /// [`DynamicSolver::state`].
+    pub fn index(&self) -> &CandidateIndex {
+        &self.index
+    }
+
+    /// The solution state: `S` in its slots, and which nodes are free.
+    pub fn state(&self) -> &SolutionState {
+        &self.state
     }
 
     /// Lifetime counters.
@@ -215,12 +226,15 @@ impl DynamicSolver {
     /// solver behaves exactly like one freshly built from its own solution
     /// — which is how [`crate::ServingSolver`] makes a live process and a
     /// snapshot-restored process bit-identical from the snapshot point on.
+    /// [`DynamicSolver::from_solution_with_request`] over a solution in
+    /// canonical order builds that same solver directly, with one index
+    /// build instead of two (the bootstrap path of [`crate::ServingSolver`]).
     ///
     /// Published views are slot-free, so this leaves their pages untouched.
     pub fn canonicalize(&mut self) {
         let canonical = self.canonical_solution();
         self.state.reslot(&canonical, self.graph.num_nodes());
-        self.index = CandidateIndex::build(&self.graph, &self.state);
+        self.index = CandidateIndex::build(&self.graph, &self.state, self.request.par);
     }
 
     /// Restores lifetime counters (the [`crate::ServingSolver`] restart
@@ -253,7 +267,7 @@ impl DynamicSolver {
             canonical.push(c);
         }
         self.state.reslot(&canonical, self.graph.num_nodes());
-        self.index = CandidateIndex::build(&self.graph, &self.state);
+        self.index = CandidateIndex::build(&self.graph, &self.state, self.request.par);
     }
 
     /// Budgeted local-search improvement: propose, then install when any

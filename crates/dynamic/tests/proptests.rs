@@ -2,11 +2,13 @@
 //! streams must preserve every invariant at every step, and the maintained
 //! solution must stay comparable to a from-scratch static solve.
 
+use dkc_clique::Clique;
 use dkc_core::{approx_guarantee_holds, Algo, Engine, SolveRequest};
-use dkc_dynamic::{DynamicSolver, EdgeUpdate, ServingSolver, SolutionView, UpdateStats};
+use dkc_dynamic::{CliqueId, DynamicSolver, EdgeUpdate, ServingSolver, SolutionView, UpdateStats};
 use dkc_graph::{CsrGraph, NodeId};
 use dkc_json::Json;
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 fn graph_strategy(max_n: u32, max_m: usize) -> impl Strategy<Value = CsrGraph> {
@@ -174,8 +176,86 @@ fn check_held(held: &[(Arc<SolutionView>, Observed)]) -> Result<(), TestCaseErro
     Ok(())
 }
 
+/// Every live slot of a solver with its clique and its candidates, in
+/// slot and candidate order.
+fn slots_and_candidates(solver: &DynamicSolver) -> Vec<(CliqueId, Clique, Vec<Clique>)> {
+    let state = solver.state();
+    state.iter().map(|(slot, c)| (slot, *c, solver.index().candidates_of(slot))).collect()
+}
+
+/// The serving solver and the reference agree on everything observable
+/// and on their internals: slot order, candidates per slot in order,
+/// candidate ids, counters and the published view.
+fn check_same_solver(
+    serving: &ServingSolver,
+    reference: &DynamicSolver,
+) -> Result<(), TestCaseError> {
+    let solver = serving.solver();
+    prop_assert_eq!(solver.solution(), reference.solution());
+    prop_assert_eq!(slots_and_candidates(solver), slots_and_candidates(reference));
+    prop_assert!(solver.index() == reference.index(), "candidate ids differ");
+    prop_assert_eq!(solver.stats(), reference.stats());
+    prop_assert_eq!(&*serving.view(), &reference.solution_view(serving.epoch()));
+    solver.validate().map_err(TestCaseError::fail)?;
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The serving bootstrap (`create` and `in_memory`: solve, sort into
+    /// canonical order, one index build) yields exactly the solver of
+    /// `from_scratch` followed by `canonicalize()`. Both then stay in
+    /// lockstep through node-growing batches, improvement slices,
+    /// compactions (`canonicalize()` on the reference) and restores.
+    #[test]
+    fn serving_bootstrap_equals_from_scratch_then_canonicalize(
+        g in graph_strategy(12, 40),
+        batches in proptest::collection::vec(ops_strategy(18, 6), 8..14),
+        actions in proptest::collection::vec(0u8..6, 14),
+        k in 3usize..=4,
+        durable in any::<bool>(),
+    ) {
+        static CASE: AtomicUsize = AtomicUsize::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "dkc_dyn_bootstrap_{}_{}",
+            std::process::id(),
+            CASE.fetch_add(1, Ordering::Relaxed)
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+        let req = SolveRequest::new(Algo::Lp, k);
+        let mut serving = if durable {
+            ServingSolver::create(&dir, &g, req).unwrap()
+        } else {
+            ServingSolver::in_memory(&g, req).unwrap()
+        };
+        let mut reference = DynamicSolver::from_scratch(&g, req).unwrap();
+        reference.canonicalize();
+        check_same_solver(&serving, &reference)?;
+        for (i, batch) in batches.iter().enumerate() {
+            let (outcome, _) = serving.apply_batch(batch).unwrap();
+            prop_assert_eq!(outcome, reference.apply_batch(batch.iter().copied()));
+            match actions[i] {
+                0 => {
+                    let (stats, _) = serving.improve(16, i as u64).unwrap();
+                    prop_assert_eq!(stats, reference.improve(16, i as u64));
+                }
+                1 => {
+                    serving.compact().unwrap();
+                    reference.canonicalize();
+                }
+                2 if durable => {
+                    let epoch = serving.epoch();
+                    drop(serving);
+                    serving = ServingSolver::restore(&dir).unwrap();
+                    prop_assert_eq!(serving.epoch(), epoch);
+                }
+                _ => {}
+            }
+            check_same_solver(&serving, &reference)?;
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
 
     /// Incrementally maintained views equal from-scratch views. Serving
     /// path: random batch splits whose inserts grow the node range, mixed

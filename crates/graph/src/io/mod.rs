@@ -34,8 +34,8 @@ pub mod snapshot;
 pub mod text;
 
 pub use snapshot::{
-    is_snapshot_bytes, read_snapshot, read_snapshot_bytes, read_snapshot_path, write_snapshot,
-    write_snapshot_path, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
+    is_snapshot_bytes, read_snapshot, read_snapshot_bytes, read_snapshot_path, write_csr_snapshot,
+    write_csr_snapshot_path, write_snapshot, write_snapshot_path, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
 pub use text::{
     parse_edge_list, parse_edge_list_chunked, parse_edge_list_sharded, read_edge_list,

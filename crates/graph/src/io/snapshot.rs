@@ -44,7 +44,7 @@ pub const SNAPSHOT_VERSION: u32 = 1;
 
 const HEADER_BYTES: usize = 48;
 
-/// FNV-1a 64-bit, fed section by section during write and over the read
+/// FNV-1a 64-bit, fed chunk by chunk during write and over the read
 /// payload during load.
 #[derive(Clone, Copy)]
 struct Fnv(u64);
@@ -71,33 +71,73 @@ fn pad_len(adj_len: usize) -> usize {
     (8 - (adj_len * 4) % 8) % 8
 }
 
-/// Buffered little-endian section writer that updates the checksum as it
-/// goes, so the payload is never materialised as one big allocation.
-struct SectionWriter<W: Write> {
-    w: BufWriter<W>,
-    hash: Fnv,
-}
+/// Payload bytes encoded per bulk write.
+const WRITE_CHUNK: usize = 64 * 1024;
 
-impl<W: Write> SectionWriter<W> {
-    fn put(&mut self, bytes: &[u8]) -> std::io::Result<()> {
-        self.hash.update(bytes);
-        self.w.write_all(bytes)
+/// Encodes the payload — offsets, adjacency, padding, labels — in
+/// little-endian chunks of at most [`WRITE_CHUNK`] bytes and hands each
+/// chunk to `sink`, so the payload is never materialised as one big
+/// allocation.
+fn for_each_payload_chunk(
+    offsets: &[usize],
+    adjacency: &[NodeId],
+    labels: &[u64],
+    mut sink: impl FnMut(&[u8]) -> std::io::Result<()>,
+) -> std::io::Result<()> {
+    let mut buf = Vec::with_capacity(WRITE_CHUNK);
+    for words in offsets.chunks(WRITE_CHUNK / 8) {
+        buf.clear();
+        for &o in words {
+            buf.extend_from_slice(&(o as u64).to_le_bytes());
+        }
+        sink(&buf)?;
     }
+    for words in adjacency.chunks(WRITE_CHUNK / 4) {
+        buf.clear();
+        for &v in words {
+            buf.extend_from_slice(&v.to_le_bytes());
+        }
+        sink(&buf)?;
+    }
+    sink(&[0u8; 8][..pad_len(adjacency.len())])?;
+    for words in labels.chunks(WRITE_CHUNK / 8) {
+        buf.clear();
+        for &l in words {
+            buf.extend_from_slice(&l.to_le_bytes());
+        }
+        sink(&buf)?;
+    }
+    Ok(())
 }
 
-fn payload_checksum(loaded: &LoadedGraph, labels_len: usize) -> Fnv {
+/// Writes the header and payload of a snapshot of the CSR arrays
+/// `offsets`/`adjacency` with the label table `labels` (empty for
+/// identity labels).
+fn write_parts<W: Write>(
+    offsets: &[usize],
+    adjacency: &[NodeId],
+    labels: &[u64],
+    writer: W,
+) -> std::io::Result<()> {
+    // Pass 1 checksums the encoded payload, so the header can precede it
+    // without Seek; pass 2 encodes it again and writes it.
     let mut hash = Fnv::new();
-    for &o in loaded.graph.offsets() {
-        hash.update(&(o as u64).to_le_bytes());
-    }
-    for &v in loaded.graph.adjacency() {
-        hash.update(&v.to_le_bytes());
-    }
-    hash.update(&vec![0u8; pad_len(loaded.graph.adjacency().len())]);
-    for &l in &loaded.labels[..labels_len] {
-        hash.update(&l.to_le_bytes());
-    }
-    hash
+    for_each_payload_chunk(offsets, adjacency, labels, |chunk| {
+        hash.update(chunk);
+        Ok(())
+    })?;
+    let n = offsets.len().saturating_sub(1);
+    let mut header = [0u8; HEADER_BYTES];
+    header[..8].copy_from_slice(&SNAPSHOT_MAGIC);
+    header[8..12].copy_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+    header[16..24].copy_from_slice(&(n as u64).to_le_bytes());
+    header[24..32].copy_from_slice(&(adjacency.len() as u64).to_le_bytes());
+    header[32..40].copy_from_slice(&(labels.len() as u64).to_le_bytes());
+    header[40..48].copy_from_slice(&hash.0.to_le_bytes());
+    let mut w = BufWriter::new(writer);
+    w.write_all(&header)?;
+    for_each_payload_chunk(offsets, adjacency, labels, |chunk| w.write_all(chunk))?;
+    w.flush()
 }
 
 /// Writes a snapshot of `loaded` to `writer`.
@@ -113,31 +153,15 @@ pub fn write_snapshot<W: Write>(loaded: &LoadedGraph, writer: W) -> Result<(), G
             message: format!("label table length {labels_len} != node count {}", g.num_nodes()),
         });
     }
-    // Pass 1: checksum (cheap CPU-only scan), so the header can be written
-    // before the payload without Seek.
-    let checksum = payload_checksum(loaded, labels_len).0;
+    write_parts(g.offsets(), g.adjacency(), &loaded.labels[..labels_len], writer)?;
+    Ok(())
+}
 
-    let mut out = SectionWriter { w: BufWriter::new(writer), hash: Fnv::new() };
-    out.w.write_all(&SNAPSHOT_MAGIC)?;
-    out.w.write_all(&SNAPSHOT_VERSION.to_le_bytes())?;
-    out.w.write_all(&0u32.to_le_bytes())?;
-    out.w.write_all(&(g.num_nodes() as u64).to_le_bytes())?;
-    out.w.write_all(&(g.adjacency().len() as u64).to_le_bytes())?;
-    out.w.write_all(&(labels_len as u64).to_le_bytes())?;
-    out.w.write_all(&checksum.to_le_bytes())?;
-    // Pass 2: payload.
-    for &o in g.offsets() {
-        out.put(&(o as u64).to_le_bytes())?;
-    }
-    for &v in g.adjacency() {
-        out.put(&v.to_le_bytes())?;
-    }
-    out.put(&vec![0u8; pad_len(g.adjacency().len())])?;
-    for &l in &loaded.labels[..labels_len] {
-        out.put(&l.to_le_bytes())?;
-    }
-    debug_assert_eq!(out.hash.0, checksum);
-    out.w.flush()?;
+/// Writes a snapshot of `g` with identity labels: the bytes of
+/// [`write_snapshot`] over `LoadedGraph::identity(g.clone())`, without
+/// the clone.
+pub fn write_csr_snapshot<W: Write>(g: &CsrGraph, writer: W) -> Result<(), GraphError> {
+    write_parts(g.offsets(), g.adjacency(), &[], writer)?;
     Ok(())
 }
 
@@ -148,6 +172,13 @@ pub fn write_snapshot_path<P: AsRef<Path>>(
 ) -> Result<(), GraphError> {
     let file = std::fs::File::create(path)?;
     write_snapshot(loaded, file)
+}
+
+/// Writes an identity-labelled snapshot of `g` to a file path. See
+/// [`write_csr_snapshot`].
+pub fn write_csr_snapshot_path<P: AsRef<Path>>(g: &CsrGraph, path: P) -> Result<(), GraphError> {
+    let file = std::fs::File::create(path)?;
+    write_csr_snapshot(g, file)
 }
 
 fn header_u64(header: &[u8], at: usize) -> u64 {
@@ -373,6 +404,97 @@ mod tests {
         let mut buf = Vec::new();
         write_snapshot(loaded, &mut buf).unwrap();
         buf
+    }
+
+    /// The per-word writer the bulk writer replaced, kept as the byte
+    /// oracle: header, then every word written on its own.
+    fn per_word_oracle(offsets: &[usize], adjacency: &[NodeId], labels: &[u64]) -> Vec<u8> {
+        let mut hash = Fnv::new();
+        for &o in offsets {
+            hash.update(&(o as u64).to_le_bytes());
+        }
+        for &v in adjacency {
+            hash.update(&v.to_le_bytes());
+        }
+        hash.update(&vec![0u8; pad_len(adjacency.len())]);
+        for &l in labels {
+            hash.update(&l.to_le_bytes());
+        }
+        let mut out = Vec::new();
+        out.write_all(&SNAPSHOT_MAGIC).unwrap();
+        out.write_all(&SNAPSHOT_VERSION.to_le_bytes()).unwrap();
+        out.write_all(&0u32.to_le_bytes()).unwrap();
+        out.write_all(&(offsets.len() as u64 - 1).to_le_bytes()).unwrap();
+        out.write_all(&(adjacency.len() as u64).to_le_bytes()).unwrap();
+        out.write_all(&(labels.len() as u64).to_le_bytes()).unwrap();
+        out.write_all(&hash.0.to_le_bytes()).unwrap();
+        for &o in offsets {
+            out.write_all(&(o as u64).to_le_bytes()).unwrap();
+        }
+        for &v in adjacency {
+            out.write_all(&v.to_le_bytes()).unwrap();
+        }
+        out.write_all(&vec![0u8; pad_len(adjacency.len())]).unwrap();
+        for &l in labels {
+            out.write_all(&l.to_le_bytes()).unwrap();
+        }
+        out
+    }
+
+    /// A 10,000-node ring with chords: every section spans several write
+    /// chunks (80 KB of offsets, 160 KB of adjacency, 80 KB of labels).
+    fn multi_chunk() -> LoadedGraph {
+        let n = 10_000u32;
+        let edges: Vec<(NodeId, NodeId)> =
+            (0..n).flat_map(|i| [(i, (i + 1) % n), (i, (i + 7) % n)]).collect();
+        let g = CsrGraph::from_edges(n as usize, edges).unwrap();
+        assert!(g.adjacency().len() * 4 > 2 * WRITE_CHUNK);
+        LoadedGraph::new(g, (0..n as u64).map(|i| 3 * i + 1).collect())
+    }
+
+    #[test]
+    fn bulk_writer_matches_the_per_word_bytes() {
+        let big = multi_chunk();
+        let cases = [
+            sample(),
+            LoadedGraph::identity(CsrGraph::from_edges(5, vec![(0, 1), (1, 2), (3, 4)]).unwrap()),
+            LoadedGraph::identity(CsrGraph::empty()),
+            LoadedGraph::identity(big.graph.clone()),
+            big,
+        ];
+        for loaded in &cases {
+            let labels: &[u64] = if loaded.labels_are_identity() { &[] } else { &loaded.labels };
+            let oracle = per_word_oracle(loaded.graph.offsets(), loaded.graph.adjacency(), labels);
+            let bytes = snapshot_bytes(loaded);
+            assert!(bytes == oracle, "n = {}", loaded.graph.num_nodes());
+            let back = read_snapshot_bytes(&bytes).unwrap();
+            assert_eq!(back.graph, loaded.graph);
+            assert_eq!(back.labels, loaded.labels);
+            if labels.is_empty() {
+                let mut borrowed = Vec::new();
+                write_csr_snapshot(&loaded.graph, &mut borrowed).unwrap();
+                assert!(borrowed == oracle, "borrowed writer, n = {}", loaded.graph.num_nodes());
+            }
+        }
+    }
+
+    #[test]
+    fn bulk_writer_pads_an_odd_adjacency_like_the_per_word_writer() {
+        // A CSR of an undirected graph always has an even adjacency
+        // length, so padding is only reachable through the raw writer.
+        for (offsets, adjacency, labels) in [
+            (vec![0, 1, 2, 3], vec![1, 2, 0], vec![]),
+            (vec![0, 2, 3, 3], vec![1, 2, 0], vec![7, 8, 9]),
+        ] {
+            let mut bytes = Vec::new();
+            write_parts(&offsets, &adjacency, &labels, &mut bytes).unwrap();
+            assert_eq!(bytes, per_word_oracle(&offsets, &adjacency, &labels));
+            assert_eq!(bytes.len() % 8, 0, "sections stay 8-byte aligned");
+            // The file decodes up to CSR validation, which rejects the
+            // asymmetric arrays with a structured error.
+            let err = read_snapshot_bytes(&bytes).unwrap_err();
+            assert!(matches!(err, GraphError::InvalidCsr { .. }), "{err}");
+        }
     }
 
     #[test]

@@ -104,6 +104,7 @@ fn stats_and_index_size_stay_consistent() {
             &solver.solution(),
             solver.graph().num_nodes(),
         ),
+        solver.request().par,
     );
     assert_eq!(solver.index_size(), fresh.len());
 }
