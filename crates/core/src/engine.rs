@@ -405,14 +405,16 @@ impl SolveRequest {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PhaseTiming {
     /// Phase name (`"solve"` for single solves; `"k=5"`, …, `"matching"`,
-    /// `"singletons"` for the partition loop).
+    /// `"singletons"` for the partition loop; `"score_order"`, `"scores"`,
+    /// `"order"`, `"dag"`, `"heap_init"`, `"drain"` for an L/LP run's
+    /// [`SolveReport::lp_phases`]).
     pub name: String,
     /// Wall-clock duration of the phase.
     pub duration: Duration,
 }
 
 impl PhaseTiming {
-    fn new(name: impl Into<String>, duration: Duration) -> Self {
+    pub(crate) fn new(name: impl Into<String>, duration: Duration) -> Self {
         PhaseTiming { name: name.into(), duration }
     }
 
@@ -469,6 +471,10 @@ pub struct SolveReport {
     pub elapsed: Duration,
     /// Per-phase wall-clock breakdown.
     pub phases: Vec<PhaseTiming>,
+    /// The wall-clock split of an [`Algo::L`] / [`Algo::Lp`] solve (see
+    /// [`LightweightSolver::solve_with_phases`]); empty for every other
+    /// algorithm.
+    pub lp_phases: Vec<PhaseTiming>,
     /// The maximal disjoint k-clique set.
     pub solution: Solution,
     /// Run instrumentation for [`Algo::L`] / [`Algo::Lp`].
@@ -579,8 +585,14 @@ impl SolveReport {
             ("lp_stats".into(), lp_stats),
             ("opt".into(), opt),
         ];
-        // Default-omitted (like the budget's improve members): pre-PR-9
-        // parsers never see it, post-PR-9 parsers treat absence as None.
+        // Default-omitted (like the budget's improve members): older
+        // parsers never see these, newer ones treat absence as empty/None.
+        if !self.lp_phases.is_empty() {
+            members.push((
+                "lp_phases".into(),
+                Json::Arr(self.lp_phases.iter().map(|p| p.to_json()).collect()),
+            ));
+        }
         if let Some(st) = &self.improve {
             members.push(("improve".into(), st.to_json_value()));
         }
@@ -652,10 +664,11 @@ impl SolveReport {
                     .ok_or_else(|| bad_field("clique_graph_conflicts"))?,
             }),
         };
-        let mut phases = Vec::new();
-        for p in field(&v, "phases")?.as_arr().ok_or_else(|| bad_field("phases"))? {
-            phases.push(PhaseTiming::from_json(p)?);
-        }
+        let phases = phases_from_json(field(&v, "phases")?, "phases")?;
+        let lp_phases = match v.get("lp_phases") {
+            None => Vec::new(),
+            Some(p) => phases_from_json(p, "lp_phases")?,
+        };
         let improve = match v.get("improve") {
             None | Some(Json::Null) => None,
             Some(s) => Some(ImproveStats::from_json_value(s).map_err(parse_err)?),
@@ -675,12 +688,17 @@ impl SolveReport {
                 field(&v, "elapsed_ns")?.as_u64().ok_or_else(|| bad_field("elapsed_ns"))?,
             ),
             phases,
+            lp_phases,
             solution,
             lp_stats,
             opt,
             improve,
         })
     }
+}
+
+fn phases_from_json(v: &Json, name: &str) -> Result<Vec<PhaseTiming>, ParseReportError> {
+    v.as_arr().ok_or_else(|| bad_field(name))?.iter().map(PhaseTiming::from_json).collect()
 }
 
 /// The result of [`Engine::partition_all`]: a complete node partition plus
@@ -761,6 +779,7 @@ impl Engine {
     /// best partial solution) when the exact search runs out.
     pub fn solve(g: &CsrGraph, req: SolveRequest) -> Result<SolveReport, SolveError> {
         let start = Instant::now();
+        let mut lp_phases = Vec::new();
         let (solution, lp_stats, opt) = match req.algo {
             Algo::Hg => (HgSolver { ordering: req.ordering }.solve(g, req.k)?, None, None),
             Algo::Gc => {
@@ -769,7 +788,8 @@ impl Engine {
             }
             Algo::L | Algo::Lp => {
                 let solver = LightweightSolver { prune: req.algo == Algo::Lp, par: req.par };
-                let (s, stats) = solver.solve_with_stats(g, req.k)?;
+                let (s, stats, phases) = solver.solve_with_phases(g, req.k)?;
+                lp_phases = phases;
                 (s, Some(stats), None)
             }
             Algo::Opt => {
@@ -826,6 +846,7 @@ impl Engine {
             budget: req.budget,
             elapsed: start.elapsed(),
             phases,
+            lp_phases,
             solution,
             lp_stats,
             opt,
@@ -1008,6 +1029,33 @@ mod tests {
         let back = SolveReport::from_json(&report.to_json()).unwrap();
         assert_eq!(back.ordering, dkc_graph::OrderingKind::Identity);
         assert_eq!(back, report);
+    }
+
+    #[test]
+    fn lp_phases_are_reported_for_l_and_lp_only() {
+        let g = paper_fig2();
+        for algo in Algo::ALL {
+            let report = Engine::solve(&g, SolveRequest::new(algo, 3)).unwrap();
+            let json = report.to_json();
+            let back = SolveReport::from_json(&json).unwrap();
+            assert_eq!(back.lp_phases, report.lp_phases, "{algo}");
+            // The single "solve" span is unchanged.
+            assert_eq!(report.phases.len(), 1, "{algo}");
+            if matches!(algo, Algo::L | Algo::Lp) {
+                let names: Vec<&str> = report.lp_phases.iter().map(|p| p.name.as_str()).collect();
+                assert_eq!(names, ["score_order", "scores", "order", "dag", "heap_init", "drain"]);
+                assert!(json.contains("\"lp_phases\":[{\"name\":\"score_order\""), "{json}");
+                // A report written before the field existed still parses.
+                let legacy = Json::parse(&json).unwrap();
+                let Json::Obj(members) = legacy else { panic!("report is an object") };
+                let members = members.into_iter().filter(|(name, _)| name != "lp_phases").collect();
+                let back = SolveReport::from_json(&Json::Obj(members).render()).unwrap();
+                assert!(back.lp_phases.is_empty(), "{algo}");
+            } else {
+                assert!(report.lp_phases.is_empty(), "{algo}");
+                assert!(!json.contains("lp_phases"), "{algo}: {json}");
+            }
+        }
     }
 
     #[test]

@@ -1,31 +1,32 @@
+use crate::engine::PhaseTiming;
 use crate::{check_k, Solution, SolveError, Solver};
-use dkc_clique::{node_scores_parallel, Clique, MinScoreFinder};
-use dkc_graph::{CsrGraph, Dag, NodeId, NodeOrder};
-use dkc_par::{par_for_each_root, ParConfig};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use dkc_clique::{node_scores_parallel, CliqueStore, MinScoreFinder};
+use dkc_graph::{CsrGraph, Dag, NodeId, NodeOrder, OrderingKind};
+use dkc_par::{par_reduce, ParConfig};
+use std::time::Instant;
 
 /// **L / LP** — the lightweight implementation (Algorithm 3).
 ///
 /// Produces the same greedy-by-clique-score result as [`crate::GcSolver`]
 /// *without storing the clique set*:
 ///
-/// 1. One enumeration pass computes the node scores `s_n(u)` (Definition 5)
-///    in `O(n + m)` memory (Line 2).
+/// 1. One parallel enumeration pass computes the node scores `s_n(u)`
+///    (Definition 5) in `O(n + m)` memory (Line 2). A score counts the
+///    k-cliques through a node under any orientation, so the pass orients
+///    by descending degree, which needs no serial degeneracy peel.
 /// 2. Nodes are totally ordered by ascending score and the graph oriented
 ///    into a DAG, so every k-clique is owned by exactly one *root* — its
 ///    highest-ordered member (Lines 3-4).
 /// 3. `HeapInit`: for every root, `FindMin` locates the clique of locally
-///    minimum clique score; the local minima sit in a global min-heap
-///    (Lines 10-14), found in parallel across roots.
-/// 4. `Calculation`: repeatedly pop the global minimum. If its members are
-///    all still valid it joins `S`; otherwise, if its root is still valid,
-///    the root is re-probed against the shrunken graph and its new local
-///    minimum re-enters the heap (Lines 31-39). With more than one worker
-///    the heap drains in deterministic rounds whose stale-entry re-probes
-///    run speculatively in parallel — bit-identical to the sequential
-///    drain, pops and stats included (the validation argument lives on
-///    `drain_rounds` in the source).
+///    minimum clique score, in parallel across roots; the local minima
+///    seed a global min-heap (Lines 10-14).
+/// 4. `Calculation`: one sequential drain repeatedly pops the global
+///    minimum. If its members are all still valid it joins `S`; otherwise,
+///    if its root is still valid, the root is re-probed against the
+///    shrunken graph and its new local minimum re-enters the heap
+///    (Lines 31-39). Heap keys are 16 bytes — `(score, first member,
+///    root)` — with each root's clique in a flat row table; ties compare
+///    the full clique, then the root.
 ///
 /// With [`LightweightSolver::prune`] the `FindMin` search applies the
 /// score-driven pruning rule (the paper's **LP**); without it the search is
@@ -37,8 +38,8 @@ use std::collections::{BinaryHeap, HashMap};
 pub struct LightweightSolver {
     /// Apply score-driven pruning (LP) or search exhaustively (L).
     pub prune: bool,
-    /// Executor configuration for the score pass, `HeapInit`, and the
-    /// `Calculation` phase's re-probe rounds. Results are deterministic
+    /// Executor configuration for the score pass and `HeapInit`; the
+    /// `Calculation` drain is sequential. Results are deterministic
     /// regardless of thread count.
     pub par: ParConfig,
 }
@@ -71,16 +72,6 @@ impl LightweightSolver {
         self.par = par;
         self
     }
-}
-
-/// Heap entry: ordered by (score, clique) so ties break on the canonical
-/// clique order and the pop sequence is deterministic. The root (the
-/// clique's highest-ordered member) rides along for re-probing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct Entry {
-    score: u64,
-    clique: Clique,
-    root: NodeId,
 }
 
 /// Instrumentation of one L/LP run — the quantities behind the paper's
@@ -123,238 +114,191 @@ impl LightweightSolver {
         g: &CsrGraph,
         k: usize,
     ) -> Result<(Solution, LpRunStats), SolveError> {
+        self.solve_with_phases(g, k).map(|(s, stats, _)| (s, stats))
+    }
+
+    /// [`LightweightSolver::solve_with_stats`] plus the wall-clock split of
+    /// the run: `score_order`, `scores`, `order`, `dag`, `heap_init` and
+    /// `drain`. The timings are only recorded; nothing branches on them.
+    pub fn solve_with_phases(
+        &self,
+        g: &CsrGraph,
+        k: usize,
+    ) -> Result<(Solution, LpRunStats, Vec<PhaseTiming>), SolveError> {
         check_k(k)?;
-        let n = g.num_nodes();
-        let mut stats = LpRunStats::default();
-        // Line 2: node scores from one (parallel) enumeration pass over a
-        // degeneracy-oriented DAG — the cheapest orientation for listing.
-        let score_dag =
-            Dag::from_graph(g, NodeOrder::compute(g, dkc_graph::OrderingKind::Degeneracy));
+        let mut phases = Vec::with_capacity(6);
+        let mut last = Instant::now();
+        let mut lap = |name: &str| {
+            let now = Instant::now();
+            phases.push(PhaseTiming::new(name, now - last));
+            last = now;
+        };
+        // Line 2: node scores from one parallel enumeration pass.
+        let score_dag = Dag::from_graph(g, NodeOrder::compute(g, OrderingKind::DegreeDesc));
+        lap("score_order");
         let scores = node_scores_parallel(&score_dag, k, self.par);
         drop(score_dag);
+        lap("scores");
 
         // Lines 3-4: score-ascending total order; every clique is owned by
         // its maximum-score member (ties by id).
         let order = NodeOrder::from_scores_asc(&scores);
+        lap("order");
         let dag = Dag::from_graph(g, order);
+        lap("dag");
 
-        let valid = vec![true; n];
-        // Lines 10-14 (HeapInit, "for each node u in parallel").
-        let entries = self.heap_init(&dag, &scores, &valid, k);
-        stats.initial_entries = entries.len() as u64;
-        let mut heap: BinaryHeap<Reverse<Entry>> = entries.into_iter().map(Reverse).collect();
+        let mut stats = LpRunStats::default();
+        let mut valid = vec![true; g.num_nodes()];
+        let mut heap = self.heap_init(&dag, &scores, &valid, k);
+        stats.initial_entries = heap.keys.len() as u64;
+        lap("heap_init");
 
         // Lines 31-39 (Calculation).
-        let mut valid = valid;
-        let mut solution = Solution::new(k);
-        if self.par.threads <= 1 {
-            self.drain_sequential(
-                &dag,
-                &scores,
-                &mut heap,
-                &mut valid,
-                k,
-                &mut stats,
-                &mut solution,
-            );
-        } else {
-            self.drain_rounds(&dag, &scores, &mut heap, &mut valid, k, &mut stats, &mut solution);
-        }
-        Ok((solution, stats))
-    }
-
-    /// The plain sequential Calculation drain (Lines 31-39 verbatim).
-    #[allow(clippy::too_many_arguments)]
-    fn drain_sequential(
-        &self,
-        dag: &Dag,
-        scores: &[u64],
-        heap: &mut BinaryHeap<Reverse<Entry>>,
-        valid: &mut [bool],
-        k: usize,
-        stats: &mut LpRunStats,
-        solution: &mut Solution,
-    ) {
-        let mut finder = MinScoreFinder::new(dag, scores, k, self.prune);
-        while let Some(Reverse(entry)) = heap.pop() {
+        let mut finder = MinScoreFinder::new(&dag, &scores, k, self.prune);
+        let mut chosen = CliqueStore::new(k);
+        while let Some(root) = heap.pop() {
             stats.heap_pops += 1;
-            if entry.clique.iter().all(|u| valid[u as usize]) {
-                for u in entry.clique.iter() {
+            let clique = heap.row(root);
+            if clique.iter().all(|&u| valid[u as usize]) {
+                for &u in clique {
                     valid[u as usize] = false;
                 }
-                solution.push(entry.clique);
+                chosen.push(clique);
                 stats.cliques_added += 1;
             } else {
                 stats.stale_pops += 1;
-                if valid[entry.root as usize] {
+                if valid[root as usize] {
                     // Stale local minimum: re-probe the root against the
                     // current residual graph.
                     stats.reprobes += 1;
-                    if let Some(found) = finder.find(entry.root, valid) {
+                    if let Some(found) = finder.find(root, &valid) {
                         stats.reprobe_hits += 1;
-                        heap.push(Reverse(Entry {
-                            score: found.score,
-                            clique: found.clique,
-                            root: entry.root,
-                        }));
+                        heap.push(found.score, found.clique.as_slice(), root);
                     }
                 }
             }
         }
+        lap("drain");
+        Ok((Solution::from_store(chosen), stats, phases))
     }
 
-    /// The round-based Calculation drain: identical pops, stats and
-    /// solution to [`LightweightSolver::drain_sequential`], but the
-    /// `FindMin` re-probes — the expensive part of the phase — fan out
-    /// over the executor.
-    ///
-    /// Each round pops the `R` smallest heap entries (so every remaining
-    /// heap entry ranks after all of them), **speculatively** re-probes
-    /// the already-stale ones against the round-start `valid` set in
-    /// parallel, then replays the exact sequential pop order. A
-    /// speculative result is used only when its clique is still fully
-    /// valid at its pop — in that case it provably equals what an inline
-    /// re-probe would return: the valid set only shrinks, every clique of
-    /// the shrunken set is a clique of the snapshot set, and
-    /// `MinScoreFinder` keeps the *first* clique (in its fixed recursion
-    /// order) attaining the minimum score, so a surviving snapshot
-    /// minimum is the shrunken set's minimum with the same tie-break.
-    /// A speculative *miss* (`None`) is equally sound: a root with no
-    /// valid clique in the snapshot has none in any subset. Everything
-    /// else falls back to an inline re-probe, so the drain is
-    /// bit-identical to sequential for any thread count or round size.
-    #[allow(clippy::too_many_arguments)]
-    fn drain_rounds(
-        &self,
-        dag: &Dag,
-        scores: &[u64],
-        heap: &mut BinaryHeap<Reverse<Entry>>,
-        valid: &mut [bool],
-        k: usize,
-        stats: &mut LpRunStats,
-        solution: &mut Solution,
-    ) {
-        // Rounds sized in executor chunks: enough per-worker probes to
-        // amortise spawn/join (par_for_each_root runs small rounds
-        // inline), small enough that intra-round invalidation — which
-        // voids speculation — stays rare.
-        let round = self.par.chunk.max(1).saturating_mul(4).max(16);
-        let mut batch: Vec<Entry> = Vec::with_capacity(round);
-        let mut pending: BinaryHeap<Reverse<Entry>> = BinaryHeap::new();
-        let mut finder = MinScoreFinder::new(dag, scores, k, self.prune);
-        while !heap.is_empty() {
-            batch.clear();
-            while batch.len() < round {
-                match heap.pop() {
-                    Some(Reverse(e)) => batch.push(e),
-                    None => break,
-                }
-            }
-            // Speculation: probe every entry that is already stale with a
-            // live root, against the round-start valid set. Read-only and
-            // keyed by root (the heap never holds two entries per root),
-            // so the fan-out is embarrassingly parallel and the result is
-            // schedule-independent. The cheap pre-scan compacts the probe
-            // list first: low-staleness rounds (the common case per the
-            // Section IV-C analysis) fan out over nothing and pay no
-            // spawn/join, and the executor chunks over actual probes
-            // rather than mostly-empty batch slots.
-            let stale_roots: Vec<NodeId> = batch
-                .iter()
-                .filter(|e| !e.clique.iter().all(|u| valid[u as usize]) && valid[e.root as usize])
-                .map(|e| e.root)
-                .collect();
-            // Each probe is a full FindMin recursion, far heavier than the
-            // per-root work elsewhere — cap the probe chunk so a round's
-            // worth of stale roots is enough to fan out.
-            let probe_par = self.par.with_chunk(self.par.chunk.clamp(1, 8));
-            let speculated: HashMap<NodeId, Option<dkc_clique::ScoredClique>> = par_for_each_root(
-                probe_par,
-                stale_roots.len(),
-                || MinScoreFinder::new(dag, scores, k, self.prune),
-                |worker_finder, i, out| {
-                    let root = stale_roots[i];
-                    out.push((root, worker_finder.find(root, valid)));
-                },
-            )
-            .into_iter()
-            .collect();
-
-            // Replay: the sequential pop order over batch ∪ intra-round
-            // pushes. Every remaining heap entry ranks after the whole
-            // batch, so the merge below reproduces the global heap's pop
-            // sequence exactly; pushes that outrank the rest of the batch
-            // pop within the round, the others re-enter the global heap.
-            let mut i = 0;
-            loop {
-                let take_pending = match (batch.get(i), pending.peek()) {
-                    (Some(b), Some(Reverse(p))) => p < b,
-                    (Some(_), None) => false,
-                    (None, _) => break,
-                };
-                let entry = if take_pending {
-                    pending.pop().expect("peeked").0
-                } else {
-                    let e = batch[i];
-                    i += 1;
-                    e
-                };
-                stats.heap_pops += 1;
-                if entry.clique.iter().all(|u| valid[u as usize]) {
-                    for u in entry.clique.iter() {
-                        valid[u as usize] = false;
+    /// Lines 10-14 of Algorithm 3: one `FindMin` probe per root, fanned out
+    /// on the executor. Each worker reuses a single [`MinScoreFinder`]
+    /// (recursion buffers grow once) and fills a heap of its own; the
+    /// worker heaps are then merged. A heap's pop order depends only on the
+    /// set of keys it holds, so the merge order cannot change the drain.
+    fn heap_init(&self, dag: &Dag, scores: &[u64], valid: &[bool], k: usize) -> KeyHeap {
+        let n = dag.num_nodes();
+        par_reduce(
+            self.par,
+            n,
+            || MinScoreFinder::new(dag, scores, k, self.prune),
+            || KeyHeap::new(n, k),
+            |finder, heap, roots| {
+                for u in roots.map(|u| u as NodeId) {
+                    if dag.out_degree(u) < k - 1 {
+                        continue;
                     }
-                    solution.push(entry.clique);
-                    stats.cliques_added += 1;
-                } else {
-                    stats.stale_pops += 1;
-                    if valid[entry.root as usize] {
-                        stats.reprobes += 1;
-                        let found = match speculated.get(&entry.root) {
-                            // Surviving speculative hit: equals the inline
-                            // result (see the method docs).
-                            Some(Some(f)) if f.clique.iter().all(|u| valid[u as usize]) => Some(*f),
-                            // Speculative miss: monotone, still a miss.
-                            Some(None) => None,
-                            // Invalidated or never speculated: probe inline.
-                            _ => finder.find(entry.root, valid),
-                        };
-                        if let Some(found) = found {
-                            stats.reprobe_hits += 1;
-                            pending.push(Reverse(Entry {
-                                score: found.score,
-                                clique: found.clique,
-                                root: entry.root,
-                            }));
-                        }
+                    if let Some(found) = finder.find(u, valid) {
+                        heap.push(found.score, found.clique.as_slice(), u);
                     }
                 }
-            }
-            heap.extend(pending.drain());
-        }
+            },
+            |merged, local| merged.absorb(&local),
+        )
     }
 }
 
-impl LightweightSolver {
-    /// Lines 10-14 of Algorithm 3: one `FindMin` probe per root, fanned out
-    /// on the executor. Each worker reuses a single [`MinScoreFinder`]
-    /// (recursion buffers grow once); entries come back in ascending root
-    /// order, identical to a sequential scan, for any thread count.
-    fn heap_init(&self, dag: &Dag, scores: &[u64], valid: &[bool], k: usize) -> Vec<Entry> {
-        par_for_each_root(
-            self.par,
-            dag.num_nodes(),
-            || MinScoreFinder::new(dag, scores, k, self.prune),
-            |finder, u, out| {
-                let u = u as NodeId;
-                if dag.out_degree(u) < k - 1 {
-                    return;
-                }
-                if let Some(found) = finder.find(u, valid) {
-                    out.push(Entry { score: found.score, clique: found.clique, root: u });
-                }
-            },
-        )
+/// A heap key: 16 bytes instead of a whole `(score, clique, root)` entry.
+#[derive(Clone, Copy)]
+struct Key {
+    score: u64,
+    first: NodeId,
+    root: NodeId,
+}
+
+/// The global min-heap of the `Calculation` drain. The heap never holds two
+/// entries for one root, so each key's clique lives in a root-indexed flat
+/// row table (`n · k` ids) and keys compare as `(score, clique, root)`:
+/// `(score, first member)` decides almost every comparison, the rest of the
+/// row and then the root break the remaining ties. A drain pushes at most
+/// one entry per pop, so once `HeapInit` is done pops and pushes never
+/// allocate.
+struct KeyHeap {
+    keys: Vec<Key>,
+    rows: Vec<NodeId>,
+    k: usize,
+}
+
+impl KeyHeap {
+    fn new(n: usize, k: usize) -> Self {
+        KeyHeap { keys: Vec::new(), rows: vec![0; n * k], k }
+    }
+
+    /// The clique of `root`'s current (or just popped) entry.
+    fn row(&self, root: NodeId) -> &[NodeId] {
+        &self.rows[root as usize * self.k..][..self.k]
+    }
+
+    fn less(&self, a: Key, b: Key) -> bool {
+        (a.score, a.first)
+            .cmp(&(b.score, b.first))
+            .then_with(|| self.row(a.root).cmp(self.row(b.root)))
+            .then(a.root.cmp(&b.root))
+            .is_lt()
+    }
+
+    /// Pushes `root`'s entry; `root` must not be in the heap.
+    fn push(&mut self, score: u64, clique: &[NodeId], root: NodeId) {
+        self.rows[root as usize * self.k..][..self.k].copy_from_slice(clique);
+        let key = Key { score, first: clique[0], root };
+        self.keys.push(key);
+        self.sift_up(self.keys.len() - 1, key);
+    }
+
+    /// Pops the minimum entry and returns its root; the clique stays in
+    /// [`KeyHeap::row`] until that root is pushed again.
+    fn pop(&mut self) -> Option<NodeId> {
+        let last = self.keys.pop()?;
+        let Some(&top) = self.keys.first() else {
+            return Some(last.root);
+        };
+        // Walk the hole down along the smaller children to a leaf, then
+        // sift the former last key up from there (the bottom-up variant
+        // `std::collections::BinaryHeap::pop` uses).
+        let len = self.keys.len();
+        let mut hole = 0;
+        let mut child = 1;
+        while child < len {
+            if child + 1 < len && self.less(self.keys[child + 1], self.keys[child]) {
+                child += 1;
+            }
+            self.keys[hole] = self.keys[child];
+            hole = child;
+            child = 2 * hole + 1;
+        }
+        self.sift_up(hole, last);
+        Some(top.root)
+    }
+
+    /// Adds every entry of `other` (whose roots must be disjoint from ours).
+    fn absorb(&mut self, other: &KeyHeap) {
+        self.keys.reserve_exact(other.keys.len());
+        for key in &other.keys {
+            self.push(key.score, other.row(key.root), key.root);
+        }
+    }
+
+    fn sift_up(&mut self, mut hole: usize, key: Key) {
+        while hole > 0 {
+            let parent = (hole - 1) / 2;
+            if !self.less(key, self.keys[parent]) {
+                break;
+            }
+            self.keys[hole] = self.keys[parent];
+            hole = parent;
+        }
+        self.keys[hole] = key;
     }
 }
 
@@ -363,6 +307,98 @@ mod tests {
     use super::*;
     use crate::testgraphs::{paper_fig2, planted_triangles};
     use crate::GcSolver;
+    use dkc_clique::Clique;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    /// A sorted k-member clique whose first member is `first`; the gaps
+    /// come from the bits of `spread`, so equal `(first, spread)` pairs
+    /// give equal cliques and nearby ones share prefixes.
+    fn clique_from(k: usize, first: NodeId, spread: u32) -> Clique {
+        let mut members = vec![first];
+        for i in 1..k {
+            let last = members[i - 1];
+            members.push(last + 1 + ((spread >> (2 * i)) & 3));
+        }
+        Clique::new(&members)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The 16-byte-key heap pops in exactly the order of a heap of
+        /// whole `(score, clique, root)` entries. Scores and first members
+        /// come from tiny ranges, so `(score, first)` ties — and whole-
+        /// clique ties broken by the root — are common. Pushes follow the
+        /// drain's pattern: each pop may re-push its own root with a score
+        /// no smaller than the popped one.
+        #[test]
+        fn key_heap_pops_in_whole_entry_order(
+            k in 2usize..=5,
+            initial in vec((0u64..6, 0u32..4, 0u32..1024), 0..160),
+            repush in vec((0u64..3, 0u32..4, 0u32..1024, 0u8..4), 0..400),
+        ) {
+            let n = initial.len();
+            let mut heap = KeyHeap::new(n, k);
+            let mut reference = BinaryHeap::new();
+            for (root, &(score, first, spread)) in initial.iter().enumerate() {
+                let c = clique_from(k, first, spread);
+                heap.push(score, c.as_slice(), root as NodeId);
+                reference.push(Reverse((score, c, root as NodeId)));
+            }
+            let mut repush = repush.into_iter();
+            while let Some(Reverse((score, clique, root))) = reference.pop() {
+                prop_assert_eq!(heap.pop(), Some(root));
+                prop_assert_eq!(heap.row(root), clique.as_slice());
+                prop_assert_eq!(heap.keys.len(), reference.len());
+                // Drain-like: three times in four, re-push the popped root.
+                if let Some((bump, first, spread, coin)) = repush.next() {
+                    if coin != 0 {
+                        let c = clique_from(k, first, spread);
+                        heap.push(score + bump, c.as_slice(), root);
+                        reference.push(Reverse((score + bump, c, root)));
+                    }
+                }
+            }
+            prop_assert_eq!(heap.pop(), None);
+        }
+    }
+
+    #[test]
+    fn key_heap_merges_in_any_order_to_the_same_pops() {
+        // HeapInit merges per-worker heaps in schedule order; the pops must
+        // not depend on it.
+        let k = 3;
+        let entries: Vec<(u64, Clique)> =
+            (0..64u32).map(|r| (u64::from(r % 5), clique_from(k, r % 3, r * 37))).collect();
+        let pops = |parts: &[std::ops::Range<usize>]| {
+            let mut merged = KeyHeap::new(entries.len(), k);
+            for part in parts {
+                let mut local = KeyHeap::new(entries.len(), k);
+                for root in part.clone() {
+                    let (score, c) = entries[root];
+                    local.push(score, c.as_slice(), root as NodeId);
+                }
+                merged.absorb(&local);
+            }
+            std::iter::from_fn(|| merged.pop()).collect::<Vec<_>>()
+        };
+        let base = pops(&[0..32, 32..64]);
+        assert_eq!(base.len(), 64);
+        assert_eq!(pops(&[32..64, 0..32]), base);
+        assert_eq!(pops(&[48..64, 0..16, 16..48]), base);
+    }
+
+    #[test]
+    fn phases_cover_the_run_in_order() {
+        let g = planted_triangles(20);
+        let (s, st, phases) = LightweightSolver::lp().solve_with_phases(&g, 3).unwrap();
+        let names: Vec<&str> = phases.iter().map(|p| p.name.as_str()).collect();
+        assert_eq!(names, ["score_order", "scores", "order", "dag", "heap_init", "drain"]);
+        assert_eq!((s, st), LightweightSolver::lp().solve_with_stats(&g, 3).unwrap());
+    }
 
     #[test]
     fn lp_finds_the_maximum_on_fig2() {

@@ -190,11 +190,11 @@ proptest! {
     }
 
     #[test]
-    fn calculation_round_drain_is_thread_invariant(g in graph_strategy(26, 160)) {
+    fn calculation_drain_is_thread_invariant(g in graph_strategy(26, 160)) {
         // Denser graphs than `lightweight_is_thread_invariant` uses, so
-        // the Calculation phase performs real re-probe work across several
-        // rounds (chunk 1 → 16-entry rounds); the round-based speculative
-        // drain must reproduce the sequential drain bit-for-bit, run
+        // the Calculation drain performs real re-probe work; with chunk 1
+        // every root of `HeapInit` lands in its own worker heap, and the
+        // merged heap must drain bit-for-bit like the sequential one, run
         // statistics included.
         let (base, base_stats) =
             LightweightSolver::lp().with_threads(1).solve_with_stats(&g, 3).unwrap();

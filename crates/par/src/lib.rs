@@ -339,14 +339,14 @@ where
 /// grows, so "total exceeded the limit" is a monotone criterion in the set
 /// of processed items and the [`par_try_collect`] contract applies directly.
 ///
-/// **Determinism argument** (mirrors the solver's speculation lemma): the
-/// total number of items the full input produces is a property of the input,
-/// not of the schedule. If it is `<= limit`, no schedule ever sees `charge`
-/// fail and every schedule returns the complete, chunk-ordered output. If it
-/// is `> limit`, every schedule eventually crosses the limit — the *moment*
-/// differs per run, but the early abort only skips work whose output is
-/// discarded, because the run returns `Err` regardless. Callers must report
-/// the same error value from every failing chunk.
+/// **Determinism argument**: the total number of items the full input
+/// produces is a property of the input, not of the schedule. If it is
+/// `<= limit`, no schedule ever sees `charge` fail and every schedule
+/// returns the complete, chunk-ordered output. If it is `> limit`, every
+/// schedule eventually crosses the limit — the *moment* differs per run,
+/// but the early abort only skips work whose output is discarded, because
+/// the run returns `Err` regardless. Callers must report the same error
+/// value from every failing chunk.
 #[derive(Debug)]
 pub struct SharedBudget {
     limit: usize,

@@ -97,6 +97,34 @@ use disjoint_kcliques::serve::{
 };
 use std::time::{Duration, Instant};
 
+/// `print!` for everything the CLI streams to stdout. A reader that closes
+/// the pipe early (`dkc solve … | head -1`) ends the process with exit 0
+/// instead of the panic `print!` raises on `EPIPE`; any other write error
+/// exits 1.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// [`out!`] plus a newline.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        out!("{}\n", format_args!($($arg)*))
+    };
+}
+
+fn write_stdout(args: std::fmt::Arguments) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("failed writing to stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
 /// Every allocation in the CLI is counted, so the bench suite's
 /// `list_peak_bytes` / `solve_alloc_count` metrics (and Table I's space
 /// column under `repro`) read real values instead of 0.
@@ -823,9 +851,9 @@ fn cmd_loadgen(args: &Args) {
                     ("final_epoch".into(), Json::u64(report.final_epoch)),
                     ("final_size".into(), Json::usize(report.final_size)),
                 ]);
-                println!("{}", doc.render());
+                outln!("{}", doc.render());
             } else {
-                println!("{report}");
+                outln!("{report}");
             }
             if report.errors > 0 {
                 std::process::exit(1);
@@ -910,7 +938,7 @@ fn cmd_bench(args: &Args) {
         line.threads,
         out_path
     );
-    println!("{rendered}");
+    outln!("{rendered}");
 
     if let Some(baseline_path) = &args.check {
         let baseline = std::fs::read_to_string(baseline_path)
@@ -967,7 +995,7 @@ fn cmd_bench_summary(args: &Args) {
     }
     let summary = summarize(&lines);
     if args.json {
-        println!("{}", summary.to_json_value().render());
+        outln!("{}", summary.to_json_value().render());
         return;
     }
     let span = summary
@@ -983,9 +1011,9 @@ fn cmd_bench_summary(args: &Args) {
         if files.len() == 1 { "" } else { "s" },
         if summary.hosts.is_empty() { "-".to_string() } else { summary.hosts.join(",") },
     );
-    print!("{}", summary.render_table());
+    out!("{}", summary.render_table());
     if args.plot {
-        print!("{}", disjoint_kcliques::bench::trajectory::render_sparklines(&lines));
+        out!("{}", disjoint_kcliques::bench::trajectory::render_sparklines(&lines));
     }
 }
 
@@ -1040,12 +1068,12 @@ fn bench_stamp(args: &Args) -> String {
 fn cmd_stats(args: &Args) {
     let loaded = load_with_provenance(args);
     let g = &loaded.graph;
-    println!("{}", GraphStats::of(g));
+    outln!("{}", GraphStats::of(g));
     let dag = Dag::from_graph(g, NodeOrder::compute(g, OrderingKind::Degeneracy));
     for k in 3..=args.kmax {
         let t = Instant::now();
         let count = count_kcliques_parallel(&dag, k, args.par);
-        println!("{k}-cliques: {count} ({:.1} ms)", t.elapsed().as_secs_f64() * 1e3);
+        outln!("{k}-cliques: {count} ({:.1} ms)", t.elapsed().as_secs_f64() * 1e3);
     }
 }
 
@@ -1067,12 +1095,12 @@ fn cmd_solve(args: &Args) {
                 report.threads,
             );
             if args.json {
-                println!("{}", report.to_json_with_labels(&loaded.labels));
+                outln!("{}", report.to_json_with_labels(&loaded.labels));
             } else {
                 for c in report.solution.cliques() {
                     let labels: Vec<String> =
                         c.iter().map(|u| loaded.labels[u as usize].to_string()).collect();
-                    println!("{}", labels.join(" "));
+                    outln!("{}", labels.join(" "));
                 }
             }
         }
@@ -1099,12 +1127,12 @@ fn cmd_partition(args: &Args) {
                 report.partition.size_histogram()
             );
             if args.json {
-                println!("{}", report.to_json_with_labels(&loaded.labels));
+                outln!("{}", report.to_json_with_labels(&loaded.labels));
             } else {
                 for group in &report.partition.groups {
                     let labels: Vec<String> =
                         group.iter().map(|&u| loaded.labels[u as usize].to_string()).collect();
-                    println!("{}", labels.join(" "));
+                    outln!("{}", labels.join(" "));
                 }
             }
         }
@@ -1189,7 +1217,7 @@ fn cmd_cache(args: &Args) {
                     ("cache_written".into(), Json::Bool(resolved.cache_written)),
                     ("stats".into(), stats),
                 ]);
-                println!("{}", doc.render());
+                outln!("{}", doc.render());
             } else {
                 eprintln!(
                     "# {} resolved from {} in {:.1} ms ({} nodes, {} edges); {}",
