@@ -108,16 +108,25 @@ pub enum LogRecord {
 
 /// Renders one batch as its on-disk/on-wire record text (`b … + … c`).
 ///
-/// This is the exact byte sequence [`UpdateLog::append_batch`] writes, and
-/// the unit the replication tail streams to replicas: the wire protocol
-/// *is* the log format, commit markers included.
-pub fn render_record(updates: &[EdgeUpdate]) -> String {
-    let mut out = format!("b {}\n", updates.len());
+/// This is the only batch formatter: [`UpdateLog::append_batch`] writes
+/// exactly these bytes, and they are the unit the replication tail streams
+/// to replicas — the wire protocol *is* the log format, commit markers
+/// included. `updates` is any re-iterable sequence (a slice, or a merged
+/// round's groups flattened), walked once to count and once to render.
+pub fn render_record<'a, I>(updates: I) -> String
+where
+    I: IntoIterator<Item = &'a EdgeUpdate>,
+    I::IntoIter: Clone,
+{
+    use std::fmt::Write as _;
+    let updates = updates.into_iter();
+    let mut out = format!("b {}\n", updates.clone().count());
     for u in updates {
-        match *u {
-            EdgeUpdate::Insert(a, b) => out.push_str(&format!("+ {a} {b}\n")),
-            EdgeUpdate::Delete(a, b) => out.push_str(&format!("- {a} {b}\n")),
-        }
+        // Writing into a String cannot fail.
+        let _ = match *u {
+            EdgeUpdate::Insert(a, b) => writeln!(out, "+ {a} {b}"),
+            EdgeUpdate::Delete(a, b) => writeln!(out, "- {a} {b}"),
+        };
     }
     out.push_str("c\n");
     out
@@ -220,35 +229,30 @@ impl UpdateLog {
     /// (per-commit), or left buffered until [`UpdateLog::sync`] (snapshot).
     /// The batch is considered committed once its `c` marker line reaches
     /// disk.
+    ///
+    /// The record is rendered whole by [`render_record`] and handed to the
+    /// file in a single `write_all`. This is the first step of making an
+    /// append atomic (ROADMAP item 5); truncating a torn record on an I/O
+    /// error and fencing the writer afterwards are not done yet.
     pub fn append_batch<'a, I>(&mut self, updates: I) -> Result<(), LogError>
     where
         I: IntoIterator<Item = &'a EdgeUpdate>,
+        I::IntoIter: Clone,
     {
-        let updates: Vec<&EdgeUpdate> = updates.into_iter().collect();
-        writeln!(self.writer, "b {}", updates.len())?;
-        for u in updates {
-            match *u {
-                EdgeUpdate::Insert(a, b) => writeln!(self.writer, "+ {a} {b}")?,
-                EdgeUpdate::Delete(a, b) => writeln!(self.writer, "- {a} {b}")?,
-            }
-        }
-        writeln!(self.writer, "c")?;
-        match self.policy {
-            FsyncPolicy::PerCommit => {
-                self.writer.flush()?;
-                self.writer.get_ref().sync_data()?;
-            }
-            FsyncPolicy::PerBatch => self.writer.flush()?,
-            FsyncPolicy::Snapshot => {}
-        }
-        Ok(())
+        self.writer.write_all(render_record(updates).as_bytes())?;
+        self.commit()
     }
 
     /// Appends one improvement record (`i <steps> <seed>` + commit
     /// marker), applying the same [`FsyncPolicy`] handling as
     /// [`UpdateLog::append_batch`].
     pub fn append_improve(&mut self, steps: u64, seed: u64) -> Result<(), LogError> {
-        write!(self.writer, "{}", render_improve_record(steps, seed))?;
+        self.writer.write_all(render_improve_record(steps, seed).as_bytes())?;
+        self.commit()
+    }
+
+    /// Applies the [`FsyncPolicy`] to the record just appended.
+    fn commit(&mut self) -> Result<(), LogError> {
         match self.policy {
             FsyncPolicy::PerCommit => {
                 self.writer.flush()?;
@@ -602,6 +606,38 @@ mod tests {
         // A torn tail in the stream is discarded, not an error.
         let torn = parse_records("b 2\n+ 1 2\n").unwrap();
         assert!(torn.is_empty());
+    }
+
+    #[test]
+    fn journal_bytes_are_the_header_then_rendered_records() {
+        let path = temp_log("bytes");
+        std::fs::remove_file(&path).ok();
+        let mixed = vec![
+            EdgeUpdate::Insert(1, 2),
+            EdgeUpdate::Delete(3, 4),
+            EdgeUpdate::Delete(0, 4_000_000_000),
+            EdgeUpdate::Insert(7, 7),
+        ];
+        let deletes = vec![EdgeUpdate::Delete(5, 6)];
+        // A merged round journals its groups flattened into one record.
+        let groups: [&[EdgeUpdate]; 2] = [&mixed, &deletes];
+        let mut log = UpdateLog::open(&path).unwrap();
+        log.append_batch(&mixed).unwrap();
+        log.append_batch(&[]).unwrap();
+        log.append_improve(64, 9).unwrap();
+        log.append_batch(groups.iter().flat_map(|g| g.iter())).unwrap();
+        log.sync().unwrap();
+        let flat: Vec<EdgeUpdate> = groups.concat();
+        let expected = format!(
+            "{HEADER}\n{}{}{}{}",
+            render_record(&mixed),
+            render_record(&[]),
+            render_improve_record(64, 9),
+            render_record(&flat)
+        );
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), expected);
+        assert!(expected.contains("b 5\n+ 1 2\n- 3 4\n- 0 4000000000\n+ 7 7\n- 5 6\nc\n"));
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

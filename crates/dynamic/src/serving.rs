@@ -332,10 +332,11 @@ impl ServingSolver {
         Ok((outcomes.pop().expect("one group in, one outcome out"), view))
     }
 
-    /// Applies several client batches as **one** epoch (the server's
-    /// time/size-based batching): one journal record, one application pass
-    /// in group order, one view publication — but per-group outcomes, so
-    /// every client still gets its own applied/skipped accounting.
+    /// Applies several client batches as **one** epoch (one round of the
+    /// server's writer, which merges the requests already queued): one
+    /// journal record, one application pass in group order, one view
+    /// publication — but per-group outcomes, so every client still gets
+    /// its own applied/skipped accounting.
     pub fn apply_grouped(
         &mut self,
         groups: &[&[EdgeUpdate]],

@@ -9,8 +9,9 @@
 //! commands straight from the latest epoch-versioned
 //! [`dkc_dynamic::SolutionView`] (readers never block behind the writer),
 //! and a single writer thread that drains a bounded queue of mutating
-//! commands with time/size-based batching into
-//! [`dkc_dynamic::ServingSolver::apply_grouped`].
+//! commands, merging the update requests already queued into one
+//! [`dkc_dynamic::ServingSolver::apply_grouped`] round (group commit,
+//! size-capped, no timer).
 //!
 //! ## Protocol
 //!

@@ -123,6 +123,22 @@ mod tests {
         assert_eq!(q.pop_timeout(Duration::from_millis(1)), Pop::<&str>::Closed);
     }
 
+    /// The writer's group commit relies on a zero timeout never waiting:
+    /// it takes what is queued and reports `Timeout` or `Closed` at once.
+    #[test]
+    fn zero_timeout_pop_takes_only_what_is_queued() {
+        let q = BoundedQueue::new(4);
+        q.push(1u32).unwrap();
+        q.push(2u32).unwrap();
+        assert_eq!(q.pop_timeout(Duration::ZERO), Pop::Item(1));
+        assert_eq!(q.pop_timeout(Duration::ZERO), Pop::Item(2));
+        assert_eq!(q.pop_timeout(Duration::ZERO), Pop::Timeout);
+        q.push(3u32).unwrap();
+        q.close();
+        assert_eq!(q.pop_timeout(Duration::ZERO), Pop::Item(3));
+        assert_eq!(q.pop_timeout(Duration::ZERO), Pop::Closed);
+    }
+
     #[test]
     fn bounded_push_blocks_until_a_pop_frees_a_slot() {
         let q = Arc::new(BoundedQueue::new(1));

@@ -10,10 +10,15 @@
 //!   so reads stay parallel while a batch is applying;
 //! * the single **writer** owns the [`ServingSolver`]. Mutating commands
 //!   (`update`, `solve`, `snapshot`) travel through a *bounded* queue
-//!   (backpressure instead of unbounded growth). The writer merges queued
-//!   update requests — up to a size cap or a batching delay — into one
-//!   [`ServingSolver::apply_grouped`] call: one journal record, one epoch,
-//!   one view publication, individual outcome replies.
+//!   (backpressure instead of unbounded growth). The writer applies
+//!   updates in *rounds* (group commit without a timer): after popping an
+//!   update request it takes every update request already queued behind
+//!   it, without waiting, up to a size cap, and applies them as one
+//!   [`ServingSolver::apply_grouped`] call — one journal record, one
+//!   epoch, one view publication, individual outcome replies. Requests
+//!   that arrive while a round journals and applies queue up and form
+//!   the next round, so merging grows with load; a lone update never
+//!   waits for company.
 //!
 //! `shutdown` flips a flag; the acceptor stops, workers finish their
 //! connections (reads time out periodically so idle connections notice),
@@ -35,7 +40,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Tuning knobs of [`Server::start`].
 #[derive(Debug, Clone, Copy)]
@@ -44,10 +49,12 @@ pub struct ServerConfig {
     pub readers: usize,
     /// Bound of the writer's update queue (pending mutating commands).
     pub queue_capacity: usize,
-    /// The writer merges queued update batches until this many updates…
+    /// Size cap of one writer round. A round starts with the update
+    /// request the writer pops and merges the ones queued behind it
+    /// (those that arrived while the previous round ran) until it holds
+    /// at least this many updates, the queue is empty, or a non-update
+    /// command is next. The writer never waits for more requests.
     pub batch_max_updates: usize,
-    /// …or until this much time has passed since the first one.
-    pub batch_delay: Duration,
     /// Largest node id update commands may reference. Inserting edge
     /// `(0, u)` grows every node-indexed structure to `u + 1` entries, so
     /// an unbounded id would let one request allocate tens of gigabytes.
@@ -74,7 +81,6 @@ impl Default for ServerConfig {
             readers: 4,
             queue_capacity: 128,
             batch_max_updates: 4096,
-            batch_delay: Duration::from_millis(2),
             max_node: None,
             fsync: FsyncPolicy::default(),
             improve_slice: 0,
@@ -538,25 +544,21 @@ fn writer_loop(
                 continue;
             }
             Pop::Item(WriterOp::Batch { updates, reply }) => {
-                // Merge further queued updates into this application round
-                // (size- and time-bounded), then apply them as one epoch.
+                // Group commit: merge the update requests already queued
+                // behind this one (never waiting for more), then apply the
+                // round as one epoch.
                 let mut groups: Vec<(Vec<EdgeUpdate>, mpsc::Sender<String>)> =
                     vec![(updates, reply)];
                 let mut total = groups[0].0.len();
                 let mut carried: Option<WriterOp> = None;
-                let deadline = Instant::now() + config.batch_delay;
                 while total < config.batch_max_updates {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        break;
-                    }
-                    match queue.pop_timeout(deadline - now) {
+                    match queue.pop_timeout(Duration::ZERO) {
                         Pop::Item(WriterOp::Batch { updates, reply }) => {
                             total += updates.len();
                             groups.push((updates, reply));
                         }
-                        // A non-batch op ends the merge window: the batches
-                        // ahead of it apply first, then it runs.
+                        // A non-batch op ends the round: the batches ahead
+                        // of it apply first, then it runs.
                         Pop::Item(other) => {
                             carried = Some(other);
                             break;
@@ -592,8 +594,7 @@ fn apply_round(
             cache.invalidate();
             // Mirror the journal: the merged round is ONE record and ONE
             // epoch on the wire, exactly as `apply_grouped` journals it.
-            let flat: Vec<EdgeUpdate> = refs.iter().flat_map(|g| g.iter().copied()).collect();
-            hub.publish(view.epoch(), render_record(&flat));
+            hub.publish(view.epoch(), render_record(refs.iter().flat_map(|g| g.iter())));
             for ((_, reply), outcome) in groups.iter().zip(outcomes) {
                 let _ = reply.send(update_reply(view.epoch(), outcome, view.len()).render());
             }
@@ -650,5 +651,167 @@ fn run_writer_op(
             cache.store_fetch(serving.epoch(), &body);
             let _ = reply.send(body);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dkc_core::Algo;
+    use dkc_dynamic::{parse_records, LogRecord};
+    use dkc_graph::CsrGraph;
+    use std::path::{Path, PathBuf};
+
+    /// Ten disjoint triangles `(3i, 3i+1, 3i+2)`: deleting `(3i, 3i+1)`
+    /// applies and breaks exactly group `i`.
+    fn triangles() -> CsrGraph {
+        let edges = (0..10u32).flat_map(|i| {
+            let a = 3 * i;
+            [(a, a + 1), (a + 1, a + 2), (a, a + 2)]
+        });
+        CsrGraph::from_edges(30, edges).unwrap()
+    }
+
+    fn durable(tag: &str) -> (PathBuf, ServingSolver) {
+        let dir =
+            std::env::temp_dir().join(format!("dkc_writer_rounds_{}_{tag}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let serving = ServingSolver::create(&dir, &triangles(), SolveRequest::new(Algo::Lp, 3))
+            .expect("create durable state");
+        (dir, serving)
+    }
+
+    fn delete(i: u32) -> Vec<EdgeUpdate> {
+        vec![EdgeUpdate::Delete(3 * i, 3 * i + 1)]
+    }
+
+    fn queue_batch(
+        queue: &BoundedQueue<WriterOp>,
+        updates: Vec<EdgeUpdate>,
+    ) -> mpsc::Receiver<String> {
+        let (reply, rx) = mpsc::channel();
+        assert!(queue.push(WriterOp::Batch { updates, reply }).is_ok());
+        rx
+    }
+
+    /// Runs the writer over ops queued before it starts. The queue is
+    /// closed first, so the writer drains it and returns; round formation
+    /// depends only on queue order, never on timing. Returns the live
+    /// view's reader and the records the writer replicated.
+    fn drain(
+        serving: ServingSolver,
+        queue: &BoundedQueue<WriterOp>,
+        batch_max_updates: usize,
+    ) -> (SharedView, Vec<String>) {
+        let shared = serving.reader();
+        let start = serving.epoch();
+        let hub = ReplicationHub::new(start, TAIL_RING_CAPACITY);
+        queue.close();
+        let config = ServerConfig { batch_max_updates, ..ServerConfig::default() };
+        writer_loop(serving, queue, &hub, &ReplyCache::new(), config);
+        let (_, records) =
+            hub.collect_after(start, Duration::ZERO).expect("every round was replicated");
+        (shared, records)
+    }
+
+    fn reply(rx: &mpsc::Receiver<String>) -> Json {
+        let line = rx.recv().expect("every queued op gets a reply");
+        let v = Json::parse(&line).unwrap_or_else(|e| panic!("bad reply {line:?}: {e}"));
+        assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true), "{line}");
+        v
+    }
+
+    fn epoch(v: &Json) -> u64 {
+        v.get("epoch").and_then(Json::as_u64).expect("epoch")
+    }
+
+    /// Update counts of the batch records in the live generation's journal.
+    fn journal_batches(dir: &Path) -> Vec<usize> {
+        let logs: Vec<PathBuf> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|x| x == "log"))
+            .collect();
+        assert_eq!(logs.len(), 1, "one live journal generation: {logs:?}");
+        let text = std::fs::read_to_string(&logs[0]).unwrap();
+        parse_records(&text)
+            .unwrap()
+            .into_iter()
+            .map(|r| match r {
+                LogRecord::Batch(b) => b.len(),
+                other => panic!("unexpected record {other:?}"),
+            })
+            .collect()
+    }
+
+    /// Restoring the state directory reproduces the live `solution` reply
+    /// byte for byte.
+    fn assert_restores(dir: &Path, live: &SharedView) {
+        let live = solution_reply(&live.current()).render();
+        let restored = ServingSolver::restore(dir).expect("restore");
+        assert_eq!(solution_reply(&restored.view()).render(), live);
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn queued_batches_merge_into_one_round() {
+        let (dir, serving) = durable("merge");
+        let size0 = serving.view().len();
+        let queue = BoundedQueue::new(16);
+        let rxs: Vec<_> = (0..5).map(|i| queue_batch(&queue, delete(i))).collect();
+        let (live, records) = drain(serving, &queue, 4096);
+
+        let replies: Vec<Json> = rxs.iter().map(reply).collect();
+        // One shared epoch, but each client's own outcome.
+        assert!(replies.iter().all(|v| epoch(v) == 1), "{replies:?}");
+        for v in &replies {
+            assert_eq!(v.get("applied").and_then(Json::as_u64), Some(1));
+            assert_eq!(v.get("size_delta").and_then(Json::as_i64), Some(-1));
+            assert_eq!(v.get("size").and_then(Json::as_usize), Some(size0 - 5));
+        }
+        assert_eq!(journal_batches(&dir), vec![5]);
+        // The replicated record is the journaled one.
+        let flat: Vec<EdgeUpdate> = (0..5).flat_map(delete).collect();
+        assert_eq!(records, vec![render_record(&flat)]);
+        assert!(records[0].starts_with("b 5\n"));
+        assert_restores(&dir, &live);
+    }
+
+    #[test]
+    fn a_non_batch_op_splits_the_round() {
+        let (dir, serving) = durable("split");
+        let queue = BoundedQueue::new(16);
+        let before = [queue_batch(&queue, delete(0)), queue_batch(&queue, delete(1))];
+        let (snap_reply, snap_rx) = mpsc::channel();
+        assert!(queue.push(WriterOp::Snapshot { reply: snap_reply }).is_ok());
+        let after = [queue_batch(&queue, delete(2)), queue_batch(&queue, delete(3))];
+        let (live, records) = drain(serving, &queue, 4096);
+
+        let before: Vec<u64> = before.iter().map(|rx| epoch(&reply(rx))).collect();
+        let snapshot = reply(&snap_rx);
+        let after: Vec<u64> = after.iter().map(|rx| epoch(&reply(rx))).collect();
+        assert_eq!(before, vec![1, 1]);
+        // The snapshot ran between the rounds, at the first round's epoch.
+        assert_eq!(epoch(&snapshot), 1);
+        assert_eq!(snapshot.get("durable").and_then(Json::as_bool), Some(true));
+        assert_eq!(after, vec![2, 2]);
+        // Compaction started a fresh journal: it holds the second round only.
+        assert_eq!(journal_batches(&dir), vec![2]);
+        assert_eq!(records.len(), 2);
+        assert_restores(&dir, &live);
+    }
+
+    #[test]
+    fn batch_max_updates_caps_each_round() {
+        let (dir, serving) = durable("cap");
+        let queue = BoundedQueue::new(16);
+        let rxs: Vec<_> = (0..5).map(|i| queue_batch(&queue, delete(i))).collect();
+        let (live, records) = drain(serving, &queue, 2);
+
+        let epochs: Vec<u64> = rxs.iter().map(|rx| epoch(&reply(rx))).collect();
+        assert_eq!(epochs, vec![1, 1, 2, 2, 3]);
+        assert_eq!(journal_batches(&dir), vec![2, 2, 1]);
+        assert_eq!(records.len(), 3);
+        assert_restores(&dir, &live);
     }
 }

@@ -134,7 +134,7 @@ static ALLOC: disjoint_kcliques::bench::mem::TrackingAllocator =
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  dkc stats <graph> [--kmax K] [common flags]\n  dkc solve <graph> --k K [common flags] [--json]\n  dkc partition <graph> --k K [common flags] [--json]\n  dkc serve <dataset|graph> --k K [--port P] [--state-dir D] [--data-dir D]\n            [--scale X] [--seed N] [--readers N] [--batch-max N]\n            [--batch-delay-ms MS] [--max-node N] [--shards N] [--improve-slice N]\n            [--fsync per-commit|per-batch|snapshot] [--staleness N] [common flags]\n  dkc replica <shard-addr> [--port P] [--readers N] [--router ADDR --shard I]\n  dkc loadgen <host:port> [--conns N] [--ops N] [--warmup N] [--update-pct P]\n            [--improve-pct P] [--improve-steps N] [--batch N] [--nodes N]\n            [--seed N] [--sharded] [--json]\n  dkc bench [--dataset NAME] [--scale X] [--seed N] [--k K] [--reps N]\n            [--threads N] [--out FILE] [--check BASELINE.json] [--stamp DATE]\n            [--host NAME] [--git-rev SHA] [--data-dir D] [--scratch D]\n            [--conns N] [--ops N] [--warmup N] [--batches N] [--batch-size N]\n  dkc bench summary [FILES...] [--json] [--plot]\n  dkc convert <in> <out> [--threads N]\n  dkc gen <dataset> <out> [--scale X] [--seed N]\n  dkc cache <dataset> --data-dir D [--scale X] [--seed N] [--threads N] [--json]\n  dkc cache evict --data-dir D [--dataset NAME] [--scale X] [--seed N]\n\ncommon flags: --algo hg|gc|l|lp|opt|greedy-cg   --threads N\n              --ordering identity|degree-asc|degree-desc|degeneracy|color\n              --max-cliques N --max-conflicts N --mis-nodes N\n              --improve-steps N --improve-seed N\n\n<graph> is a KONECT-style edge list or a binary .dkcsr snapshot (detected\nby content). --threads defaults to the available parallelism (env\nDKC_THREADS overrides); results are identical for any thread count.\n--algo opt defaults to the standard deterministic OOM/OOT budgets; the\nbudget flags override them for any algorithm. --json prints the engine\nreport as JSON on stdout. serve speaks newline-delimited JSON (see the\ndkc-serve crate docs); with --state-dir it journals updates and restarts\nresume at the exact epoch via snapshot + log replay. bench appends one\nJSON line per run to BENCH_<host>.json and, with --check, exits nonzero\nwhen a gated metric regresses past the committed baseline's tolerance.\nbench summary folds every line of the given trajectory files (default:\nthis host's file) into a per-metric median/min table across runs;\n--plot appends per-metric ASCII sparklines in run order."
+        "usage:\n  dkc stats <graph> [--kmax K] [common flags]\n  dkc solve <graph> --k K [common flags] [--json]\n  dkc partition <graph> --k K [common flags] [--json]\n  dkc serve <dataset|graph> --k K [--port P] [--state-dir D] [--data-dir D]\n            [--scale X] [--seed N] [--readers N] [--batch-max N]\n            [--max-node N] [--shards N] [--improve-slice N]\n            [--fsync per-commit|per-batch|snapshot] [--staleness N] [common flags]\n  dkc replica <shard-addr> [--port P] [--readers N] [--router ADDR --shard I]\n  dkc loadgen <host:port> [--conns N] [--ops N] [--warmup N] [--update-pct P]\n            [--improve-pct P] [--improve-steps N] [--batch N] [--nodes N]\n            [--seed N] [--sharded] [--json]\n  dkc bench [--dataset NAME] [--scale X] [--seed N] [--k K] [--reps N]\n            [--threads N] [--out FILE] [--check BASELINE.json] [--stamp DATE]\n            [--host NAME] [--git-rev SHA] [--data-dir D] [--scratch D]\n            [--conns N] [--ops N] [--warmup N] [--batches N] [--batch-size N]\n  dkc bench summary [FILES...] [--json] [--plot]\n  dkc convert <in> <out> [--threads N]\n  dkc gen <dataset> <out> [--scale X] [--seed N]\n  dkc cache <dataset> --data-dir D [--scale X] [--seed N] [--threads N] [--json]\n  dkc cache evict --data-dir D [--dataset NAME] [--scale X] [--seed N]\n\ncommon flags: --algo hg|gc|l|lp|opt|greedy-cg   --threads N\n              --ordering identity|degree-asc|degree-desc|degeneracy|color\n              --max-cliques N --max-conflicts N --mis-nodes N\n              --improve-steps N --improve-seed N\n\n<graph> is a KONECT-style edge list or a binary .dkcsr snapshot (detected\nby content). --threads defaults to the available parallelism (env\nDKC_THREADS overrides); results are identical for any thread count.\n--algo opt defaults to the standard deterministic OOM/OOT budgets; the\nbudget flags override them for any algorithm. --json prints the engine\nreport as JSON on stdout. serve speaks newline-delimited JSON (see the\ndkc-serve crate docs); with --state-dir it journals updates and restarts\nresume at the exact epoch via snapshot + log replay. bench appends one\nJSON line per run to BENCH_<host>.json and, with --check, exits nonzero\nwhen a gated metric regresses past the committed baseline's tolerance.\nbench summary folds every line of the given trajectory files (default:\nthis host's file) into a per-metric median/min table across runs;\n--plot appends per-metric ASCII sparklines in run order."
     );
     std::process::exit(2);
 }
@@ -163,7 +163,6 @@ struct Args {
     state_dir: Option<String>,
     readers: usize,
     batch_max: usize,
-    batch_delay_ms: u64,
     max_node: Option<u32>,
     shards: usize,
     fsync: FsyncPolicy,
@@ -236,7 +235,6 @@ fn parse_args() -> Args {
         state_dir: None,
         readers: 4,
         batch_max: 4096,
-        batch_delay_ms: 2,
         max_node: None,
         shards: 1,
         fsync: FsyncPolicy::default(),
@@ -326,7 +324,6 @@ fn parse_args() -> Args {
             "--state-dir" => args.state_dir = Some(value()),
             "--readers" => args.readers = value().parse().unwrap_or_else(|_| usage()),
             "--batch-max" => args.batch_max = value().parse().unwrap_or_else(|_| usage()),
-            "--batch-delay-ms" => args.batch_delay_ms = value().parse().unwrap_or_else(|_| usage()),
             "--max-node" => args.max_node = Some(value().parse().unwrap_or_else(|_| usage())),
             "--shards" => {
                 args.shards = value().parse().unwrap_or_else(|_| usage());
@@ -531,7 +528,6 @@ fn cmd_serve(args: &Args) {
         readers: args.readers.max(1),
         queue_capacity: 128,
         batch_max_updates: args.batch_max.max(1),
-        batch_delay: Duration::from_millis(args.batch_delay_ms),
         max_node: args.max_node,
         fsync: args.fsync,
         improve_slice: args.improve_slice,
@@ -651,7 +647,6 @@ fn cmd_serve_sharded(args: &Args) {
         readers: args.readers.max(1),
         queue_capacity: 128,
         batch_max_updates: args.batch_max.max(1),
-        batch_delay: Duration::from_millis(args.batch_delay_ms),
         max_node: args.max_node,
         fsync: args.fsync,
         improve_slice: args.improve_slice,

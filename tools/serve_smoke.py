@@ -2,13 +2,12 @@
 """CI smoke client for `dkc serve`.
 
 Drives a freshly started server through the full protocol surface
-(updates -> queries -> solve -> snapshot -> improve -> shutdown),
-validates every
-reply as JSON, writes all reply lines to a file for external
-`python3 -m json.tool` validation, and — on a second invocation with
-``--verify-restart`` — asserts that a restarted server reproduced the
-pre-shutdown epoch and |S| via snapshot + log replay, and that its
-`solution` reply is byte-identical to the live server's.
+(updates -> queries -> solve -> snapshot -> improve -> concurrent writers
+-> shutdown), validates every reply as JSON, writes all reply lines to a
+file for external `python3 -m json.tool` validation, and — on a second
+invocation with ``--verify-restart`` — asserts that a restarted server
+reproduced the pre-shutdown epoch and |S| via snapshot + log replay, and
+that its `solution` reply is byte-identical to the live server's.
 
 Usage:
     serve_smoke.py --port P --replies OUT.jsonl [phase flags]
@@ -33,7 +32,11 @@ import argparse
 import json
 import socket
 import sys
+import threading
 import time
+
+# Serialises reply-file writes from concurrent clients, one line at a time.
+REPLIES_LOCK = threading.Lock()
 
 
 class Client:
@@ -62,7 +65,9 @@ class Client:
         line = self.file.readline()
         if not line:
             raise SystemExit(f"connection closed while awaiting reply to {request}")
-        self.replies.write(line if line.endswith("\n") else line + "\n")
+        with REPLIES_LOCK:
+            self.replies.write(line if line.endswith("\n") else line + "\n")
+            self.replies.flush()
         reply = json.loads(line)  # every reply must be valid JSON
         return line, reply
 
@@ -141,6 +146,12 @@ def drive(client: Client, solution_path) -> None:
     assert imp["epoch"] >= pre["epoch"], (pre, imp)
     assert imp["stats"]["uplift"] == imp["size"] - pre["size"], (pre, imp)
 
+    # 9. Concurrent writers: requests queued while the writer applies a
+    #    round merge into the next one (one epoch, one journal record),
+    #    while every client still gets its own outcome. The restart check
+    #    then replays whatever merged rounds formed.
+    concurrent_writers(client)
+
     final = client.call_ok({"cmd": "query", "what": "stats"})
     line = client.solution_line(final["epoch"])
     if solution_path:
@@ -149,6 +160,50 @@ def drive(client: Client, solution_path) -> None:
     client.call_ok({"cmd": "shutdown"})
     print(f"EPOCH {final['epoch']} SIZE {final['size']}")
     sys.stderr.write(f"drive ok: epoch={final['epoch']} |S|={final['size']} (k={k}, |S0|={size0})\n")
+
+
+def concurrent_writers(client: Client, writers: int = 4, pairs: int = 25) -> None:
+    """Each writer, on its own connection, deletes and re-inserts its own
+    edges (disjoint across writers, node ids < 115) `pairs` times."""
+    edges = [[(20 + 20 * t + 2 * j, 21 + 20 * t + 2 * j) for j in range(5)] for t in range(writers)]
+    # Make every edge present first, so each delete and insert applies.
+    setup = [{"op": "insert", "u": u, "v": v} for mine in edges for (u, v) in mine]
+    client.call_ok({"cmd": "update", "updates": setup})
+    port = client.sock.getpeername()[1]
+    barrier = threading.Barrier(writers)
+    acks = [[] for _ in range(writers)]
+    failures = []
+
+    def writer(t: int) -> None:
+        try:
+            c = Client(port, client.replies.name)
+            barrier.wait()
+            for i in range(pairs):
+                u, v = edges[t][i % len(edges[t])]
+                for op in ("delete", "insert"):
+                    r = c.call({"cmd": "update", "updates": [{"op": op, "u": u, "v": v}]})
+                    if r.get("ok") is not True or r.get("applied") != 1:
+                        raise AssertionError(f"writer {t}: {op} ({u}, {v}) not applied: {r}")
+                    acks[t].append(r["epoch"])
+            c.sock.close()
+            c.replies.close()
+        except BaseException as e:  # reported on the main thread
+            failures.append(e)
+            barrier.abort()  # release writers still waiting to start
+
+    threads = [threading.Thread(target=writer, args=(t,)) for t in range(writers)]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join()
+    if failures:
+        raise SystemExit(f"concurrent writers failed: {failures[0]}")
+    for t, epochs in enumerate(acks):
+        assert len(epochs) == 2 * pairs, f"writer {t} lost acks: {len(epochs)}"
+        assert all(a < b for a, b in zip(epochs, epochs[1:])), f"writer {t} epochs not increasing: {epochs}"
+    total = sum(len(e) for e in acks)
+    rounds = len({e for epochs in acks for e in epochs})
+    sys.stderr.write(f"concurrent writers ok: {total} acks in {rounds} rounds\n")
 
 
 def verify_restart(client: Client, epoch: int, size: int, solution_path) -> None:
