@@ -18,7 +18,7 @@ fn bench_index_build(c: &mut Criterion) {
             let request = SolveRequest::new(Algo::Lp, k);
             let solution = Engine::solve(&g, request).expect("LP").solution;
             let dyn_g = DynGraph::from_csr(&g);
-            let state = SolutionState::from_solution(&solution, g.num_nodes());
+            let state = SolutionState::from_solution(&solution);
             group.bench_with_input(
                 BenchmarkId::new(id.name(), k),
                 &(&dyn_g, &state),

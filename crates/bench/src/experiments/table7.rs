@@ -28,7 +28,7 @@ pub fn run(cfg: &ReproConfig) -> String {
             let request = cfg.request(Algo::Lp, k);
             let solution = Engine::solve(&g, request).expect("LP solve").solution;
             let dyn_g = DynGraph::from_csr(&g);
-            let state = SolutionState::from_solution(&solution, g.num_nodes());
+            let state = SolutionState::from_solution(&solution);
             let (index, elapsed) = timed(|| CandidateIndex::build(&dyn_g, &state, request.par));
             times.push(format!("{:.1}", elapsed.as_secs_f64() * 1e3));
             sizes.push(human_count(index.len() as u64));

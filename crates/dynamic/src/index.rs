@@ -4,7 +4,9 @@ use dkc_graph::{DynGraph, NodeId};
 use dkc_par::ParConfig;
 use std::collections::BTreeSet;
 
-/// Identifier of a candidate clique inside the index (slot; reused).
+/// Identifier of a candidate clique inside the index (reused after a
+/// drop). Ids depend on the index's history; no solver decision reads
+/// them.
 pub type CandId = u32;
 
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -29,6 +31,8 @@ struct Candidate {
 pub struct CandidateIndex {
     cands: Vec<Option<Candidate>>,
     vacant: Vec<CandId>,
+    /// `by_clique[leader]`: the candidates attached to the clique of `S`
+    /// led by `leader`.
     by_clique: Vec<Vec<CandId>>,
     by_node: Vec<Vec<CandId>>,
     len: usize,
@@ -63,23 +67,22 @@ const WINDOW_CHUNKS_PER_WORKER: usize = 16;
 /// `B = C ∪ N_F(C)` (the clique plus its free neighbours) and sorts those
 /// mixing free and non-free nodes from those of free nodes only. Reads
 /// `g` and `state` only, so cliques can be searched concurrently.
-fn enumerate_for_clique(g: &DynGraph, state: &SolutionState, clique: &Clique) -> Found {
-    let mut b: Vec<NodeId> = clique.as_slice().to_vec();
-    for u in clique.iter() {
+fn enumerate_for_clique(g: &DynGraph, state: &SolutionState, clique: &[NodeId]) -> Found {
+    let mut b: Vec<NodeId> = clique.to_vec();
+    for &u in clique {
         b.extend(g.neighbors(u).iter().copied().filter(|&w| state.is_free(w)));
     }
-    let k = clique.len();
     let mut found = Found::default();
-    for_each_kclique_in_subset(g, &b, k, |members| {
-        let cand = Clique::from_sorted(members);
-        if cand == *clique {
+    for_each_kclique_in_subset(g, &b, clique.len(), |members| {
+        if members == clique {
             return;
         }
+        let cand = Clique::from_sorted(members);
         if members.iter().all(|&u| state.is_free(u)) {
             found.all_free.push(cand);
         } else {
             // By construction of B, every non-free member lies in `clique`.
-            debug_assert!(cand.iter().all(|u| state.is_free(u) || clique.contains(u)));
+            debug_assert!(cand.iter().all(|u| state.is_free(u) || clique.contains(&u)));
             found.candidates.push(cand);
         }
     });
@@ -87,33 +90,38 @@ fn enumerate_for_clique(g: &DynGraph, state: &SolutionState, clique: &Clique) ->
 }
 
 impl CandidateIndex {
+    /// An empty index over `num_nodes` nodes.
+    fn empty(num_nodes: usize) -> Self {
+        CandidateIndex {
+            cands: Vec::new(),
+            vacant: Vec::new(),
+            by_clique: vec![Vec::new(); num_nodes],
+            by_node: vec![Vec::new(); num_nodes],
+            len: 0,
+        }
+    }
+
     /// Builds the index from scratch — Algorithm 5 over every clique in `S`.
     ///
     /// The per-clique searches run on `par`'s workers, a bounded window of
-    /// slots at a time; each window's results are inserted in slot order,
-    /// so candidate ids and every list come out identical for any thread
-    /// count.
+    /// cliques at a time; each window's results are inserted in leader
+    /// order, so candidate ids and every list come out identical for any
+    /// thread count.
     pub fn build(g: &DynGraph, state: &SolutionState, par: ParConfig) -> Self {
-        let mut idx = CandidateIndex {
-            cands: Vec::new(),
-            vacant: Vec::new(),
-            by_clique: vec![Vec::new(); state.slot_bound()],
-            by_node: vec![Vec::new(); g.num_nodes()],
-            len: 0,
-        };
-        let live: Vec<(CliqueId, &Clique)> = state.iter().collect();
+        let mut idx = CandidateIndex::empty(g.num_nodes());
+        let live: Vec<&[NodeId]> = state.iter().collect();
         let window = par.chunk.max(1) * par.threads.max(1) * WINDOW_CHUNKS_PER_WORKER;
-        for slots in live.chunks(window) {
+        for cliques in live.chunks(window) {
             let found = dkc_par::par_for_each_root(
                 par,
-                slots.len(),
+                cliques.len(),
                 || (),
-                |_, i, out| out.push(enumerate_for_clique(g, state, slots[i].1)),
+                |_, i, out| out.push(enumerate_for_clique(g, state, cliques[i])),
             );
-            for (&(slot, _), found) in slots.iter().zip(found) {
+            for (clique, found) in cliques.iter().zip(found) {
                 debug_assert!(found.all_free.is_empty(), "index built over a non-maximal solution");
                 for cand in found.candidates {
-                    idx.insert(cand, slot);
+                    idx.insert(cand, clique[0]);
                 }
             }
         }
@@ -131,23 +139,18 @@ impl CandidateIndex {
         self.len == 0
     }
 
-    /// Grows the node range.
+    /// Grows the node range (both lists are node-indexed).
     pub(crate) fn ensure_node(&mut self, u: NodeId) {
         if u as usize >= self.by_node.len() {
             self.by_node.resize(u as usize + 1, Vec::new());
+            self.by_clique.resize(u as usize + 1, Vec::new());
         }
     }
 
-    /// Grows the clique-slot range.
-    pub(crate) fn ensure_slot(&mut self, slot: CliqueId) {
-        if slot as usize >= self.by_clique.len() {
-            self.by_clique.resize(slot as usize + 1, Vec::new());
-        }
-    }
-
-    /// The live candidate cliques of `C(slot)`.
-    pub fn candidates_of(&self, slot: CliqueId) -> Vec<Clique> {
-        match self.by_clique.get(slot as usize) {
+    /// The live candidate cliques of `C(C)` for the clique `C` led by
+    /// `leader`, in no particular order.
+    pub fn candidates_of(&self, leader: CliqueId) -> Vec<Clique> {
+        match self.by_clique.get(leader as usize) {
             None => Vec::new(),
             Some(ids) => ids
                 .iter()
@@ -157,10 +160,10 @@ impl CandidateIndex {
     }
 
     fn insert(&mut self, clique: Clique, attached: CliqueId) {
-        self.ensure_slot(attached);
-        for u in clique.iter() {
-            self.ensure_node(u);
-        }
+        // Members are sorted and one of them lies in the attached clique,
+        // so the last member bounds both node-indexed lists.
+        self.ensure_node(clique.as_slice()[clique.len() - 1]);
+        debug_assert!((attached as usize) < self.by_clique.len());
         let id = match self.vacant.pop() {
             Some(id) => {
                 self.cands[id as usize] = Some(Candidate { clique, attached });
@@ -190,10 +193,11 @@ impl CandidateIndex {
         self.len -= 1;
     }
 
-    /// Drops every candidate attached to `slot` (when its clique leaves `S`).
-    pub(crate) fn drop_attached(&mut self, slot: CliqueId) {
-        if (slot as usize) < self.by_clique.len() {
-            let ids = std::mem::take(&mut self.by_clique[slot as usize]);
+    /// Drops every candidate attached to the clique led by `leader` (when
+    /// that clique leaves `S`).
+    pub(crate) fn drop_attached(&mut self, leader: CliqueId) {
+        if (leader as usize) < self.by_clique.len() {
+            let ids = std::mem::take(&mut self.by_clique[leader as usize]);
             for id in ids {
                 let Some(cand) = self.cands[id as usize].take() else { continue };
                 for u in cand.clique.iter() {
@@ -232,27 +236,24 @@ impl CandidateIndex {
         }
     }
 
-    /// Re-derives `C(slot)` from scratch (Algorithm 5 for one clique):
-    /// drops the old set and stores what [`enumerate_for_clique`] finds.
+    /// Re-derives `C(C)` for the clique led by `leader` from scratch
+    /// (Algorithm 5 for one clique): drops the old set and stores what
+    /// [`enumerate_for_clique`] finds.
     pub(crate) fn rebuild_for_clique(
         &mut self,
         g: &DynGraph,
         state: &SolutionState,
-        slot: CliqueId,
+        leader: CliqueId,
     ) -> RebuildReport {
-        let Some(clique) = state.clique(slot) else {
+        let Some(clique) = state.clique(leader) else {
             return RebuildReport::default();
         };
-        self.ensure_slot(slot);
-        let old: BTreeSet<Clique> = self.by_clique[slot as usize]
-            .iter()
-            .filter_map(|&id| self.cands[id as usize].as_ref().map(|c| c.clique))
-            .collect();
-        self.drop_attached(slot);
+        let old: BTreeSet<Clique> = self.candidates_of(leader).into_iter().collect();
+        self.drop_attached(leader);
         let found = enumerate_for_clique(g, state, clique);
         let has_new = found.candidates.iter().any(|c| !old.contains(c));
         for cand in found.candidates {
-            self.insert(cand, slot);
+            self.insert(cand, leader);
         }
         RebuildReport { has_new, all_free: found.all_free }
     }
@@ -269,14 +270,15 @@ impl CandidateIndex {
                 fresh.len()
             ));
         }
-        for (slot, _) in state.iter() {
-            let mut mine: Vec<Clique> = self.candidates_of(slot);
-            let mut theirs: Vec<Clique> = fresh.candidates_of(slot);
+        for clique in state.iter() {
+            let leader = clique[0];
+            let mut mine: Vec<Clique> = self.candidates_of(leader);
+            let mut theirs: Vec<Clique> = fresh.candidates_of(leader);
             mine.sort_unstable();
             theirs.sort_unstable();
             if mine != theirs {
                 return Err(format!(
-                    "candidate sets differ for clique slot {slot}: incremental {mine:?} vs fresh {theirs:?}"
+                    "candidate sets differ for the clique led by {leader}: incremental {mine:?} vs fresh {theirs:?}"
                 ));
             }
         }
@@ -316,7 +318,7 @@ mod tests {
         ] {
             g.insert_edge(a, b);
         }
-        let mut state = SolutionState::new(3, 11);
+        let mut state = SolutionState::new(3);
         state.add(Clique::new(&[2, 3, 4]));
         state.add(Clique::new(&[8, 9, 10]));
         (g, state)
@@ -425,7 +427,7 @@ mod tests {
         let csr = dkc_graph::CsrGraph::from_edges(n as usize, edges).unwrap();
         let request = dkc_core::SolveRequest::new(dkc_core::Algo::Lp, k);
         let solution = dkc_core::Engine::solve(&csr, request).unwrap().solution;
-        (DynGraph::from_csr(&csr), SolutionState::from_solution(&solution, csr.num_nodes()))
+        (DynGraph::from_csr(&csr), SolutionState::from_solution(&solution))
     }
 
     #[test]
@@ -445,23 +447,21 @@ mod tests {
             // must stay in lockstep too.
             let churn = |idx: &mut CandidateIndex| {
                 let mut freed = Vec::new();
-                for (slot, c) in state.iter().step_by(3) {
-                    let ids = idx.by_clique[slot as usize].clone();
+                for c in state.iter().step_by(3) {
+                    let ids = idx.by_clique[c[0] as usize].clone();
                     if let Some(&id) = ids.first() {
                         let cand = idx.cands[id as usize].as_ref().unwrap().clique;
                         let (u, v) = (cand.as_slice()[0], cand.as_slice()[1]);
                         idx.drop_with_edge(u, v);
                     }
-                    if let Some(w) =
-                        g.neighbors(c.as_slice()[0]).iter().find(|&&w| state.is_free(w))
-                    {
+                    if let Some(w) = g.neighbors(c[0]).iter().find(|&&w| state.is_free(w)) {
                         idx.drop_containing_node(*w);
                     }
-                    freed.push(slot);
+                    freed.push(c[0]);
                 }
                 let vacant = idx.vacant.clone();
-                for slot in freed {
-                    idx.rebuild_for_clique(&g, &state, slot);
+                for leader in freed {
+                    idx.rebuild_for_clique(&g, &state, leader);
                 }
                 vacant
             };
@@ -471,8 +471,8 @@ mod tests {
             for par in configs {
                 let mut idx = CandidateIndex::build(&g, &state, par);
                 assert_eq!(idx.len(), reference.len(), "{par:?}");
-                for (slot, _) in state.iter() {
-                    assert_eq!(idx.candidates_of(slot), reference.candidates_of(slot), "{par:?}");
+                for c in state.iter() {
+                    assert_eq!(idx.candidates_of(c[0]), reference.candidates_of(c[0]), "{par:?}");
                 }
                 assert!(idx == reference, "ids or lists differ under {par:?}");
                 assert_eq!(churn(&mut idx), reference_vacant, "freed ids under {par:?}");
@@ -489,21 +489,15 @@ mod tests {
         for (a, b) in [(0, 1), (1, 2), (0, 2), (2, 3), (2, 4), (2, 5), (3, 4), (4, 5), (3, 5)] {
             g.insert_edge(a, b);
         }
-        let mut state = SolutionState::new(3, 6);
-        let slot = state.add(Clique::new(&[0, 1, 2]));
-        let mut idx = CandidateIndex {
-            cands: Vec::new(),
-            vacant: Vec::new(),
-            by_clique: vec![Vec::new(); state.slot_bound()],
-            by_node: vec![Vec::new(); 6],
-            len: 0,
-        };
-        let report = idx.rebuild_for_clique(&g, &state, slot);
+        let mut state = SolutionState::new(3);
+        let leader = state.add(Clique::new(&[0, 1, 2]));
+        let mut idx = CandidateIndex::empty(6);
+        let report = idx.rebuild_for_clique(&g, &state, leader);
         // {3,4,5} is all-free: surfaced in the report, never stored.
         assert_eq!(report.all_free, vec![Clique::new(&[3, 4, 5])]);
         // Mixed cliques through node 2 are genuine candidates:
         // (2,3,4), (2,3,5), (2,4,5).
-        let mut cands = idx.candidates_of(slot);
+        let mut cands = idx.candidates_of(leader);
         cands.sort_unstable();
         assert_eq!(
             cands,

@@ -22,9 +22,8 @@
 //! pages (one pointer per 1024 nodes), and the next batch copies only
 //! the pages it writes. A view a reader still holds pins just the pages
 //! written since its publication. [`ServingSolver::compact`] and
-//! [`ServingSolver::export_state`] re-slot the solver
-//! ([`DynamicSolver::canonicalize`]) without touching a single page, and
-//! render `S` in canonical order straight off the pages (no sort).
+//! [`ServingSolver::export_state`] render `S` in canonical order straight
+//! off the pages (no sort) and leave the solver untouched.
 //!
 //! State directory layout (files are **generation-named**; `meta.json`
 //! names the live generation and its atomic rename is the commit point):
@@ -46,13 +45,15 @@
 //! journal is rewritten to exactly its committed records, so a torn tail
 //! left by a kill mid-append cannot corrupt later appends.
 //!
-//! Why restart is bit-identical: swap scheduling depends on internal slot
-//! order, so [`ServingSolver::create`] builds its solver from the solution
-//! in canonical order and [`ServingSolver::compact`] *canonicalises* the
-//! live solver ([`DynamicSolver::canonicalize`]), which yields the same
-//! state. From that point the live process and any restore start from
-//! identical internal states and apply identical batch sequences — the
-//! deterministic update algorithms do the rest.
+//! Why restart is bit-identical: a [`DynamicSolver`]'s behaviour depends
+//! on its graph and `S` alone. Cliques are keyed by their leaders (smallest
+//! members), and every swap decision sorts candidates or compares them as
+//! sets, so no insertion order or id history leaks into later updates. A
+//! restore rebuilds the solver from the snapshot's graph and `S`, which is
+//! the live process's state at that epoch, and then both apply identical
+//! record sequences; the deterministic update and improvement algorithms do
+//! the rest. Replicas bootstrapped by [`ServingSolver::import_state`] rely
+//! on the same property.
 //!
 //! Cold start: [`ServingSolver::create`] is one engine solve, one
 //! (parallel) candidate-index build and one base-snapshot write straight
@@ -169,14 +170,11 @@ impl ServingSolver {
     /// An in-memory serving state (no durability): bootstraps `S` with
     /// `request` and publishes the epoch-0 view.
     pub fn in_memory(g: &CsrGraph, request: SolveRequest) -> Result<Self, SolveError> {
-        Ok(Self::wrap(bootstrap(g, request)?, 0, None))
+        Ok(Self::wrap(DynamicSolver::from_scratch(g, request)?, 0, None))
     }
 
-    /// Wraps an existing solver (in-memory, no durability). The solver is
-    /// canonicalised so behaviour matches a durable state built from the
-    /// same solution.
-    pub fn from_solver(mut solver: DynamicSolver) -> Self {
-        solver.canonicalize();
+    /// Wraps an existing solver (in-memory, no durability) at epoch 0.
+    pub fn from_solver(solver: DynamicSolver) -> Self {
         Self::wrap(solver, 0, None)
     }
 
@@ -194,7 +192,7 @@ impl ServingSolver {
         // shadow the new base: start from a clean slate.
         remove_state_files(&dir, None);
         std::fs::remove_file(dir.join(META_FILE)).ok();
-        let solver = bootstrap(g, request)?;
+        let solver = DynamicSolver::from_scratch(g, request)?;
         write_state(&dir, &solver, g, 0, 0)?;
         let log = UpdateLog::open(dir.join(log_file(0)))?;
         Ok(Self::wrap(solver, 0, Some(Store { dir, gen: 0, log })))
@@ -245,7 +243,7 @@ impl ServingSolver {
                 }
                 // An improve record is journaled only when the live run
                 // applied at least one move; determinism over the identical
-                // canonical state makes this replay apply the same moves.
+                // state makes this replay apply the same moves.
                 LogRecord::Improve { steps, seed } => {
                     solver.improve(*steps, *seed);
                 }
@@ -367,7 +365,7 @@ impl ServingSolver {
     /// improved solution is installed (write-ahead, like batches), the
     /// epoch bumps and the new view is published. Replaying the record on
     /// restore re-runs the same deterministic slice against the same
-    /// canonical state and lands on the identical view.
+    /// state and lands on the identical view.
     pub fn improve(
         &mut self,
         steps: u64,
@@ -393,16 +391,16 @@ impl ServingSolver {
     }
 
     /// Persists the current state as a new generation and starts a fresh
-    /// journal, canonicalising the live solver so the process continues
-    /// exactly as a restore would. Returns the new snapshot path (`None`
-    /// for in-memory states, which only canonicalise).
+    /// journal. The live solver is left as it is: it already continues
+    /// exactly as a restore from the new generation would. Returns the new
+    /// snapshot path (`None` for in-memory states, which only republish
+    /// the current view).
     ///
     /// Crash-safe at every step: the new generation's files are written
     /// under new names, the atomic `meta.json` rename is the commit
     /// point, and the old generation is only garbage-collected after the
     /// new journal exists (a missing new journal replays as empty).
     pub fn compact(&mut self) -> Result<Option<PathBuf>, ServeStateError> {
-        self.solver.canonicalize();
         let epoch = self.epoch;
         let path = match &mut self.store {
             Some(store) => {
@@ -442,15 +440,7 @@ impl ServingSolver {
     /// Serialises the full serving state — graph edges, request, `S`,
     /// counters, epoch — as one JSON document: the replica bootstrap
     /// payload (the serve protocol's `fetch` reply).
-    ///
-    /// The live solver is canonicalised first, exactly like
-    /// [`ServingSolver::compact`]: swap scheduling depends on internal slot
-    /// order, so the exporting process and an importer must continue from
-    /// identical internal states for replicated applies to stay
-    /// bit-identical. Observable state (epoch, `|S|`, membership, stats)
-    /// is unchanged.
-    pub fn export_state(&mut self) -> Json {
-        self.solver.canonicalize();
+    pub fn export_state(&self) -> Json {
         let csr = self.solver.graph().to_csr();
         let edges = Json::Arr(
             csr.iter_edges()
@@ -470,10 +460,10 @@ impl ServingSolver {
     }
 
     /// Rebuilds an in-memory serving state from an [`export_state`]
-    /// document. The importer resumes at the exported epoch with internal
-    /// state identical to the (canonicalised) exporter, so applying the
-    /// same committed batches afterwards yields bit-identical views — the
-    /// replica catch-up contract.
+    /// document. The importer resumes at the exported epoch with the
+    /// exporter's graph and `S`, so applying the same committed records
+    /// afterwards yields bit-identical views — the replica catch-up
+    /// contract (see the module docs).
     ///
     /// [`export_state`]: ServingSolver::export_state
     pub fn import_state(doc: &Json) -> Result<Self, ServeStateError> {
@@ -516,16 +506,6 @@ impl ServingSolver {
         solver.set_stats(stats);
         Ok(Self::wrap(solver, epoch, None))
     }
-}
-
-/// Solves `g` with `request` and builds the solver from the solution in
-/// canonical (sorted-clique) order: the state of
-/// [`DynamicSolver::from_scratch`] followed by
-/// [`DynamicSolver::canonicalize`], with one index build instead of two.
-fn bootstrap(g: &CsrGraph, request: SolveRequest) -> Result<DynamicSolver, SolveError> {
-    let solution = Engine::solve(g, request)?.solution;
-    let canonical = Solution::from_store(solution.sorted_store());
-    Ok(DynamicSolver::from_solution_with_request(g, canonical, request))
 }
 
 /// Parses the `cliques` member rendered by [`write_state`] and
@@ -606,9 +586,9 @@ fn write_state(
 /// Renders `S` in canonical order, read off the solver's maintained
 /// group pages (no sort).
 fn cliques_to_json(solver: &DynamicSolver) -> Json {
-    let canonical = solver.canonical_solution();
     Json::Arr(
-        canonical
+        solver
+            .solution()
             .iter_members()
             .map(|c| Json::Arr(c.iter().map(|&u| Json::u64(u as u64)).collect()))
             .collect(),
@@ -810,9 +790,7 @@ mod tests {
         let solver = live.solver().clone();
         let epoch = live.epoch();
         drop(live);
-        let mut canonical = solver.clone();
-        canonical.canonicalize();
-        super::write_state(&dir, &canonical, &canonical.graph().to_csr(), epoch, 1).unwrap();
+        super::write_state(&dir, &solver, &solver.graph().to_csr(), epoch, 1).unwrap();
         assert!(dir.join(log_file(0)).exists(), "old journal still present");
         let restored = ServingSolver::restore(&dir).unwrap();
         assert_eq!(restored.epoch(), epoch, "old journal must not be replayed");
@@ -974,7 +952,7 @@ mod tests {
     #[test]
     fn import_rejects_damaged_documents() {
         let g = demo_graph();
-        let mut s = ServingSolver::in_memory(&g, SolveRequest::new(Algo::Lp, 3)).unwrap();
+        let s = ServingSolver::in_memory(&g, SolveRequest::new(Algo::Lp, 3)).unwrap();
         let good = s.export_state();
         assert!(ServingSolver::import_state(&Json::Null).is_err());
         let Json::Obj(mut members) = good else { panic!("export is an object") };
@@ -1120,7 +1098,7 @@ mod tests {
 
     #[test]
     fn import_rejects_an_invalid_clique_list() {
-        let mut s =
+        let s =
             ServingSolver::in_memory(&three_triangles(), SolveRequest::new(Algo::Lp, 3)).unwrap();
         let Json::Obj(mut members) = s.export_state() else { panic!("export is an object") };
         for (key, value) in &mut members {

@@ -75,6 +75,13 @@ pub struct BatchOutcome {
 /// 1. `S` is a valid disjoint k-clique set of the current graph;
 /// 2. `S` is maximal (no k-clique among free nodes);
 /// 3. the candidate index equals a from-scratch Algorithm 5 run.
+///
+/// Its future behaviour is a function of the graph and `S` alone (plus the
+/// request [`DynamicSolver::rebuild`] replays). Cliques are keyed by their
+/// leaders, every choice among candidates sorts them or compares them as
+/// sets, and no decision reads a candidate id. So a solver built from
+/// another's graph and solution, as a restart or a replica does, continues
+/// bit-identically.
 #[derive(Debug, Clone)]
 pub struct DynamicSolver {
     k: usize,
@@ -125,7 +132,7 @@ impl DynamicSolver {
 
     fn with_request(g: &CsrGraph, solution: Solution, request: SolveRequest) -> Self {
         let graph = DynGraph::from_csr(g);
-        let state = SolutionState::from_solution(&solution, g.num_nodes());
+        let state = SolutionState::from_solution(&solution);
         let index = CandidateIndex::build(&graph, &state, request.par);
         DynamicSolver {
             k: solution.k(),
@@ -145,7 +152,7 @@ impl DynamicSolver {
     pub fn rebuild(&mut self) -> Result<SolveReport, SolveError> {
         let csr = self.graph.to_csr();
         let report = Engine::solve(&csr, self.request)?;
-        self.state.reslot(&report.solution, csr.num_nodes());
+        self.state.replace(&report.solution);
         self.index = CandidateIndex::build(&self.graph, &self.state, self.request.par);
         Ok(report)
     }
@@ -180,13 +187,13 @@ impl DynamicSolver {
         self.index.len()
     }
 
-    /// The candidate-clique index, keyed by the slots of
+    /// The candidate-clique index, keyed by the clique ids (leaders) of
     /// [`DynamicSolver::state`].
     pub fn index(&self) -> &CandidateIndex {
         &self.index
     }
 
-    /// The solution state: `S` in its slots, and which nodes are free.
+    /// The solution state: `S` keyed by leader, and which nodes are free.
     pub fn state(&self) -> &SolutionState {
         &self.state
     }
@@ -196,7 +203,8 @@ impl DynamicSolver {
         &self.stats
     }
 
-    /// Snapshot of the current solution.
+    /// Snapshot of the current solution in canonical (sorted-clique)
+    /// order, read off the maintained group pages without sorting.
     pub fn solution(&self) -> Solution {
         self.state.to_solution()
     }
@@ -211,31 +219,12 @@ impl DynamicSolver {
         crate::SolutionView::publish(epoch, self.graph.num_nodes(), self.state.groups(), self.stats)
     }
 
-    /// The current solution in canonical (sorted-clique) order, read off
-    /// the maintained group pages without sorting.
-    pub fn canonical_solution(&self) -> Solution {
-        self.state.groups().to_solution()
-    }
-
-    /// Renormalises the internal slot bookkeeping to the canonical
-    /// (sorted-clique) order, rebuilding the candidate index.
-    ///
-    /// Swap scheduling visits cliques in slot order, so two solvers with
-    /// the same solution but different slot histories can diverge on later
-    /// updates. Canonicalising removes the history: after this call the
-    /// solver behaves exactly like one freshly built from its own solution
-    /// — which is how [`crate::ServingSolver`] makes a live process and a
-    /// snapshot-restored process bit-identical from the snapshot point on.
-    /// [`DynamicSolver::from_solution_with_request`] over a solution in
-    /// canonical order builds that same solver directly, with one index
-    /// build instead of two (the bootstrap path of [`crate::ServingSolver`]).
-    ///
-    /// Published views are slot-free, so this leaves their pages untouched.
-    pub fn canonicalize(&mut self) {
-        let canonical = self.canonical_solution();
-        self.state.reslot(&canonical, self.graph.num_nodes());
-        self.index = CandidateIndex::build(&self.graph, &self.state, self.request.par);
-    }
+    /// Does nothing. A solver's behaviour is already a function of its
+    /// graph and `S` alone: cliques are keyed by their leaders, and every
+    /// swap decision sorts candidates or compares them as sets, so a
+    /// solver behaves exactly like one freshly built from its own
+    /// solution. Kept only for existing callers; it will be removed.
+    pub fn canonicalize(&mut self) {}
 
     /// Restores lifetime counters (the [`crate::ServingSolver`] restart
     /// path carries them across process boundaries).
@@ -254,19 +243,15 @@ impl DynamicSolver {
         dkc_improve::improve(&self.graph, self.k, solution.store(), &cfg)
     }
 
-    /// Replaces the solution with an improved clique set, renormalising to
-    /// the canonical (sorted-clique) slot order and rebuilding the
+    /// Replaces the solution with an improved clique set and rebuilds the
     /// candidate index — the install half of the improvement write path.
-    /// Like [`DynamicSolver::canonicalize`], this erases slot history, so
-    /// a live solver and a replayed one agree bit-for-bit afterwards.
+    /// Only the cliques that changed touch the group pages.
     pub fn install_improvement(&mut self, cliques: &[Clique]) {
-        let mut sorted = cliques.to_vec();
-        sorted.sort_unstable();
-        let mut canonical = Solution::new(self.k);
-        for c in sorted {
-            canonical.push(c);
+        let mut improved = Solution::new(self.k);
+        for &c in cliques {
+            improved.push(c);
         }
-        self.state.reslot(&canonical, self.graph.num_nodes());
+        self.state.replace(&improved);
         self.index = CandidateIndex::build(&self.graph, &self.state, self.request.par);
     }
 
@@ -288,7 +273,6 @@ impl DynamicSolver {
         if !self.graph.insert_edge(u, v) {
             return UpdateOutcome { applied: false, size_delta: 0 };
         }
-        self.state.ensure_node(u.max(v));
         self.index.ensure_node(u.max(v));
         self.stats.insertions += 1;
         match (self.state.is_free(u), self.state.is_free(v)) {
@@ -365,11 +349,11 @@ impl DynamicSolver {
     /// Case "only one endpoint free" (Algorithm 6, Lines 1-6): the new edge
     /// can only create candidates attached to the covered endpoint's clique.
     fn insert_one_free(&mut self, covered: NodeId) {
-        let slot = self.state.owner(covered).expect("covered endpoint has an owner");
-        let report = self.index.rebuild_for_clique(&self.graph, &self.state, slot);
+        let id = self.state.owner(covered).expect("covered endpoint has an owner");
+        let report = self.index.rebuild_for_clique(&self.graph, &self.state, id);
         self.absorb_all_free(report.all_free);
         if report.has_new {
-            let mut queue = VecDeque::from([slot]);
+            let mut queue = VecDeque::from([id]);
             self.try_swap(&mut queue);
         }
     }
@@ -392,8 +376,8 @@ impl DynamicSolver {
                 std::cmp::Ordering::Less => i += 1,
                 std::cmp::Ordering::Greater => j += 1,
                 std::cmp::Ordering::Equal => {
-                    if let Some(slot) = self.state.owner(a[i]) {
-                        affected.insert(slot);
+                    if let Some(id) = self.state.owner(a[i]) {
+                        affected.insert(id);
                     }
                     i += 1;
                     j += 1;
@@ -401,11 +385,11 @@ impl DynamicSolver {
             }
         }
         let mut queue = VecDeque::new();
-        for slot in affected {
-            let report = self.index.rebuild_for_clique(&self.graph, &self.state, slot);
+        for id in affected {
+            let report = self.index.rebuild_for_clique(&self.graph, &self.state, id);
             self.absorb_all_free(report.all_free);
             if report.has_new {
-                queue.push_back(slot);
+                queue.push_back(id);
             }
         }
         self.try_swap(&mut queue);
@@ -413,28 +397,28 @@ impl DynamicSolver {
 
     /// Deletion case "u and v shared a clique of S" (Algorithm 7, Lines
     /// 1-4): the clique is gone; refill from its candidates and swap onward.
-    fn handle_broken_clique(&mut self, slot: CliqueId) {
+    fn handle_broken_clique(&mut self, id: CliqueId) {
         // Snapshot candidates before tearing the clique down — they remain
         // valid cliques (edge-hit ones were already dropped).
-        let candidates = self.index.candidates_of(slot);
-        let removed = self.remove_clique(slot);
+        let candidates = self.index.candidates_of(id);
+        let removed = self.remove_clique(id);
         // Greedy refill: any pairwise-disjoint subset is pure gain because
         // every candidate's nodes are now free.
         let filled =
             greedy_disjoint(candidates, |c| c.iter().filter(|&n| removed.contains(n)).count());
         let mut queue = VecDeque::new();
-        let mut new_slots = Vec::new();
+        let mut added = Vec::new();
         for c in filled {
-            new_slots.push(self.add_clique_deferred(c));
+            added.push(self.add_clique_deferred(c));
         }
-        for slot in &new_slots {
-            let report = self.index.rebuild_for_clique(&self.graph, &self.state, *slot);
+        for id in &added {
+            let report = self.index.rebuild_for_clique(&self.graph, &self.state, *id);
             self.absorb_all_free(report.all_free);
-            if !self.index.candidates_of(*slot).is_empty() {
-                queue.push_back(*slot);
+            if !self.index.candidates_of(*id).is_empty() {
+                queue.push_back(*id);
             }
         }
-        self.requeue_neighbors_of_freed(&removed, &new_slots, &mut queue);
+        self.requeue_neighbors_of_freed(&removed, &added, &mut queue);
         self.try_swap(&mut queue);
     }
 
@@ -442,12 +426,12 @@ impl DynamicSolver {
     /// of pairwise-disjoint candidates when possible, and keep following
     /// newly created candidates until the queue drains.
     fn try_swap(&mut self, queue: &mut VecDeque<CliqueId>) {
-        while let Some(slot) = queue.pop_front() {
-            if self.state.clique(slot).is_none() {
-                continue; // removed by an earlier swap
+        while let Some(id) = queue.pop_front() {
+            if self.state.clique(id).is_none() {
+                continue; // an earlier swap removed it
             }
             self.stats.swaps_attempted += 1;
-            let candidates = self.index.candidates_of(slot);
+            let candidates = self.index.candidates_of(id);
             if candidates.len() < 2 {
                 continue;
             }
@@ -456,25 +440,25 @@ impl DynamicSolver {
             });
             if s_dis.len() > 1 {
                 self.stats.swaps_applied += 1;
-                self.apply_swap(slot, s_dis, queue);
+                self.apply_swap(id, s_dis, queue);
             }
         }
     }
 
-    fn apply_swap(&mut self, slot: CliqueId, s_dis: Vec<Clique>, queue: &mut VecDeque<CliqueId>) {
-        let removed = self.remove_clique(slot);
-        let mut new_slots = Vec::new();
+    fn apply_swap(&mut self, id: CliqueId, s_dis: Vec<Clique>, queue: &mut VecDeque<CliqueId>) {
+        let removed = self.remove_clique(id);
+        let mut added = Vec::new();
         for c in s_dis {
-            new_slots.push(self.add_clique_deferred(c));
+            added.push(self.add_clique_deferred(c));
         }
-        for s in &new_slots {
+        for s in &added {
             let report = self.index.rebuild_for_clique(&self.graph, &self.state, *s);
             self.absorb_all_free(report.all_free);
             if !self.index.candidates_of(*s).is_empty() {
                 queue.push_back(*s);
             }
         }
-        self.requeue_neighbors_of_freed(&removed, &new_slots, queue);
+        self.requeue_neighbors_of_freed(&removed, &added, queue);
     }
 
     /// After nodes of `removed` went free, cliques adjacent to the ones
@@ -492,28 +476,28 @@ impl DynamicSolver {
                 continue;
             }
             for &x in self.graph.neighbors(w) {
-                if let Some(slot) = self.state.owner(x) {
-                    if !exclude.contains(&slot) {
-                        affected.insert(slot);
+                if let Some(id) = self.state.owner(x) {
+                    if !exclude.contains(&id) {
+                        affected.insert(id);
                     }
                 }
             }
         }
-        for slot in affected {
-            let report = self.index.rebuild_for_clique(&self.graph, &self.state, slot);
+        for id in affected {
+            let report = self.index.rebuild_for_clique(&self.graph, &self.state, id);
             self.absorb_all_free(report.all_free);
             if report.has_new {
-                queue.push_back(slot);
+                queue.push_back(id);
             }
         }
     }
 
     /// Adds a clique to `S` and immediately derives its candidate set.
     fn add_clique(&mut self, c: Clique) -> CliqueId {
-        let slot = self.add_clique_deferred(c);
-        let report = self.index.rebuild_for_clique(&self.graph, &self.state, slot);
+        let id = self.add_clique_deferred(c);
+        let report = self.index.rebuild_for_clique(&self.graph, &self.state, id);
         self.absorb_all_free(report.all_free);
-        slot
+        id
     }
 
     /// Adds a clique to `S` without rebuilding its candidates (callers
@@ -524,15 +508,14 @@ impl DynamicSolver {
         for u in c.iter() {
             self.index.drop_containing_node(u);
         }
-        let slot = self.state.add(c);
-        self.index.ensure_slot(slot);
+        let id = self.state.add(c);
         self.stats.cliques_added += 1;
-        slot
+        id
     }
 
-    fn remove_clique(&mut self, slot: CliqueId) -> Clique {
-        self.index.drop_attached(slot);
-        let c = self.state.remove(slot);
+    fn remove_clique(&mut self, id: CliqueId) -> Clique {
+        self.index.drop_attached(id);
+        let c = self.state.remove(id);
         self.stats.cliques_removed += 1;
         c
     }

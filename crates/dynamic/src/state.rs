@@ -3,45 +3,34 @@ use dkc_clique::Clique;
 use dkc_core::Solution;
 use dkc_graph::NodeId;
 
-/// Stable identifier of a clique inside [`SolutionState`] (a slot index;
-/// slots are reused after removal).
-pub type CliqueId = u32;
+/// Identifier of a clique of [`SolutionState`]: its **leader**, the
+/// smallest member. The cliques of `S` are disjoint, so no two share a
+/// leader, and the id depends on the clique alone, never on the order in
+/// which `S` was built.
+pub type CliqueId = NodeId;
 
-/// The mutable solution `S`: cliques in reusable slots plus the
-/// node → owning-clique map that defines *free* vs *non-free* nodes.
+/// The mutable solution `S`, and which nodes it covers (*non-free*) vs
+/// leaves *free*.
 ///
-/// [`SolutionState::add`] and [`SolutionState::remove`] are the only
-/// mutation points of `S`: every swap, refill and absorb goes through
-/// them. Both also keep the slot-free, canonically ordered group pages
-/// that [`crate::SolutionView`]s are published from, so publication never
-/// re-sorts `S`.
+/// `S` is stored once: in the leader-keyed group pages that
+/// [`crate::SolutionView`]s are published from, so publication never
+/// re-sorts `S`. [`SolutionState::add`] and [`SolutionState::remove`] are
+/// the only mutation points: every swap, refill and absorb goes through
+/// them.
 #[derive(Debug, Clone)]
 pub struct SolutionState {
-    k: usize,
-    slots: Vec<Option<Clique>>,
-    free_slots: Vec<CliqueId>,
-    /// `owner[u] = Some(slot)` iff `u` is covered by the clique in `slot`.
-    owner: Vec<Option<CliqueId>>,
-    len: usize,
     groups: GroupPages,
 }
 
 impl SolutionState {
-    /// Creates an empty state for a graph with `num_nodes` nodes.
-    pub fn new(k: usize, num_nodes: usize) -> Self {
-        SolutionState {
-            k,
-            slots: Vec::new(),
-            free_slots: Vec::new(),
-            owner: vec![None; num_nodes],
-            len: 0,
-            groups: GroupPages::new(k),
-        }
+    /// Creates an empty state for cliques of size `k`.
+    pub fn new(k: usize) -> Self {
+        SolutionState { groups: GroupPages::new(k) }
     }
 
     /// Initialises from a static [`Solution`].
-    pub fn from_solution(solution: &Solution, num_nodes: usize) -> Self {
-        let mut state = SolutionState::new(solution.k(), num_nodes);
+    pub fn from_solution(solution: &Solution) -> Self {
+        let mut state = SolutionState::new(solution.k());
         for c in solution.cliques() {
             state.add(c);
         }
@@ -51,54 +40,42 @@ impl SolutionState {
     /// The clique size.
     #[inline]
     pub fn k(&self) -> usize {
-        self.k
+        self.groups.k()
     }
 
     /// Number of cliques currently in `S`.
     #[inline]
     pub fn len(&self) -> usize {
-        self.len
+        self.groups.len()
     }
 
     /// True when `S` is empty.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Grows the node range (new nodes start free).
-    pub fn ensure_node(&mut self, u: NodeId) {
-        if u as usize >= self.owner.len() {
-            self.owner.resize(u as usize + 1, None);
-        }
+        self.groups.len() == 0
     }
 
     /// True when `u` is not covered by any clique of `S`.
     #[inline]
     pub fn is_free(&self, u: NodeId) -> bool {
-        self.owner.get(u as usize).is_none_or(|o| o.is_none())
+        self.groups.leader_of(u).is_none()
     }
 
-    /// The clique slot covering `u`, if any.
+    /// The id (leader) of the clique covering `u`, if any.
     #[inline]
     pub fn owner(&self, u: NodeId) -> Option<CliqueId> {
-        self.owner.get(u as usize).copied().flatten()
+        self.groups.leader_of(u)
     }
 
-    /// The clique stored in `slot` (`None` after removal).
+    /// The sorted members of the clique led by `id`, if one is.
     #[inline]
-    pub fn clique(&self, slot: CliqueId) -> Option<&Clique> {
-        self.slots.get(slot as usize).and_then(|s| s.as_ref())
+    pub fn clique(&self, id: CliqueId) -> Option<&[NodeId]> {
+        self.groups.members_of(id).filter(|members| members[0] == id)
     }
 
-    /// Upper bound (exclusive) on slot ids ever issued.
-    #[inline]
-    pub fn slot_bound(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Iterates `(slot, clique)` for every live clique.
-    pub fn iter(&self) -> impl Iterator<Item = (CliqueId, &Clique)> {
-        self.slots.iter().enumerate().filter_map(|(i, s)| s.as_ref().map(|c| (i as CliqueId, c)))
+    /// Every clique's sorted members, in leader order (a clique's id is
+    /// its first member).
+    pub fn iter(&self) -> impl Iterator<Item = &[NodeId]> + '_ {
+        self.groups.iter()
     }
 
     /// Adds a clique; all members must currently be free.
@@ -106,97 +83,51 @@ impl SolutionState {
     /// # Panics
     /// Panics if a member is already covered or the size differs from `k`.
     pub fn add(&mut self, c: Clique) -> CliqueId {
-        let slot = self.insert_slot(c);
-        self.groups.add(c.as_slice());
-        slot
-    }
-
-    /// [`SolutionState::add`] without the group pages.
-    fn insert_slot(&mut self, c: Clique) -> CliqueId {
-        assert_eq!(c.len(), self.k, "clique size must equal k");
-        let slot = match self.free_slots.pop() {
-            Some(s) => {
-                self.slots[s as usize] = Some(c);
-                s
-            }
-            None => {
-                self.slots.push(Some(c));
-                (self.slots.len() - 1) as CliqueId
-            }
-        };
+        assert_eq!(c.len(), self.k(), "clique size must equal k");
         for u in c.iter() {
-            self.ensure_node(u);
-            assert!(
-                self.owner[u as usize].is_none(),
-                "node {u} already covered — cliques must stay disjoint"
-            );
-            self.owner[u as usize] = Some(slot);
+            assert!(self.is_free(u), "node {u} already covered — cliques must stay disjoint");
         }
-        self.len += 1;
-        slot
+        self.groups.add(c.as_slice());
+        c.as_slice()[0]
     }
 
-    /// Removes the clique in `slot`, freeing its nodes. Returns the clique.
+    /// Removes the clique led by `id`, freeing its nodes. Returns the clique.
     ///
     /// # Panics
-    /// Panics if the slot is vacant.
-    pub fn remove(&mut self, slot: CliqueId) -> Clique {
-        let c = self.slots[slot as usize].take().expect("slot already vacant");
-        for u in c.iter() {
-            debug_assert_eq!(self.owner[u as usize], Some(slot));
-            self.owner[u as usize] = None;
-        }
-        self.free_slots.push(slot);
-        self.len -= 1;
+    /// Panics if no clique is led by `id`.
+    pub fn remove(&mut self, id: CliqueId) -> Clique {
+        let c = Clique::from_sorted(self.clique(id).expect("no clique led by this id"));
         self.groups.remove(c.as_slice());
         c
     }
 
-    /// The canonically ordered group pages views are published from.
+    /// Replaces `S` by `solution`, editing the group pages only where the
+    /// two differ: cliques in both keep their pages untouched.
+    pub(crate) fn replace(&mut self, solution: &Solution) {
+        let next = solution.sorted_cliques();
+        let stale: Vec<CliqueId> = self
+            .iter()
+            .filter(|row| next.binary_search(&Clique::from_sorted(row)).is_err())
+            .map(|row| row[0])
+            .collect();
+        for id in stale {
+            self.remove(id);
+        }
+        for c in next {
+            if self.clique(c.as_slice()[0]) != Some(c.as_slice()) {
+                self.add(c);
+            }
+        }
+    }
+
+    /// The group pages views are published from.
     pub(crate) fn groups(&self) -> &GroupPages {
         &self.groups
     }
 
-    /// Replaces `S` by `solution`, issuing slots in its order exactly as
-    /// [`SolutionState::from_solution`] does, but editing the group pages
-    /// only where the group sets differ: re-slotting the same groups
-    /// (canonicalisation) writes no page at all.
-    pub(crate) fn reslot(&mut self, solution: &Solution, num_nodes: usize) {
-        let mut next = SolutionState::new(self.k, num_nodes);
-        for c in solution.cliques() {
-            next.insert_slot(c);
-        }
-        let mut groups = std::mem::replace(&mut self.groups, GroupPages::new(self.k));
-        let stale: Vec<Clique> = groups
-            .iter()
-            .filter(|row| next.clique_at(row[0]).is_none_or(|c| c.as_slice() != *row))
-            .map(Clique::from_sorted)
-            .collect();
-        for c in &stale {
-            groups.remove(c.as_slice());
-        }
-        for (_, c) in next.iter() {
-            if groups.members_of(c.as_slice()[0]) != Some(c.as_slice()) {
-                groups.add(c.as_slice());
-            }
-        }
-        debug_assert_eq!(groups.len(), next.len);
-        next.groups = groups;
-        *self = next;
-    }
-
-    /// The clique covering `u`.
-    fn clique_at(&self, u: NodeId) -> Option<&Clique> {
-        self.owner(u).and_then(|slot| self.clique(slot))
-    }
-
-    /// Snapshots into an immutable [`Solution`] (slot order).
+    /// Snapshots into an immutable [`Solution`], in leader order.
     pub fn to_solution(&self) -> Solution {
-        let mut s = Solution::new(self.k);
-        for (_, c) in self.iter() {
-            s.push(*c);
-        }
-        s
+        self.groups.to_solution()
     }
 }
 
@@ -205,63 +136,82 @@ mod tests {
     use super::*;
 
     #[test]
-    fn add_remove_roundtrip_with_slot_reuse() {
-        let mut s = SolutionState::new(3, 10);
-        let a = s.add(Clique::new(&[0, 1, 2]));
+    fn add_remove_roundtrip_keyed_by_leader() {
+        let mut s = SolutionState::new(3);
+        let a = s.add(Clique::new(&[2, 0, 1]));
         let b = s.add(Clique::new(&[3, 4, 5]));
+        assert_eq!((a, b), (0, 3), "a clique's id is its smallest member");
         assert_eq!(s.len(), 2);
         assert!(!s.is_free(1));
         assert_eq!(s.owner(4), Some(b));
+        assert_eq!(s.clique(4), None, "4 is covered but leads nothing");
 
         let removed = s.remove(a);
         assert_eq!(removed.as_slice(), &[0, 1, 2]);
         assert!(s.is_free(0));
         assert_eq!(s.len(), 1);
+        assert_eq!(s.clique(a), None);
 
-        // Slot a is reused.
         let c = s.add(Clique::new(&[6, 7, 8]));
-        assert_eq!(c, a);
-        assert_eq!(s.clique(c).unwrap().as_slice(), &[6, 7, 8]);
+        assert_eq!(s.clique(c).unwrap(), &[6, 7, 8]);
     }
 
     #[test]
     #[should_panic(expected = "already covered")]
     fn overlapping_add_panics() {
-        let mut s = SolutionState::new(3, 10);
+        let mut s = SolutionState::new(3);
         s.add(Clique::new(&[0, 1, 2]));
         s.add(Clique::new(&[2, 3, 4]));
     }
 
     #[test]
     fn nodes_beyond_range_are_free_and_growable() {
-        let mut s = SolutionState::new(3, 2);
-        assert!(s.is_free(99));
+        let mut s = SolutionState::new(3);
+        assert!(s.is_free(99_999));
         s.add(Clique::new(&[7, 8, 9]));
         assert!(!s.is_free(8));
         assert!(s.is_free(6));
+        s.add(Clique::new(&[5_000, 5_001, 99_999]));
+        assert_eq!(s.owner(99_999), Some(5_000));
     }
 
     #[test]
     fn solution_roundtrip() {
-        let mut s = SolutionState::new(3, 9);
-        s.add(Clique::new(&[0, 1, 2]));
+        let mut s = SolutionState::new(3);
         s.add(Clique::new(&[3, 4, 5]));
+        s.add(Clique::new(&[0, 1, 2]));
         let snap = s.to_solution();
-        assert_eq!(snap.len(), 2);
-        let back = SolutionState::from_solution(&snap, 9);
+        assert_eq!(snap.sorted_cliques(), snap.cliques().collect::<Vec<_>>());
+        let back = SolutionState::from_solution(&snap);
         assert_eq!(back.len(), 2);
         assert_eq!(back.owner(4), back.owner(5));
         assert_ne!(back.owner(0), back.owner(4));
+        let rows: Vec<&[NodeId]> = back.iter().collect();
+        assert_eq!(rows, [&[0, 1, 2][..], &[3, 4, 5][..]]);
     }
 
     #[test]
-    fn iter_skips_vacant_slots() {
-        let mut s = SolutionState::new(3, 12);
+    fn iter_skips_removed_cliques() {
+        let mut s = SolutionState::new(3);
         let a = s.add(Clique::new(&[0, 1, 2]));
         s.add(Clique::new(&[3, 4, 5]));
         s.remove(a);
-        let live: Vec<CliqueId> = s.iter().map(|(id, _)| id).collect();
-        assert_eq!(live.len(), 1);
-        assert_ne!(live[0], a);
+        let live: Vec<CliqueId> = s.iter().map(|c| c[0]).collect();
+        assert_eq!(live, [3]);
+    }
+
+    #[test]
+    fn replace_keeps_shared_cliques_and_swaps_the_rest() {
+        let mut s = SolutionState::new(3);
+        s.add(Clique::new(&[0, 1, 2]));
+        s.add(Clique::new(&[3, 4, 5]));
+        let mut next = Solution::new(3);
+        next.push(Clique::new(&[6, 7, 8]));
+        next.push(Clique::new(&[0, 1, 2]));
+        next.push(Clique::new(&[4, 5, 9]));
+        s.replace(&next);
+        assert_eq!(s.to_solution().sorted_cliques(), next.sorted_cliques());
+        assert!(s.is_free(3));
+        assert_eq!(s.owner(9), Some(4));
     }
 }

@@ -27,10 +27,11 @@
 //! # Publication cost
 //!
 //! Each array is split into pages of [`PAGE`] nodes held by `Arc`. The
-//! writer keeps a writable copy inside [`crate::SolutionState`], updated
-//! by the only two mutation points, `add` and `remove`. Publishing clones
-//! the page tables (one `Arc` bump per page) and recomputes the per-page
-//! rank bases, so it costs O(N / [`PAGE`]) pointer copies and no data.
+//! writer's `S` lives in a writable set of these pages (its
+//! [`crate::SolutionState`] stores nothing else), written by the only two
+//! mutation points, `add` and `remove`. Publishing clones the page tables
+//! (one `Arc` bump per page) and recomputes the per-page rank bases, so it
+//! costs O(N / [`PAGE`]) pointer copies and no data.
 //! The next mutation copies only the pages it writes (`Arc::make_mut`), so
 //! a batch that adds or removes Δ groups costs O(Δ) page copies. A reader
 //! still holding an older view keeps its pages alive: a retained view pins
@@ -143,9 +144,10 @@ impl LeaderPage {
     }
 }
 
-/// The writable, slot-free group index behind every [`SolutionView`]: the
-/// three paged arrays of the module docs. Pages are allocated on first
-/// write and shared copy-on-write between the writer and published views.
+/// The writable group index behind every [`SolutionView`], and the only
+/// copy of the writer's `S` ([`crate::SolutionState`]): the three paged
+/// arrays of the module docs. Pages are allocated on first write and
+/// shared copy-on-write between the writer and published views.
 #[derive(Debug, Clone)]
 pub(crate) struct GroupPages {
     k: usize,
@@ -158,6 +160,10 @@ pub(crate) struct GroupPages {
 impl GroupPages {
     pub(crate) fn new(k: usize) -> Self {
         GroupPages { k, len: 0, owner: Vec::new(), rows: Vec::new(), leaders: Vec::new() }
+    }
+
+    pub(crate) fn k(&self) -> usize {
+        self.k
     }
 
     pub(crate) fn len(&self) -> usize {
@@ -206,7 +212,7 @@ impl GroupPages {
 
     /// The leader of the group covering `u`.
     #[inline]
-    fn leader_of(&self, u: NodeId) -> Option<NodeId> {
+    pub(crate) fn leader_of(&self, u: NodeId) -> Option<NodeId> {
         let (p, o) = split(u);
         self.owner.get(p).map(|page| page[o]).filter(|&l| l != FREE)
     }
@@ -609,12 +615,11 @@ mod tests {
                 SolutionView::new(next.epoch(), n as usize, &solver.solution(), *solver.stats());
             assert_eq!(*next, reference);
         }
-        // Re-slotting the same groups (compaction canonicalises) writes no
-        // page at all.
+        // Compaction leaves `S` alone: it writes no page at all.
         let prev = serving.view();
         serving.compact().unwrap();
         let (shared, total) = serving.view().pages_shared_with(&prev);
-        assert_eq!(shared, total, "canonicalisation must not copy pages");
+        assert_eq!(shared, total, "compaction must not copy pages");
         // The view held across every publication is untouched.
         assert_eq!(before.epoch(), 0);
         assert_eq!(before.group_of(30_000), Some(10_000));
@@ -657,12 +662,12 @@ mod tests {
             assert!(total - shared <= 2, "{} of {total} pages re-rendered", total - shared);
             assert_eq!(rendered(&next), tree(&next));
         }
-        // Compaction re-slots the same groups: nothing is re-rendered.
+        // Compaction leaves `S` alone: nothing is re-rendered.
         let prev = serving.view();
         rendered(&prev);
         serving.compact().unwrap();
         let (shared, total) = fragments_shared(&serving.view(), &prev);
-        assert_eq!(shared, total, "canonicalisation must not re-render pages");
+        assert_eq!(shared, total, "compaction must not re-render pages");
         // The view held across every publication renders its own bytes.
         assert_eq!(rendered(&before), original);
     }

@@ -4,7 +4,7 @@
 
 use dkc_clique::Clique;
 use dkc_core::{approx_guarantee_holds, Algo, Engine, SolveRequest};
-use dkc_dynamic::{CliqueId, DynamicSolver, EdgeUpdate, ServingSolver, SolutionView, UpdateStats};
+use dkc_dynamic::{DynamicSolver, EdgeUpdate, ServingSolver, SolutionView, UpdateStats};
 use dkc_graph::{CsrGraph, NodeId};
 use dkc_json::Json;
 use proptest::prelude::*;
@@ -161,9 +161,16 @@ fn check_against_reference(
     prop_assert_eq!(&seen, &observe(&reference));
     prop_assert_eq!(&seen, &model(view.epoch(), solver));
     prop_assert_eq!(view, &reference);
-    let canonical = solver.canonical_solution();
-    prop_assert_eq!(canonical.store(), &solver.solution().sorted_store());
+    let solution = solver.solution();
+    prop_assert_eq!(solution.store(), &solution.sorted_store(), "solution() is in canonical order");
     Ok(seen)
+}
+
+/// A fresh solver over `solver`'s graph, solution and request (its
+/// counters start at zero).
+fn rebuilt_from_own_solution(solver: &DynamicSolver) -> DynamicSolver {
+    let g = solver.graph().to_csr();
+    DynamicSolver::from_solution_with_request(&g, solver.solution(), solver.request())
 }
 
 /// Every view held since its publication still equals its deep copy.
@@ -176,24 +183,32 @@ fn check_held(held: &[(Arc<SolutionView>, Observed)]) -> Result<(), TestCaseErro
     Ok(())
 }
 
-/// Every live slot of a solver with its clique and its candidates, in
-/// slot and candidate order.
-fn slots_and_candidates(solver: &DynamicSolver) -> Vec<(CliqueId, Clique, Vec<Clique>)> {
+/// Every clique of a solver's `S`, in leader order, with its candidates
+/// sorted. Candidate ids and list order depend on the index's history,
+/// and no solver decision reads them, so they are left out.
+fn cliques_and_candidates(solver: &DynamicSolver) -> Vec<(Vec<NodeId>, Vec<Clique>)> {
     let state = solver.state();
-    state.iter().map(|(slot, c)| (slot, *c, solver.index().candidates_of(slot))).collect()
+    state
+        .iter()
+        .map(|c| {
+            let mut candidates = solver.index().candidates_of(c[0]);
+            candidates.sort_unstable();
+            (c.to_vec(), candidates)
+        })
+        .collect()
 }
 
 /// The serving solver and the reference agree on everything observable
-/// and on their internals: slot order, candidates per slot in order,
-/// candidate ids, counters and the published view.
+/// and on every internal a decision reads: `S` in leader order, the
+/// candidate set of each clique, counters and the published view.
 fn check_same_solver(
     serving: &ServingSolver,
     reference: &DynamicSolver,
 ) -> Result<(), TestCaseError> {
     let solver = serving.solver();
     prop_assert_eq!(solver.solution(), reference.solution());
-    prop_assert_eq!(slots_and_candidates(solver), slots_and_candidates(reference));
-    prop_assert!(solver.index() == reference.index(), "candidate ids differ");
+    prop_assert_eq!(cliques_and_candidates(solver), cliques_and_candidates(reference));
+    prop_assert_eq!(solver.index_size(), reference.index_size());
     prop_assert_eq!(solver.stats(), reference.stats());
     prop_assert_eq!(&*serving.view(), &reference.solution_view(serving.epoch()));
     solver.validate().map_err(TestCaseError::fail)?;
@@ -203,13 +218,16 @@ fn check_same_solver(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The serving bootstrap (`create` and `in_memory`: solve, sort into
-    /// canonical order, one index build) yields exactly the solver of
-    /// `from_scratch` followed by `canonicalize()`. Both then stay in
-    /// lockstep through node-growing batches, improvement slices,
-    /// compactions (`canonicalize()` on the reference) and restores.
+    /// The serving bootstrap (`create` and `in_memory`) yields exactly the
+    /// solver of `from_scratch`. Both then stay in lockstep through
+    /// node-growing batches and improvement slices, while the serving side
+    /// is compacted, restored from its state directory (durable cases) or
+    /// replaced by `import_state` of its own `export_state` (in-memory
+    /// cases). The reference is never touched by any of those: a solver
+    /// rebuilt from its graph and `S` at any point behaves exactly like
+    /// the one that kept running, the restart and replica contract.
     #[test]
-    fn serving_bootstrap_equals_from_scratch_then_canonicalize(
+    fn serving_bootstrap_equals_from_scratch(
         g in graph_strategy(12, 40),
         batches in proptest::collection::vec(ops_strategy(18, 6), 8..14),
         actions in proptest::collection::vec(0u8..6, 14),
@@ -230,7 +248,6 @@ proptest! {
             ServingSolver::in_memory(&g, req).unwrap()
         };
         let mut reference = DynamicSolver::from_scratch(&g, req).unwrap();
-        reference.canonicalize();
         check_same_solver(&serving, &reference)?;
         for (i, batch) in batches.iter().enumerate() {
             let (outcome, _) = serving.apply_batch(batch).unwrap();
@@ -242,12 +259,16 @@ proptest! {
                 }
                 1 => {
                     serving.compact().unwrap();
-                    reference.canonicalize();
                 }
                 2 if durable => {
                     let epoch = serving.epoch();
                     drop(serving);
                     serving = ServingSolver::restore(&dir).unwrap();
+                    prop_assert_eq!(serving.epoch(), epoch);
+                }
+                2 => {
+                    let epoch = serving.epoch();
+                    serving = ServingSolver::import_state(&serving.export_state()).unwrap();
                     prop_assert_eq!(serving.epoch(), epoch);
                 }
                 _ => {}
@@ -301,7 +322,8 @@ proptest! {
     }
 
     /// The same equivalence on the bare solver, through the operations
-    /// that re-slot `S`: `rebuild`, `canonicalize` and `improve`.
+    /// that replace `S` wholesale: `rebuild`, `improve`, and a solver
+    /// built afresh from its own graph and solution.
     #[test]
     fn solver_views_track_reslotting(
         g in graph_strategy(12, 40),
@@ -323,7 +345,7 @@ proptest! {
                 0 => {
                     solver.rebuild().unwrap();
                 }
-                1 => solver.canonicalize(),
+                1 => solver = rebuilt_from_own_solution(&solver),
                 2 => {
                     solver.improve(16, i as u64);
                 }
@@ -339,7 +361,8 @@ proptest! {
 
     /// Cached page text never goes stale. The bare solver publishes a view
     /// per batch through random batch splits, node-growing inserts,
-    /// `rebuild`, `canonicalize`, `improve` and export/import round trips;
+    /// `rebuild`, fresh solvers built from the solution, `improve` and
+    /// export/import round trips;
     /// each view must render the tree oracle's bytes when published, and
     /// the retained ones again at the end, at least 20 epochs later. Most
     /// views are dropped right after their render, so the solver's pages
@@ -380,7 +403,7 @@ proptest! {
                 0 => {
                     solver.rebuild().unwrap();
                 }
-                1 => solver.canonicalize(),
+                1 => solver = rebuilt_from_own_solution(&solver),
                 2 => {
                     solver.improve(16, i as u64);
                 }

@@ -1,13 +1,16 @@
 //! Read replicas: tail a shard's update log over the wire, serve queries.
 //!
 //! A replica bootstraps by `fetch`ing the shard primary's full serving
-//! state (the primary canonicalises first, so both sides continue from
-//! identical internal states), then holds a `tail` connection streaming
-//! committed journal records and applies each one — batches with
+//! state (graph and solution; a solver built from them behaves exactly
+//! like the primary's), then holds a `tail` connection streaming committed
+//! journal records and applies each one — batches with
 //! [`ServingSolver::apply_batch`], improvement slices by re-running
 //! [`ServingSolver::improve`] with the journaled `(steps, seed)` — giving
 //! bit-identical views at every epoch, because both the dynamic update
-//! algorithms and the local search are deterministic.
+//! algorithms and the local search are deterministic. Every record must
+//! advance the epoch by exactly one, as it did on the primary; one that
+//! does not means the replica diverged, and it re-bootstraps rather than
+//! serve views the primary never published.
 //!
 //! Catch-up protocol, in order of escalation:
 //!
@@ -17,8 +20,8 @@
 //!    `from` its current epoch; the primary replays the missed records
 //!    from its in-memory ring;
 //! 3. **re-bootstrap** — if the replica fell further behind than the ring
-//!    retains (the primary says `# stale`), it discards its state and
-//!    `fetch`es afresh.
+//!    retains (the primary says `# stale`), or a record failed to advance
+//!    its epoch, it discards its state and `fetch`es afresh.
 //!
 //! The replica answers the normal query protocol read-only: `query` is
 //! served from its own published [`SolutionView`]; mutating commands get
@@ -292,15 +295,7 @@ fn applier_loop(
             if let Some(comment) = trimmed.strip_prefix('#') {
                 if comment.trim_start().starts_with("stale") {
                     // Fell out of the primary's ring: full re-bootstrap.
-                    let deadline = Instant::now() + bootstrap_timeout;
-                    while Instant::now() < deadline && !shutdown.load(Ordering::SeqCst) {
-                        if let Ok(fresh) = try_fetch(primary, deadline, shutdown) {
-                            *cell.write().expect("view cell") = fresh.reader();
-                            serving = fresh;
-                            continue 'connect;
-                        }
-                        std::thread::sleep(Duration::from_millis(100));
-                    }
+                    rebootstrap(&mut serving, cell, primary, bootstrap_timeout, shutdown);
                     continue 'connect;
                 }
                 continue; // keepalive
@@ -310,19 +305,9 @@ fn applier_loop(
             if trimmed == "c" {
                 match parse_records(&record) {
                     Ok(records) => {
-                        for rec in records {
-                            // In-memory state: neither apply can fail on I/O.
-                            match rec {
-                                LogRecord::Batch(batch) => {
-                                    let _ = serving.apply_batch(&batch);
-                                }
-                                // Deterministic over the replicated canonical
-                                // state: the slice applies the same moves the
-                                // primary journaled, so epochs stay in step.
-                                LogRecord::Improve { steps, seed } => {
-                                    let _ = serving.improve(steps, seed);
-                                }
-                            }
+                        if !records.into_iter().all(|rec| apply_record(&mut serving, rec)) {
+                            rebootstrap(&mut serving, cell, primary, bootstrap_timeout, shutdown);
+                            continue 'connect;
                         }
                     }
                     Err(_) => {
@@ -336,6 +321,42 @@ fn applier_loop(
             }
         }
         // Disconnected (or shutdown): reconnect from the current epoch.
+    }
+}
+
+/// Applies one replicated record. Returns false when the record did not
+/// advance the epoch by exactly one, as it did on the primary that
+/// journaled it (say, an improvement slice that applied no move here): the
+/// replica has diverged and must re-bootstrap.
+fn apply_record(serving: &mut ServingSolver, record: LogRecord) -> bool {
+    let before = serving.epoch();
+    // In-memory state: neither apply can fail on I/O.
+    match record {
+        LogRecord::Batch(batch) => {
+            let _ = serving.apply_batch(&batch);
+        }
+        // Deterministic over the replicated state: the slice applies the
+        // same moves the primary journaled.
+        LogRecord::Improve { steps, seed } => {
+            let _ = serving.improve(steps, seed);
+        }
+    }
+    serving.epoch() == before + 1
+}
+
+/// Replaces the replica's state by a fresh `fetch` from the primary and
+/// points the readers at it. Keeps the current state when no fetch
+/// succeeds within `timeout`; the caller re-tails either way.
+fn rebootstrap(
+    serving: &mut ServingSolver,
+    cell: &ViewCell,
+    primary: &str,
+    timeout: Duration,
+    shutdown: &AtomicBool,
+) {
+    if let Ok(fresh) = fetch_state(primary, timeout, shutdown) {
+        *cell.write().expect("view cell") = fresh.reader();
+        *serving = fresh;
     }
 }
 
@@ -378,5 +399,85 @@ fn serve_connection(stream: TcpStream, cell: &ViewCell, shutdown: &AtomicBool, p
         if writeln!(writer, "{reply}").and_then(|()| writer.flush()).is_err() {
             return;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::{fetch_reply, tail_ack};
+    use dkc_core::{Algo, SolveRequest};
+    use dkc_dynamic::{render_improve_record, EdgeUpdate};
+    use dkc_graph::CsrGraph;
+    use std::sync::atomic::AtomicUsize;
+
+    /// Two triangles bridged by an edge, served in memory at epoch 0.
+    fn primary_state() -> ServingSolver {
+        let g =
+            CsrGraph::from_edges(6, vec![(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)])
+                .unwrap();
+        ServingSolver::in_memory(&g, SolveRequest::new(Algo::Lp, 3)).unwrap()
+    }
+
+    #[test]
+    fn a_record_must_advance_the_epoch_by_exactly_one() {
+        let mut serving = primary_state();
+        assert!(apply_record(&mut serving, LogRecord::Batch(vec![EdgeUpdate::Delete(0, 1)])));
+        assert_eq!(serving.epoch(), 1);
+        // A zero-step slice applies no move: the epoch stays put, one
+        // behind a primary that journaled the slice.
+        assert!(!apply_record(&mut serving, LogRecord::Improve { steps: 0, seed: 7 }));
+        assert_eq!(serving.epoch(), 1);
+    }
+
+    #[test]
+    fn a_record_that_leaves_the_epoch_behind_triggers_a_fresh_fetch() {
+        // A stand-in primary: `fetch` returns its epoch-0 state, and
+        // every `tail` streams one improvement slice that applies no move.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let fetches = Arc::new(AtomicUsize::new(0));
+        {
+            let fetches = Arc::clone(&fetches);
+            std::thread::spawn(move || {
+                let state = primary_state();
+                for stream in listener.incoming() {
+                    let Ok(stream) = stream else { return };
+                    let Ok(mut writer) = stream.try_clone() else { continue };
+                    let mut line = String::new();
+                    if BufReader::new(stream).read_line(&mut line).is_err() {
+                        continue;
+                    }
+                    let reply = match parse_request(line.trim_end()) {
+                        Ok(Request::Fetch) => {
+                            fetches.fetch_add(1, Ordering::SeqCst);
+                            let doc = state.export_state();
+                            format!("{}\n", fetch_reply(state.epoch(), doc).render())
+                        }
+                        Ok(Request::Tail { from }) => format!(
+                            "{}\n{}",
+                            tail_ack(state.epoch(), from).render(),
+                            render_improve_record(0, 7)
+                        ),
+                        _ => continue,
+                    };
+                    writer.write_all(reply.as_bytes()).ok();
+                }
+            });
+        }
+        let replica = Replica::start(
+            &addr,
+            TcpListener::bind("127.0.0.1:0").unwrap(),
+            ReplicaConfig::default(),
+        )
+        .unwrap();
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while fetches.load(Ordering::SeqCst) < 2 {
+            assert!(Instant::now() < deadline, "the replica never re-bootstrapped");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        assert_eq!(replica.epoch(), 0);
+        replica.stop();
+        replica.join();
     }
 }

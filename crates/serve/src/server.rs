@@ -576,7 +576,9 @@ fn writer_loop(
     }
     // Graceful exit: force the journal to stable storage and release any
     // tailing replicas.
-    serving.sync().ok();
+    if let Err(e) = serving.sync() {
+        eprintln!("# journal sync at shutdown failed: {e}");
+    }
     hub.close();
 }
 
@@ -642,8 +644,6 @@ fn run_writer_op(
             let _ = reply.send(line);
         }
         WriterOp::Fetch { reply } => {
-            // Canonicalises the live solver (observable state unchanged),
-            // so the importer and this process continue bit-identically.
             let state = serving.export_state();
             let body = fetch_reply(serving.epoch(), state).render();
             // Publish for the readers: later fetches at this epoch are

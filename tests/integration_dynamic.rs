@@ -100,10 +100,7 @@ fn stats_and_index_size_stay_consistent() {
     // here we sanity-check the reported size too).
     let fresh = disjoint_kcliques::dynamic::CandidateIndex::build(
         solver.graph(),
-        &disjoint_kcliques::dynamic::SolutionState::from_solution(
-            &solver.solution(),
-            solver.graph().num_nodes(),
-        ),
+        &disjoint_kcliques::dynamic::SolutionState::from_solution(&solver.solution()),
         solver.request().par,
     );
     assert_eq!(solver.index_size(), fresh.len());
