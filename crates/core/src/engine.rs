@@ -878,10 +878,14 @@ impl Engine {
             if free.len() < s {
                 continue;
             }
-            let sub = InducedSubgraph::of_csr(g, &free);
-            let report = Engine::solve(sub.graph(), SolveRequest { k: s, ..req })?;
+            // While nothing is covered (the first phase that runs), the
+            // residual is `g` itself and local ids are global ids.
+            let sub = (free.len() < n).then(|| InducedSubgraph::of_csr(g, &free));
+            let graph = sub.as_ref().map_or(g, InducedSubgraph::graph);
+            let report = Engine::solve(graph, SolveRequest { k: s, ..req })?;
             for c in report.solution.iter_members() {
-                let global: Vec<NodeId> = c.iter().map(|&l| sub.to_global(l)).collect();
+                let global: Vec<NodeId> =
+                    c.iter().map(|&l| sub.as_ref().map_or(l, |sub| sub.to_global(l))).collect();
                 for &u in &global {
                     debug_assert!(!covered[u as usize]);
                     covered[u as usize] = true;

@@ -7,7 +7,7 @@ use dkc_core::{
     GreedyCliqueGraphSolver, HgSolver, LightweightSolver, OptSolver, Solution, SolveError,
     SolveRequest, Solver,
 };
-use dkc_graph::{CsrGraph, OrderingKind};
+use dkc_graph::{CsrGraph, InducedSubgraph, NodeId, OrderingKind};
 use dkc_par::ParConfig;
 use proptest::prelude::*;
 
@@ -65,6 +65,41 @@ fn graph_strategy(max_n: u32, max_m: usize) -> impl Strategy<Value = CsrGraph> {
         proptest::collection::vec((0..n, 0..n), 0..max_m)
             .prop_map(move |edges| CsrGraph::from_edges(n as usize, edges).unwrap())
     })
+}
+
+/// The residual loop as `Engine::partition_all` ran it before its first
+/// phase solved the input graph in place: every clique phase, the first
+/// included, solves a freshly induced copy of the uncovered nodes; then a
+/// greedy matching, then singletons.
+fn partition_by_always_inducing(g: &CsrGraph, req: SolveRequest) -> Vec<Vec<NodeId>> {
+    let n = g.num_nodes();
+    let mut covered = vec![false; n];
+    let mut groups = Vec::new();
+    for s in (3..=req.k).rev() {
+        let free: Vec<NodeId> = (0..n as NodeId).filter(|&u| !covered[u as usize]).collect();
+        if free.len() < s {
+            continue;
+        }
+        let sub = InducedSubgraph::of_csr(g, &free);
+        let report = Engine::solve(sub.graph(), SolveRequest { k: s, ..req }).unwrap();
+        for c in report.solution.iter_members() {
+            let group: Vec<NodeId> = c.iter().map(|&l| sub.to_global(l)).collect();
+            group.iter().for_each(|&u| covered[u as usize] = true);
+            groups.push(group);
+        }
+    }
+    for u in 0..n as NodeId {
+        if covered[u as usize] {
+            continue;
+        }
+        if let Some(&v) = g.neighbors(u).iter().find(|&&v| !covered[v as usize]) {
+            covered[u as usize] = true;
+            covered[v as usize] = true;
+            groups.push(vec![u, v]);
+        }
+    }
+    groups.extend((0..n as NodeId).filter(|&u| !covered[u as usize]).map(|u| vec![u]));
+    groups
 }
 
 fn heuristics() -> Vec<Box<dyn Solver>> {
@@ -187,6 +222,21 @@ proptest! {
             }
         }
         prop_assert!(seen.iter().all(|&s| s));
+    }
+
+    #[test]
+    fn partition_equals_the_always_inducing_loop(g in graph_strategy(22, 150), k in 3usize..=5) {
+        for algo in [Algo::Hg, Algo::Gc, Algo::L, Algo::Lp] {
+            for threads in [1, 4] {
+                let req = SolveRequest::new(algo, k).with_par(ParConfig::new(threads));
+                let report = Engine::partition_all(&g, req).unwrap();
+                prop_assert_eq!(
+                    &report.partition.groups,
+                    &partition_by_always_inducing(&g, req),
+                    "{} k={} threads={}", algo, k, threads
+                );
+            }
+        }
     }
 
     #[test]

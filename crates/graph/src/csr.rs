@@ -72,10 +72,16 @@ impl CsrGraph {
 
     /// Rebuilds a graph from pre-built CSR arrays, as produced by
     /// [`CsrGraph::offsets`] / [`CsrGraph::adjacency`] (the binary snapshot
-    /// path). Every structural invariant is re-validated in `O(n + m log d)`
-    /// — monotone offsets, sorted duplicate-free neighbour lists, no
+    /// path). Every structural invariant is re-validated in `O(n + m)` —
+    /// monotone offsets, sorted duplicate-free neighbour lists, no
     /// self-loops, in-range ids and symmetry — so untrusted input can never
     /// produce a malformed graph.
+    ///
+    /// Symmetry needs no search: walking `u` in ascending order, the entries
+    /// below `v` in `v`'s sorted list must be exactly the nodes `u < v` that
+    /// list `v`, in the order they are walked. A per-node cursor `next[v]`
+    /// matches each forward entry `v > u` of `u` and advances; when the walk
+    /// reaches `v`, its cursor must have consumed every entry below `v`.
     pub fn from_raw_parts(offsets: Vec<usize>, neighbors: Vec<NodeId>) -> Result<Self, GraphError> {
         let invalid = |message: String| GraphError::InvalidCsr { message };
         if offsets.first() != Some(&0) {
@@ -93,6 +99,9 @@ impl CsrGraph {
         }
         let n = offsets.len() - 1;
         let g = CsrGraph { offsets, neighbors };
+        // `next[v]`: the first entry of `v`'s list not yet matched to a
+        // smaller node's forward entry.
+        let mut next: Vec<usize> = g.offsets[..n].to_vec();
         for u in 0..n as NodeId {
             let list = g.neighbors(u);
             if list.windows(2).any(|w| w[0] >= w[1]) {
@@ -103,14 +112,28 @@ impl CsrGraph {
                     return Err(GraphError::NodeOutOfRange { node: v as u64, num_nodes: n });
                 }
             }
-            if list.binary_search(&u).is_ok() {
+            let below = list.partition_point(|&v| v < u);
+            if list.get(below) == Some(&u) {
                 return Err(invalid(format!("self-loop on node {u}")));
             }
-            // Check symmetry once per undirected edge (u < v side).
-            for &v in list.iter().filter(|&&v| v > u) {
-                if g.neighbors(v).binary_search(&u).is_err() {
-                    return Err(invalid(format!("edge ({u}, {v}) has no reverse entry")));
+            if next[u as usize] != g.offsets[u as usize] + below {
+                let v = g.neighbors[next[u as usize]];
+                return Err(invalid(format!("edge ({u}, {v}) has no reverse entry")));
+            }
+            for &v in &list[below..] {
+                let at = next[v as usize];
+                let end = g.offsets[v as usize + 1];
+                if at < end && g.neighbors[at] == u {
+                    next[v as usize] += 1;
+                    continue;
                 }
+                // Either `v` lacks `u`, or `v` first lists a smaller node
+                // that never listed `v`.
+                let (a, b) = match g.neighbors[at..end].first() {
+                    Some(&w) if w < u => (v, w),
+                    _ => (u, v),
+                };
+                return Err(invalid(format!("edge ({a}, {b}) has no reverse entry")));
             }
         }
         Ok(g)
@@ -329,6 +352,8 @@ mod tests {
         assert!(CsrGraph::from_raw_parts(vec![0, 1, 2], vec![1, 9]).is_err());
         // Asymmetric adjacency: 0 lists 1 but 1 lists nothing back.
         assert!(CsrGraph::from_raw_parts(vec![0, 1, 1], vec![1]).is_err());
+        // Asymmetric the other way: 1 lists 0 but 0 lists nothing back.
+        assert!(CsrGraph::from_raw_parts(vec![0, 0, 1], vec![0]).is_err());
         for bad in [
             CsrGraph::from_raw_parts(vec![0, 2, 1, 2], vec![1, 0]).unwrap_err(),
             CsrGraph::from_raw_parts(vec![0, 1, 1], vec![1]).unwrap_err(),

@@ -4,7 +4,8 @@
 //! sorting and CSR construction on every run. A snapshot amortises all of
 //! that: it stores the finished CSR arrays (plus the label table) so a
 //! reload is one sequential read, a linear little-endian decode, and a
-//! structural re-validation — no per-edge work beyond a copy.
+//! structural re-validation that is linear too (`O(n + m)`, no search per
+//! edge).
 //!
 //! ## Layout (all integers little-endian)
 //!

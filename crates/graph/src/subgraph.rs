@@ -1,9 +1,10 @@
-use crate::{CsrGraph, DynGraph, NodeId};
+use crate::{CsrGraph, NodeId};
 
 /// A subgraph induced on a node subset, with local↔global id translation.
 ///
-/// Used by the dynamic algorithms (Algorithm 5 builds candidate cliques on
-/// the set `B = C ∪ N_F(C)`) and by the OPT pipeline when decomposing work.
+/// Used by the residual partition loop (each phase after the first solves
+/// the graph induced on the still-uncovered nodes) and by maximality
+/// checks, which count cliques among the uncovered nodes.
 #[derive(Debug, Clone)]
 pub struct InducedSubgraph {
     graph: CsrGraph,
@@ -13,21 +14,28 @@ pub struct InducedSubgraph {
 }
 
 impl InducedSubgraph {
-    /// Induces on `nodes` (duplicates are removed) of a static graph.
+    /// Induces on `nodes` (duplicates are removed) of a static graph in
+    /// `O(n + m)`: each kept node's sorted neighbour list is filtered through
+    /// a dense global→local map. Local ids are ranks of the sorted global
+    /// ids, so the filtered lists stay sorted and form the CSR arrays as is.
     pub fn of_csr(g: &CsrGraph, nodes: &[NodeId]) -> Self {
-        let global = normalize(nodes);
-        let edges = induced_edges(&global, |u| g.neighbors(u));
-        let graph =
-            CsrGraph::from_edges(global.len(), edges).expect("local ids are dense by construction");
-        InducedSubgraph { graph, global }
-    }
-
-    /// Induces on `nodes` of a dynamic graph snapshot.
-    pub fn of_dyn(g: &DynGraph, nodes: &[NodeId]) -> Self {
-        let global = normalize(nodes);
-        let edges = induced_edges(&global, |u| g.neighbors(u));
-        let graph =
-            CsrGraph::from_edges(global.len(), edges).expect("local ids are dense by construction");
+        let mut global = nodes.to_vec();
+        global.sort_unstable();
+        global.dedup();
+        let mut local = vec![NodeId::MAX; g.num_nodes()];
+        for (l, &u) in global.iter().enumerate() {
+            local[u as usize] = l as NodeId;
+        }
+        let mut offsets = Vec::with_capacity(global.len() + 1);
+        offsets.push(0);
+        let mut neighbors = Vec::new();
+        for &u in &global {
+            let kept = g.neighbors(u).iter().map(|&v| local[v as usize]);
+            neighbors.extend(kept.filter(|&l| l != NodeId::MAX));
+            offsets.push(neighbors.len());
+        }
+        let graph = CsrGraph::from_raw_parts(offsets, neighbors)
+            .expect("a subgraph induced from a valid graph is valid");
         InducedSubgraph { graph, global }
     }
 
@@ -59,37 +67,6 @@ impl InducedSubgraph {
     pub fn to_local(&self, global: NodeId) -> Option<NodeId> {
         self.global.binary_search(&global).ok().map(|i| i as NodeId)
     }
-
-    /// Translates a slice of local ids to global ids.
-    pub fn to_global_vec(&self, locals: &[NodeId]) -> Vec<NodeId> {
-        locals.iter().map(|&l| self.to_global(l)).collect()
-    }
-}
-
-fn normalize(nodes: &[NodeId]) -> Vec<NodeId> {
-    let mut v = nodes.to_vec();
-    v.sort_unstable();
-    v.dedup();
-    v
-}
-
-fn induced_edges<'a, F>(global: &'a [NodeId], neighbors: F) -> Vec<(NodeId, NodeId)>
-where
-    F: Fn(NodeId) -> &'a [NodeId],
-{
-    let mut edges = Vec::new();
-    for (lu, &gu) in global.iter().enumerate() {
-        // Both lists are sorted: walk the neighbour list against `global`.
-        for &gv in neighbors(gu) {
-            if gv <= gu {
-                continue; // count each edge once, from the smaller endpoint
-            }
-            if let Ok(lv) = global.binary_search(&gv) {
-                edges.push((lu as NodeId, lv as NodeId));
-            }
-        }
-    }
-    edges
 }
 
 #[cfg(test)]
@@ -120,7 +97,7 @@ mod tests {
             assert_eq!(sub.to_local(global), Some(local));
         }
         assert_eq!(sub.to_local(5), None);
-        assert_eq!(sub.to_global_vec(&[0, 1, 2]), vec![0, 2, 4]);
+        assert_eq!([0, 1, 2].map(|l| sub.to_global(l)), [0, 2, 4]);
     }
 
     #[test]
@@ -129,15 +106,6 @@ mod tests {
         let sub = InducedSubgraph::of_csr(&g, &[1, 1, 2, 2, 0]);
         assert_eq!(sub.len(), 3);
         assert_eq!(sub.graph().num_edges(), 3);
-    }
-
-    #[test]
-    fn dyn_graph_induction_matches_csr() {
-        let g = sample();
-        let dg = DynGraph::from_csr(&g);
-        let a = InducedSubgraph::of_csr(&g, &[0, 1, 2, 3]);
-        let b = InducedSubgraph::of_dyn(&dg, &[0, 1, 2, 3]);
-        assert_eq!(a.graph(), b.graph());
     }
 
     #[test]

@@ -5,7 +5,10 @@ use std::collections::HashSet;
 use dkc_graph::io::{
     parse_edge_list, parse_edge_list_chunked, read_snapshot, write_snapshot, LoadedGraph,
 };
-use dkc_graph::{CsrGraph, Dag, DynGraph, GraphError, NodeOrder, OrderingKind, SnapshotError};
+use dkc_graph::{
+    CsrGraph, Dag, DynGraph, GraphError, InducedSubgraph, NodeId, NodeOrder, OrderingKind,
+    SnapshotError,
+};
 use dkc_par::ParConfig;
 use proptest::prelude::*;
 
@@ -284,6 +287,165 @@ proptest! {
                     "{}", err
                 );
             }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The induce and the CSR validator, each against its former construction.
+
+/// How `InducedSubgraph::of_csr` used to build its graph: collect the induced
+/// edge list with one binary search per edge, then sort it through
+/// `CsrGraph::from_edges`. Returns the graph and the sorted global ids.
+fn induce_via_edge_list(g: &CsrGraph, nodes: &[NodeId]) -> (CsrGraph, Vec<NodeId>) {
+    let mut global = nodes.to_vec();
+    global.sort_unstable();
+    global.dedup();
+    let mut edges = Vec::new();
+    for (lu, &gu) in global.iter().enumerate() {
+        for &gv in g.neighbors(gu).iter().filter(|&&gv| gv > gu) {
+            if let Ok(lv) = global.binary_search(&gv) {
+                edges.push((lu as NodeId, lv as NodeId));
+            }
+        }
+    }
+    (CsrGraph::from_edges(global.len(), edges).unwrap(), global)
+}
+
+/// The binary-search validator `CsrGraph::from_raw_parts` used before its
+/// cursor walk: structure per node, then one reverse-entry search per
+/// entry. (The old code searched only for entries `v > u`, so it let a
+/// one-sided entry from the larger endpoint through; the oracle searches
+/// for every entry, which is the invariant both claim to check.)
+fn valid_by_binary_search(offsets: &[usize], neighbors: &[NodeId]) -> bool {
+    if offsets.first() != Some(&0)
+        || offsets.last() != Some(&neighbors.len())
+        || offsets.windows(2).any(|w| w[0] > w[1])
+    {
+        return false;
+    }
+    let n = offsets.len() - 1;
+    let list = |u: usize| &neighbors[offsets[u]..offsets[u + 1]];
+    let well_formed = (0..n).all(|u| {
+        let l = list(u);
+        l.windows(2).all(|w| w[0] < w[1])
+            && l.last().is_none_or(|&v| (v as usize) < n)
+            && l.binary_search(&(u as NodeId)).is_err()
+    });
+    well_formed
+        && (0..n).all(|u| {
+            list(u).iter().all(|&v| list(v as usize).binary_search(&(u as NodeId)).is_ok())
+        })
+}
+
+/// Strategy: a graph plus a node set to induce on — random picks (unsorted,
+/// with duplicates), the empty set, or every node in reverse order with
+/// duplicates on top.
+fn induce_case() -> impl Strategy<Value = (CsrGraph, Vec<NodeId>, bool)> {
+    edges_strategy(40, 160)
+        .prop_flat_map(|(n, edges)| {
+            let picks = proptest::collection::vec(0..n, 0..2 * n as usize);
+            (Just(n), Just(edges), 0u8..4, picks)
+        })
+        .prop_map(|(n, edges, mode, picks)| {
+            let g = CsrGraph::from_edges(n as usize, edges).unwrap();
+            match mode {
+                0 => (g, Vec::new(), false),
+                1 => (g, (0..n).rev().chain(picks).collect(), true),
+                _ => (g, picks, false),
+            }
+        })
+}
+
+/// Inserts `v` into the neighbour array at `at`, inside node `owner`'s list.
+fn insert_entry(offsets: &mut [usize], adj: &mut Vec<NodeId>, owner: usize, at: usize, v: NodeId) {
+    adj.insert(at, v);
+    offsets[owner + 1..].iter_mut().for_each(|o| *o += 1);
+}
+
+/// The node whose list holds entry `p` of the neighbour array.
+fn owner_of(offsets: &[usize], p: usize) -> usize {
+    offsets.partition_point(|&o| o <= p) - 1
+}
+
+proptest! {
+    #[test]
+    fn induce_equals_edge_list_construction((g, nodes, full) in induce_case()) {
+        let sub = InducedSubgraph::of_csr(&g, &nodes);
+        let (expect, global) = induce_via_edge_list(&g, &nodes);
+        prop_assert_eq!(sub.graph(), &expect);
+        prop_assert_eq!(sub.len(), global.len());
+        prop_assert_eq!(sub.is_empty(), nodes.is_empty());
+        if full {
+            prop_assert_eq!(sub.graph(), &g);
+        }
+        for (l, &u) in global.iter().enumerate() {
+            prop_assert_eq!(sub.to_global(l as NodeId), u);
+            prop_assert_eq!(sub.to_local(u), Some(l as NodeId));
+        }
+        for u in g.iter_nodes().filter(|u| global.binary_search(u).is_err()) {
+            prop_assert_eq!(sub.to_local(u), None);
+        }
+    }
+
+    /// `from_raw_parts` accepts exactly what the binary-search validator
+    /// accepts, on valid arrays and on single mutations of them.
+    #[test]
+    fn raw_parts_validation_agrees_with_binary_search(
+        (n, edges) in edges_strategy(24, 80),
+        mutation in 0u8..8,
+        pick in any::<u64>(),
+        shift in any::<u64>(),
+    ) {
+        let g = CsrGraph::from_edges(n as usize, edges).unwrap();
+        let (mut offsets, mut adj) = (g.offsets().to_vec(), g.adjacency().to_vec());
+        let n = n as usize;
+        let entry = (!adj.is_empty()).then(|| pick as usize % adj.len());
+        let node = pick as usize % n;
+        match (mutation, entry) {
+            // A dropped entry: its reverse entry loses its partner.
+            (1, Some(p)) => {
+                let owner = owner_of(&offsets, p);
+                adj.remove(p);
+                offsets[owner + 1..].iter_mut().for_each(|o| *o -= 1);
+            }
+            // A duplicated entry.
+            (2, Some(p)) => {
+                let (owner, v) = (owner_of(&offsets, p), adj[p]);
+                insert_entry(&mut offsets, &mut adj, owner, p, v);
+            }
+            // A self-loop, inserted in sorted position.
+            (3, _) => {
+                let list = g.neighbors(node as NodeId);
+                let at = offsets[node] + list.partition_point(|&v| (v as usize) < node);
+                insert_entry(&mut offsets, &mut adj, node, at, node as NodeId);
+            }
+            // An out-of-range id at the end of a list.
+            (4, _) => {
+                let (at, v) = (offsets[node + 1], (n + shift as usize % 3) as NodeId);
+                insert_entry(&mut offsets, &mut adj, node, at, v);
+            }
+            // An offset moved by one: non-monotone, or not starting at 0 or
+            // ending at the array length.
+            (5, _) => {
+                let i = shift as usize % offsets.len();
+                offsets[i] =
+                    if pick.is_multiple_of(2) { offsets[i] + 1 } else { offsets[i].saturating_sub(1) };
+            }
+            // Two adjacent entries swapped.
+            (6, Some(p)) if p + 1 < adj.len() => adj.swap(p, p + 1),
+            // One entry replaced by another in-range id.
+            (7, Some(p)) => adj[p] = (shift % n as u64) as NodeId,
+            _ => {}
+        }
+        let expect = valid_by_binary_search(&offsets, &adj);
+        match CsrGraph::from_raw_parts(offsets.clone(), adj.clone()) {
+            Ok(back) => {
+                prop_assert!(expect, "accepted offsets {:?} adjacency {:?}", offsets, adj);
+                prop_assert_eq!(back.offsets(), &offsets[..]);
+                prop_assert_eq!(back.adjacency(), &adj[..]);
+            }
+            Err(e) => prop_assert!(!expect, "rejected a valid graph: {}", e),
         }
     }
 }

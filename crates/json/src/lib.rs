@@ -51,6 +51,11 @@ pub enum Json {
     Raw(String),
 }
 
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts
+/// (serde_json's default recursion limit is also 128). It bounds the
+/// parser's recursion, so a hostile request line cannot overflow the stack.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse failure: byte offset plus a short description.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
@@ -216,11 +221,13 @@ impl Json {
         }
     }
 
-    /// Parses one JSON document (trailing garbage is an error).
+    /// Parses one JSON document (trailing garbage is an error). Arrays and
+    /// objects may nest at most [`MAX_DEPTH`] levels deep; deeper input is
+    /// an error rather than a stack overflow.
     pub fn parse(input: &str) -> Result<Json, JsonError> {
         let bytes = input.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(err(pos, "trailing characters after the document"));
@@ -266,8 +273,12 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), JsonError> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+/// `depth` counts the arrays and objects already open around this value.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     skip_ws(bytes, pos);
+    if matches!(bytes.get(*pos), Some(b'[' | b'{')) && depth == MAX_DEPTH {
+        return Err(err(*pos, format!("nesting deeper than {MAX_DEPTH} levels")));
+    }
     match bytes.get(*pos) {
         None => Err(err(*pos, "unexpected end of input")),
         Some(b'n') => parse_lit(bytes, pos, "null", Json::Null),
@@ -283,7 +294,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -308,7 +319,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
                 let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 members.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -437,6 +448,22 @@ mod tests {
         assert!(Json::parse("\"abc").is_err());
         let e = Json::parse("[1, 2, !]").unwrap_err();
         assert!(e.to_string().contains("byte"));
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let arrays = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let objects =
+            |depth: usize| format!("{}null{}", "{\"a\":".repeat(depth), "}".repeat(depth));
+        for nested in [arrays, objects] {
+            assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+            let e = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+            assert!(e.message.contains("nesting"), "{e}");
+        }
+        // A hostile line far beyond the cap fails fast instead of
+        // overflowing the stack; so does one that never closes.
+        assert!(Json::parse(&arrays(1_000_000)).is_err());
+        assert!(Json::parse(&"[".repeat(1_000_000)).is_err());
     }
 
     #[test]

@@ -2,8 +2,9 @@
 """CI smoke client for `dkc serve`.
 
 Drives a freshly started server through the full protocol surface
-(updates -> queries -> solve -> snapshot -> improve -> concurrent writers
--> shutdown), validates every reply as JSON, writes all reply lines to a
+(updates -> queries -> error replies, a hostile deeply nested line
+included -> solve -> snapshot -> improve -> concurrent writers ->
+shutdown), validates every reply as JSON, writes all reply lines to a
 file for external `python3 -m json.tool` validation, and — on a second
 invocation with ``--verify-restart`` — asserts that a restarted server
 reproduced the pre-shutdown epoch and |S| via snapshot + log replay, and
@@ -60,11 +61,15 @@ class Client:
 
     def call_raw(self, request: dict) -> tuple:
         """The reply line exactly as received, and its parsed value."""
-        self.file.write(json.dumps(request) + "\n")
+        return self.send_line(json.dumps(request))
+
+    def send_line(self, text: str) -> tuple:
+        """Sends one request line verbatim; returns the reply as call_raw."""
+        self.file.write(text + "\n")
         self.file.flush()
         line = self.file.readline()
         if not line:
-            raise SystemExit(f"connection closed while awaiting reply to {request}")
+            raise SystemExit(f"connection closed while awaiting reply to {text[:80]!r}")
         with REPLIES_LOCK:
             self.replies.write(line if line.endswith("\n") else line + "\n")
             self.replies.flush()
@@ -128,6 +133,16 @@ def drive(client: Client, solution_path) -> None:
     # 5. Error paths are structured replies, not dropped connections.
     bad = client.call({"cmd": "update", "updates": [{"op": "warp", "u": 1, "v": 2}]})
     assert bad.get("ok") is False and "error" in bad, bad
+
+    # 5b. So is a hostile line nested far past the parser's depth cap: the
+    #     server answers it and keeps serving, on this connection and new ones.
+    _, deep = client.send_line("[" * 200_000)
+    assert deep.get("ok") is False and "nesting" in deep.get("error", ""), deep
+    client.call_ok({"cmd": "query", "what": "stats"})
+    fresh = Client(client.sock.getpeername()[1], client.replies.name)
+    fresh.call_ok({"cmd": "query", "what": "stats"})
+    fresh.sock.close()
+    fresh.replies.close()
 
     # 6. Snapshot persists and truncates the log.
     snap = client.call_ok({"cmd": "snapshot"})
