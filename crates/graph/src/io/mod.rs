@@ -12,9 +12,9 @@
 //!   error reporting included) is bit-identical to a sequential parse for
 //!   any thread count or chunk size.
 //! * [`snapshot`] — a versioned, checksummed binary CSR format (`.dkcsr`)
-//!   so a graph parsed once can be reloaded with a single sequential read
-//!   and a linear decode, skipping tokenising, interning and CSR
-//!   construction entirely.
+//!   so a graph parsed once can be reloaded with a single read and a
+//!   linear decode (its checksum verified alongside), skipping tokenising,
+//!   interning and CSR construction entirely.
 //! * [`load_graph`] — reads a file once and dispatches on the magic bytes,
 //!   so every consumer accepts either format transparently.
 //!
@@ -44,57 +44,77 @@ pub use text::{
 };
 
 /// Result of loading a graph: the dense graph plus the original node labels
-/// and an O(1) label→id index.
+/// and an O(1) label→id lookup.
 ///
 /// Construction goes through [`LoadedGraph::new`] / [`LoadedGraph::identity`]
-/// (or the loaders), which build the index. The `graph`/`labels` fields stay
-/// `pub` for ergonomic read access; *mutating* `labels` in place desyncs
-/// [`LoadedGraph::node_for_label`] — rebuild via [`LoadedGraph::new`] instead.
+/// (or the loaders). Identity labels (`labels[u] == u`, the case for
+/// synthetic graphs and label-free snapshots) need no index: the lookup is
+/// a range check. Any other label table gets a `HashMap` index. The
+/// `graph`/`labels` fields stay `pub` for ergonomic read access;
+/// *mutating* `labels` in place desyncs [`LoadedGraph::node_for_label`] and
+/// [`LoadedGraph::labels_are_identity`] — rebuild via [`LoadedGraph::new`]
+/// instead.
 #[derive(Debug, Clone)]
 pub struct LoadedGraph {
     /// The dense, simple graph.
     pub graph: CsrGraph,
     /// `labels[u]` is the label the input file used for dense node `u`.
     pub labels: Vec<u64>,
-    /// Inverse of `labels`: first-occurrence label → dense id.
-    index: HashMap<u64, NodeId>,
+    /// Inverse of `labels`: first-occurrence label → dense id. `None` when
+    /// the labels are the identity, whose inverse needs no table.
+    index: Option<HashMap<u64, NodeId>>,
+}
+
+/// True when `labels[u] == u` for every `u`.
+fn is_identity(labels: &[u64]) -> bool {
+    labels.iter().enumerate().all(|(i, &l)| l == i as u64)
 }
 
 impl LoadedGraph {
-    /// Wraps a graph and its label table, building the label→id index.
+    /// Wraps a graph and its label table, building the label→id index
+    /// unless the labels are the identity (one linear scan decides).
     /// When a label appears more than once in `labels`, the *first*
     /// position wins — the behaviour the old linear scan had.
     pub fn new(graph: CsrGraph, labels: Vec<u64>) -> Self {
-        let mut index = HashMap::with_capacity(labels.len());
-        for (i, &l) in labels.iter().enumerate() {
-            index.entry(l).or_insert(i as NodeId);
-        }
+        let index = (!is_identity(&labels)).then(|| {
+            let mut index = HashMap::with_capacity(labels.len());
+            for (i, &l) in labels.iter().enumerate() {
+                index.entry(l).or_insert(i as NodeId);
+            }
+            index
+        });
         LoadedGraph { graph, labels, index }
     }
 
     /// Wraps a graph whose labels are its dense ids (`labels[u] == u`), the
-    /// case for synthetic graphs and label-free snapshots.
+    /// case for synthetic graphs and label-free snapshots. Builds no index.
     pub fn identity(graph: CsrGraph) -> Self {
         let labels: Vec<u64> = (0..graph.num_nodes() as u64).collect();
-        Self::new(graph, labels)
+        LoadedGraph { graph, labels, index: None }
     }
 
+    /// Wraps a label table whose first-occurrence index the caller already
+    /// built; the index is dropped when the labels are the identity.
     pub(crate) fn from_parts(
         graph: CsrGraph,
         labels: Vec<u64>,
         index: HashMap<u64, NodeId>,
     ) -> Self {
+        let index = (!is_identity(&labels)).then_some(index);
         LoadedGraph { graph, labels, index }
     }
 
     /// Looks up the dense id of an original label in `O(1)`.
     pub fn node_for_label(&self, label: u64) -> Option<NodeId> {
-        self.index.get(&label).copied()
+        match &self.index {
+            Some(index) => index.get(&label).copied(),
+            None => (label < self.labels.len() as u64).then_some(label as NodeId),
+        }
     }
 
-    /// True when the labels are exactly the dense ids.
+    /// True when the labels are exactly the dense ids, in `O(1)`.
     pub fn labels_are_identity(&self) -> bool {
-        self.labels.iter().enumerate().all(|(i, &l)| l == i as u64)
+        self.index.is_none()
     }
 }
 
@@ -154,7 +174,8 @@ impl std::fmt::Display for LoadReport {
 /// The file is memory-mapped when the platform allows it (zero-copy: the
 /// decode reads straight from the page cache) and read into memory
 /// otherwise; the first bytes decide the format ([`SNAPSHOT_MAGIC`] →
-/// snapshot decode, anything else → parallel text parse on `par`). Returns
+/// snapshot decode, its checksum alongside on `par`; anything else →
+/// parallel text parse on `par`). Returns
 /// the graph together with a [`LoadReport`] describing which path ran and
 /// how long it took.
 pub fn load_graph<P: AsRef<Path>>(
@@ -176,7 +197,7 @@ pub fn load_graph<P: AsRef<Path>>(
         }
     };
     let (loaded, source, stats) = if is_snapshot_bytes(bytes) {
-        (snapshot::read_snapshot_bytes(bytes)?, LoadSource::Snapshot, None)
+        (snapshot::read_snapshot_bytes_with(bytes, par)?, LoadSource::Snapshot, None)
     } else {
         let (loaded, stats) = text::parse_edge_list(bytes, par)?;
         (loaded, LoadSource::Text, Some(stats))
@@ -204,6 +225,38 @@ mod tests {
         let id = LoadedGraph::identity(g);
         assert!(id.labels_are_identity());
         assert_eq!(id.node_for_label(2), Some(2));
+    }
+
+    #[test]
+    fn identity_labels_need_no_index_and_others_keep_first_occurrence() {
+        let g = CsrGraph::from_edges(3, vec![(0, 1), (1, 2)]).unwrap();
+        for loaded in [LoadedGraph::identity(g.clone()), LoadedGraph::new(g.clone(), vec![0, 1, 2])]
+        {
+            assert!(loaded.index.is_none(), "identity labels build no index");
+            assert!(loaded.labels_are_identity());
+            assert_eq!(loaded.node_for_label(2), Some(2));
+            assert_eq!(loaded.node_for_label(3), None);
+            assert_eq!(loaded.node_for_label(u64::MAX), None);
+        }
+        // A permutation of the ids, or a duplicate, is not the identity.
+        for (labels, id_of_1) in [(vec![1, 0, 2], 0), (vec![0, 1, 1], 1)] {
+            let loaded = LoadedGraph::new(g.clone(), labels);
+            assert!(!loaded.labels_are_identity());
+            assert_eq!(loaded.node_for_label(1), Some(id_of_1));
+            assert_eq!(loaded.node_for_label(3), None);
+        }
+        // Text loads: dense labels in first-occurrence order are the
+        // identity; anything else keeps its index and first-occurrence ids.
+        let dense = text::read_edge_list_str("0 1\n1 2\n2 0\n").unwrap();
+        assert!(dense.labels_are_identity());
+        assert_eq!(dense.node_for_label(3), None);
+        let sparse = text::read_edge_list_str("7 3\n3 9\n9 7\n").unwrap();
+        assert!(!sparse.labels_are_identity());
+        assert_eq!(sparse.labels, vec![7, 3, 9]);
+        for (l, id) in [(7, 0), (3, 1), (9, 2)] {
+            assert_eq!(sparse.node_for_label(l), Some(id));
+        }
+        assert_eq!(sparse.node_for_label(0), None);
     }
 
     #[test]

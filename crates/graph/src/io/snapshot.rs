@@ -3,9 +3,20 @@
 //! Parsing a SNAP-scale edge list costs tokenising, label interning, edge
 //! sorting and CSR construction on every run. A snapshot amortises all of
 //! that: it stores the finished CSR arrays (plus the label table) so a
-//! reload is one sequential read, a linear little-endian decode, and a
-//! structural re-validation that is linear too (`O(n + m)`, no search per
-//! edge).
+//! reload is one read, a linear little-endian decode, and a structural
+//! re-validation that is linear too (`O(n + m)`, no search per edge).
+//!
+//! The FNV-1a checksum is byte-serial, so a load does not wait for it
+//! before decoding: on two or more threads ([`ParConfig::default`], which
+//! honours `DKC_THREADS`) the checksum runs on a second thread while the
+//! caller decodes and validates the sections; at one thread it runs
+//! first and a mismatch returns before any decode. Either way a checksum
+//! mismatch wins over any decode or validation error, so an input gives
+//! the same result at every thread count. The decoder therefore reads
+//! unverified bytes, and it stays panic-free and allocation-bounded on
+//! them: every declared section length is checked against the payload
+//! length first, and [`CsrGraph::from_raw_parts`] checks the offsets
+//! before it indexes with them.
 //!
 //! ## Layout (all integers little-endian)
 //!
@@ -25,7 +36,8 @@
 //!               labels    labels_len × u64
 //! ```
 //!
-//! Every section starts 8-byte aligned in the file. The checksum covers the
+//! Every section starts 8-byte aligned in the file, and the payload ends
+//! it: bytes after the declared payload are rejected. The checksum covers the
 //! payload, the header declares every section length, and the decoded
 //! arrays are re-validated by [`CsrGraph::from_raw_parts`] — a truncated,
 //! bit-flipped or wrong-version file yields a structured
@@ -33,6 +45,8 @@
 
 use std::io::{BufWriter, Read, Write};
 use std::path::Path;
+
+use dkc_par::ParConfig;
 
 use crate::io::LoadedGraph;
 use crate::{CsrGraph, GraphError, NodeId, SnapshotError};
@@ -242,15 +256,35 @@ fn parse_header(header: &[u8]) -> Result<(Header, u64), GraphError> {
     Ok((h, payload_bytes))
 }
 
-/// Checksums and decodes a complete payload slice into a graph.
-fn decode_payload(h: &Header, payload: &[u8]) -> Result<LoadedGraph, GraphError> {
+/// Checksums and decodes a complete payload slice (exactly the declared
+/// payload size) into a graph. With two or more threads the checksum runs
+/// alongside the decode; a mismatch wins over any decode error.
+fn decode_payload(h: &Header, payload: &[u8], par: ParConfig) -> Result<LoadedGraph, GraphError> {
+    if par.threads <= 1 {
+        verify_checksum(h, payload)?;
+        return decode_sections(h, payload);
+    }
+    let (verified, decoded) =
+        dkc_par::join(par, || verify_checksum(h, payload), || decode_sections(h, payload));
+    verified?;
+    decoded
+}
+
+/// FNV-1a over the payload against the header's stored checksum.
+fn verify_checksum(h: &Header, payload: &[u8]) -> Result<(), GraphError> {
     let mut hash = Fnv::new();
     hash.update(payload);
     if hash.0 != h.checksum {
         return Err(SnapshotError::ChecksumMismatch { stored: h.checksum, computed: hash.0 }.into());
     }
+    Ok(())
+}
 
-    // Decode sections (linear LE decode; sections are 8-byte aligned).
+/// Decodes the sections of a payload of exactly the declared size and
+/// validates them into a graph. The bytes may not be verified yet, so
+/// nothing here may panic or allocate beyond the payload's own size.
+fn decode_sections(h: &Header, payload: &[u8]) -> Result<LoadedGraph, GraphError> {
+    // Linear LE decode; sections are 8-byte aligned.
     let to_usize = |v: u64, what: &str| {
         usize::try_from(v).map_err(|_| {
             GraphError::Snapshot(SnapshotError::Corrupt { message: format!("{what} too large") })
@@ -312,7 +346,18 @@ fn decode_payload(h: &Header, payload: &[u8]) -> Result<LoadedGraph, GraphError>
 /// directly from `bytes` — no second copy. This is the path
 /// [`crate::io::load_graph`] and [`read_snapshot_path`] take, so a file
 /// load peaks at the file buffer plus the decoded arrays only.
+///
+/// `bytes` must be exactly one snapshot: bytes after the declared payload
+/// are a [`SnapshotError::Corrupt`] error.
 pub fn read_snapshot_bytes(bytes: &[u8]) -> Result<LoadedGraph, GraphError> {
+    read_snapshot_bytes_with(bytes, ParConfig::default())
+}
+
+/// [`read_snapshot_bytes`] on an explicit thread budget.
+pub(crate) fn read_snapshot_bytes_with(
+    bytes: &[u8],
+    par: ParConfig,
+) -> Result<LoadedGraph, GraphError> {
     if bytes.len() < HEADER_BYTES {
         let prefix = bytes.len().min(SNAPSHOT_MAGIC.len());
         if bytes[..prefix] != SNAPSHOT_MAGIC[..prefix] {
@@ -333,16 +378,30 @@ pub fn read_snapshot_bytes(bytes: &[u8]) -> Result<LoadedGraph, GraphError> {
         }
         .into());
     }
-    decode_payload(&h, &payload[..payload_bytes as usize])
+    let trailing = payload.len() as u64 - payload_bytes;
+    if trailing > 0 {
+        return Err(SnapshotError::Corrupt {
+            message: format!("{trailing} trailing bytes after the {payload_bytes}-byte payload"),
+        }
+        .into());
+    }
+    decode_payload(&h, payload, par)
 }
 
 /// Reads a snapshot from any reader.
 ///
-/// The payload is consumed with one bounded sequential read; truncation,
-/// bit flips and version skew each produce their own [`SnapshotError`]
-/// before any graph is constructed. When the bytes are already in memory,
-/// [`read_snapshot_bytes`] skips the intermediate payload buffer.
-pub fn read_snapshot<R: Read>(mut reader: R) -> Result<LoadedGraph, GraphError> {
+/// The reader is consumed up to exactly the declared payload with one
+/// bounded sequential read, so anything after it stays unread for the
+/// caller (unlike [`read_snapshot_bytes`], which rejects trailing bytes);
+/// truncation, bit flips and version skew each produce their own
+/// [`SnapshotError`] and never a graph. When the bytes are already in
+/// memory, [`read_snapshot_bytes`] skips the intermediate payload buffer.
+pub fn read_snapshot<R: Read>(reader: R) -> Result<LoadedGraph, GraphError> {
+    read_snapshot_with(reader, ParConfig::default())
+}
+
+/// [`read_snapshot`] on an explicit thread budget.
+fn read_snapshot_with<R: Read>(mut reader: R, par: ParConfig) -> Result<LoadedGraph, GraphError> {
     let mut header = [0u8; HEADER_BYTES];
     let mut got = 0usize;
     while got < HEADER_BYTES {
@@ -372,7 +431,7 @@ pub fn read_snapshot<R: Read>(mut reader: R) -> Result<LoadedGraph, GraphError> 
         }
         .into());
     }
-    decode_payload(&h, &payload)
+    decode_payload(&h, &payload, par)
 }
 
 /// Reads a snapshot from a file path, memory-mapping it when the platform
@@ -380,16 +439,20 @@ pub fn read_snapshot<R: Read>(mut reader: R) -> Result<LoadedGraph, GraphError> 
 /// aligned sections bulk-copy) and falling back to one buffered sequential
 /// read otherwise. See [`read_snapshot_bytes`].
 pub fn read_snapshot_path<P: AsRef<Path>>(path: P) -> Result<LoadedGraph, GraphError> {
-    let path = path.as_ref();
+    read_snapshot_path_with(path.as_ref(), ParConfig::default())
+}
+
+/// [`read_snapshot_path`] on an explicit thread budget.
+fn read_snapshot_path_with(path: &Path, par: ParConfig) -> Result<LoadedGraph, GraphError> {
     // Only a mapping failure falls back — decode errors propagate, since
     // the buffered path would see the identical bytes.
     if let Ok(file) = std::fs::File::open(path) {
         if let Ok(map) = dkc_mmap::Mmap::map(&file) {
-            return read_snapshot_bytes(&map);
+            return read_snapshot_bytes_with(&map, par);
         }
     }
     let bytes = std::fs::read(path)?;
-    read_snapshot_bytes(&bytes)
+    read_snapshot_bytes_with(&bytes, par)
 }
 
 #[cfg(test)]
@@ -623,6 +686,120 @@ mod tests {
             matches!(err, GraphError::Snapshot(SnapshotError::ChecksumMismatch { .. })),
             "{err}"
         );
+    }
+
+    /// Byte position of offset `i` in a snapshot's payload.
+    fn offset_at(i: usize) -> usize {
+        HEADER_BYTES + i * 8
+    }
+
+    /// Byte position of adjacency entry `i` in a snapshot of `n` nodes.
+    fn adjacency_at(n: usize, i: usize) -> usize {
+        HEADER_BYTES + (n + 1) * 8 + i * 4
+    }
+
+    /// Rewrites the stored checksum so it matches the (damaged) payload.
+    fn reseal(buf: &mut [u8]) {
+        let mut hash = Fnv::new();
+        hash.update(&buf[HEADER_BYTES..]);
+        buf[40..48].copy_from_slice(&hash.0.to_le_bytes());
+    }
+
+    /// Decodes `bytes` through the reader, the slice and the path entry
+    /// points, each on `threads` threads.
+    fn decode_everywhere(
+        bytes: &[u8],
+        threads: usize,
+        tag: &str,
+    ) -> [Result<LoadedGraph, GraphError>; 3] {
+        let par = ParConfig::new(threads);
+        let path = std::env::temp_dir()
+            .join(format!("dkc_snapshot_{tag}_{threads}_{}.dkcsr", std::process::id()));
+        std::fs::write(&path, bytes).unwrap();
+        let via_path = read_snapshot_path_with(&path, par);
+        std::fs::remove_file(&path).ok();
+        [read_snapshot_with(bytes, par), read_snapshot_bytes_with(bytes, par), via_path]
+    }
+
+    #[test]
+    fn checksum_mismatch_wins_over_structural_damage() {
+        // `sample()` has 4 nodes; adjacency is 0:[1,2] 1:[0,2] 2:[0,1,3] 3:[2].
+        let clean = snapshot_bytes(&sample());
+        let cases: [(&str, usize, Vec<u8>); 3] = [
+            ("id_out_of_range", adjacency_at(4, 0), 7u32.to_le_bytes().to_vec()),
+            ("decreasing_offset", offset_at(1), 5u64.to_le_bytes().to_vec()),
+            ("asymmetric_id", adjacency_at(4, 7), 1u32.to_le_bytes().to_vec()),
+        ];
+        for (what, at, word) in cases {
+            let mut damaged = clean.clone();
+            damaged[at..at + word.len()].copy_from_slice(&word);
+            let mut resealed = damaged.clone();
+            reseal(&mut resealed);
+            for threads in [1, 4] {
+                for got in decode_everywhere(&damaged, threads, what) {
+                    let err = got.unwrap_err();
+                    assert!(
+                        matches!(err, GraphError::Snapshot(SnapshotError::ChecksumMismatch { .. })),
+                        "{what}, threads={threads}: {err}"
+                    );
+                }
+                // With a matching checksum the same bytes reach the
+                // validator and fail there: the damage is structural.
+                for got in decode_everywhere(&resealed, threads, what) {
+                    let err = got.unwrap_err();
+                    assert!(
+                        matches!(
+                            err,
+                            GraphError::InvalidCsr { .. } | GraphError::NodeOutOfRange { .. }
+                        ),
+                        "{what} resealed, threads={threads}: {err}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn trailing_bytes_are_rejected_with_their_count() {
+        let clean = snapshot_bytes(&sample());
+        for extra in [1usize, 8] {
+            let mut padded = clean.clone();
+            padded.extend(std::iter::repeat_n(0xA5u8, extra));
+            let [via_reader, via_bytes, via_path] = decode_everywhere(&padded, 2, "trailing");
+            for err in [via_bytes.unwrap_err(), via_path.unwrap_err()] {
+                assert!(
+                    matches!(err, GraphError::Snapshot(SnapshotError::Corrupt { .. })),
+                    "{err}"
+                );
+                assert!(err.to_string().contains(&format!("{extra} trailing bytes")), "{err}");
+            }
+            // The reader form consumes exactly the declared snapshot and
+            // leaves what follows for its caller.
+            assert_eq!(via_reader.unwrap().graph, sample().graph);
+            let mut rest = &padded[..];
+            read_snapshot(&mut rest).unwrap();
+            assert_eq!(rest.len(), extra);
+        }
+    }
+
+    #[test]
+    fn identity_snapshot_lookups_are_range_checks() {
+        let g = CsrGraph::from_edges(5, vec![(0, 1), (1, 2), (3, 4)]).unwrap();
+        let buf = snapshot_bytes(&LoadedGraph::identity(g.clone()));
+        for threads in [1, 4] {
+            for got in decode_everywhere(&buf, threads, "identity") {
+                let back = got.unwrap();
+                let built = LoadedGraph::new(g.clone(), (0..5).collect());
+                for loaded in [&back, &built] {
+                    assert!(loaded.labels_are_identity());
+                    for l in 0..5u64 {
+                        assert_eq!(loaded.node_for_label(l), Some(l as NodeId));
+                    }
+                    assert_eq!(loaded.node_for_label(5), None);
+                    assert_eq!(loaded.node_for_label(u64::MAX), None);
+                }
+            }
+        }
     }
 
     #[test]

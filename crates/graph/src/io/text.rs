@@ -18,8 +18,9 @@
 //! ## The label-interning merge is parallel too
 //!
 //! Interning (label → dense id in first-occurrence order) was the last
-//! sequential section of the parse. With more than one worker it now runs
-//! as a deterministic sharded merge:
+//! sequential section of the parse. It runs as a deterministic sharded
+//! merge (inline at one thread, where it costs the same as a sequential
+//! first-occurrence loop):
 //!
 //! 1. **local dedup** (parallel per chunk): each chunk's distinct labels
 //!    in local first-occurrence order, pre-bucketed by label hash into
@@ -34,10 +35,10 @@
 //! 4. **translation** (parallel per chunk): map every pair through the
 //!    frozen table, dropping and counting self-loops.
 //!
-//! The result is bit-identical to the sequential intern loop (which still
-//! runs verbatim for single-threaded configurations) for any thread
-//! count, chunk size and shard count — property-tested in
-//! `tests/proptests.rs`.
+//! The result is bit-identical to a sequential first-occurrence intern
+//! loop for any thread count, chunk size and shard count —
+//! property-tested in `tests/proptests.rs`, which keeps that loop as its
+//! oracle.
 
 use std::collections::{HashMap, HashSet};
 use std::io::{BufWriter, Read, Write};
@@ -205,7 +206,7 @@ pub fn parse_edge_list_chunked(
 
 /// [`parse_edge_list_chunked`] with an explicit intern-merge shard count.
 /// Exposed so tests can property-check that the sharded merge is
-/// bit-identical to the sequential intern path for any configuration.
+/// bit-identical to a sequential intern loop for any configuration.
 pub fn parse_edge_list_sharded(
     bytes: &[u8],
     par: ParConfig,
@@ -242,11 +243,7 @@ pub fn parse_edge_list_sharded(
         total_pairs += chunk.pairs.len();
     }
 
-    let (labels, remap) = if par.threads <= 1 {
-        intern_sequential(&parsed)
-    } else {
-        intern_sharded(&parsed, chunk_par, intern_shards)
-    };
+    let (labels, remap) = intern_sharded(&parsed, chunk_par, intern_shards);
 
     // Translation: pairs → dense-id edges, dropping + counting self-loops.
     // Parallel per chunk over the frozen label table; chunk-ordered concat
@@ -281,26 +278,9 @@ pub fn parse_edge_list_sharded(
     Ok((LoadedGraph::from_parts(graph, labels, remap), stats))
 }
 
-/// The reference intern path: one pass over all pairs in input order.
-fn intern_sequential(parsed: &[ChunkParse]) -> (Vec<u64>, HashMap<u64, NodeId>) {
-    let mut remap: HashMap<u64, NodeId> = HashMap::new();
-    let mut labels: Vec<u64> = Vec::new();
-    for chunk in parsed {
-        for &(a, b) in &chunk.pairs {
-            for label in [a, b] {
-                remap.entry(label).or_insert_with(|| {
-                    let id = labels.len() as NodeId;
-                    labels.push(label);
-                    id
-                });
-            }
-        }
-    }
-    (labels, remap)
-}
-
-/// The parallel intern path: deterministic sharded first-occurrence merge
-/// (see the module docs). Bit-identical to [`intern_sequential`] for any
+/// Label interning: a deterministic sharded first-occurrence merge (see
+/// the module docs), inline when `chunk_par` has one thread. Bit-identical
+/// to one sequential first-occurrence pass over all pairs for any
 /// thread/chunk/shard configuration.
 fn intern_sharded(
     parsed: &[ChunkParse],

@@ -1,9 +1,10 @@
 //! Property-based tests for the graph substrate.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 use dkc_graph::io::{
-    parse_edge_list, parse_edge_list_chunked, read_snapshot, write_snapshot, LoadedGraph,
+    parse_edge_list, parse_edge_list_chunked, read_snapshot, read_snapshot_bytes, write_snapshot,
+    LoadedGraph,
 };
 use dkc_graph::{
     CsrGraph, Dag, DynGraph, GraphError, InducedSubgraph, NodeId, NodeOrder, OrderingKind,
@@ -136,6 +137,30 @@ fn render_text(edges: &[(u32, u32)], label_stride: u64) -> String {
     text
 }
 
+/// The sequential first-occurrence intern loop, the oracle of the sharded
+/// merge: the labels of `render_text(edges, label_stride)` in
+/// first-occurrence order, and the graph over those ids with self-loops
+/// dropped.
+fn intern_sequential(edges: &[(u32, u32)], label_stride: u64) -> (Vec<u64>, CsrGraph) {
+    let mut remap: HashMap<u64, NodeId> = HashMap::new();
+    let mut labels: Vec<u64> = Vec::new();
+    let mut dense = Vec::with_capacity(edges.len());
+    for &(a, b) in edges {
+        let [ia, ib] = [a, b].map(|v| {
+            let label = v as u64 * label_stride + 1;
+            *remap.entry(label).or_insert_with(|| {
+                labels.push(label);
+                labels.len() as NodeId - 1
+            })
+        });
+        if ia != ib {
+            dense.push((ia, ib));
+        }
+    }
+    let g = CsrGraph::from_edges(labels.len(), dense).unwrap();
+    (labels, g)
+}
+
 /// The sequential stats with the parallel run's thread count substituted —
 /// everything except `parse_threads` must match bit-for-bit.
 fn seq_stats_with_threads(
@@ -197,9 +222,9 @@ proptest! {
         prop_assert_eq!(par_stats.self_loops, seq_stats.self_loops);
     }
 
-    /// The sharded label-interning merge (the parallel intern path) is
-    /// bit-identical to the sequential intern loop for any thread count,
-    /// chunk size AND shard count — graph, label order, and stats.
+    /// The sharded label-interning merge is bit-identical to the sequential
+    /// intern loop for any thread count (one included), chunk size AND
+    /// shard count — graph, label order, and stats.
     #[test]
     fn sharded_intern_merge_equals_sequential(
         (n, edges) in edges_strategy(40, 150),
@@ -214,6 +239,9 @@ proptest! {
         let shards = [1usize, 2, 7, 1024][shards_idx];
         let text = render_text(&edges, stride);
         let (seq, seq_stats) = parse_edge_list(text.as_bytes(), ParConfig::sequential()).unwrap();
+        let (oracle_labels, oracle_graph) = intern_sequential(&edges, stride);
+        prop_assert_eq!(&seq.labels, &oracle_labels);
+        prop_assert_eq!(&seq.graph, &oracle_graph);
         let (par, par_stats) = dkc_graph::io::parse_edge_list_sharded(
             text.as_bytes(),
             ParConfig::new(threads),
@@ -233,12 +261,13 @@ proptest! {
     }
 
     /// Any single corruption of a snapshot — truncation, payload bit flip,
-    /// or version skew — yields a structured error, never a graph.
+    /// version skew or bytes appended after the payload — yields a
+    /// structured error, never a graph.
     #[test]
     fn damaged_snapshots_yield_structured_errors(
         (n, edges) in edges_strategy(30, 90),
         damage_seed in 0usize..10_000,
-        mode in 0u8..3,
+        mode in 0u8..4,
     ) {
         let g = CsrGraph::from_edges(n as usize, edges).unwrap();
         let loaded = LoadedGraph::identity(g);
@@ -273,6 +302,21 @@ proptest! {
                         "idx={}: {}", idx, err
                     );
                 }
+            }
+            3 => {
+                // Append junk: a whole-file decode rejects it, while the
+                // reader form stops at the declared payload.
+                let extra = 1 + damage_seed % 16;
+                let clean = read_snapshot(&buf[..]).unwrap();
+                buf.extend((0..extra).map(|i| (damage_seed + i) as u8));
+                let err = read_snapshot_bytes(&buf).unwrap_err();
+                prop_assert!(
+                    matches!(err, GraphError::Snapshot(SnapshotError::Corrupt { .. })),
+                    "extra={}: {}", extra, err
+                );
+                let mut rest = &buf[..];
+                prop_assert_eq!(read_snapshot(&mut rest).unwrap().graph, clean.graph);
+                prop_assert_eq!(rest.len(), extra);
             }
             _ => {
                 // Unknown future version.

@@ -15,6 +15,7 @@
 //!   result is exactly the sequential iteration order.
 //! * [`par_try_collect`] — fallible variant with cooperative early abort,
 //!   used for budgeted ("emulated OOM") construction.
+//! * [`join`] — run two closures concurrently and return both results.
 //! * [`SharedBudget`] — a monotone atomic charge counter shared across
 //!   workers, packaging the monotone abort criterion [`par_try_collect`]
 //!   requires (budgeted listing, clique-graph edge budgets).
@@ -168,6 +169,31 @@ where
                 Err(payload) => std::panic::resume_unwind(payload),
             })
             .collect()
+    })
+}
+
+/// Runs `a` and `b` concurrently and returns both results, `a`'s first.
+///
+/// `a` runs on one scoped worker and `b` on the caller thread; with
+/// `par.threads <= 1` both run inline, `a` first. A panic in either half
+/// is re-raised with its original payload once the other half is done.
+pub fn join<A, B, RA, RB>(par: ParConfig, a: A, b: B) -> (RA, RB)
+where
+    A: FnOnce() -> RA + Send,
+    B: FnOnce() -> RB,
+    RA: Send,
+{
+    if par.threads <= 1 {
+        let ra = a();
+        return (ra, b());
+    }
+    std::thread::scope(|scope| {
+        let handle = scope.spawn(a);
+        let rb = b();
+        match handle.join() {
+            Ok(ra) => (ra, rb),
+            Err(payload) => std::panic::resume_unwind(payload),
+        }
     })
 }
 
@@ -555,6 +581,44 @@ mod tests {
         let payload = result.unwrap_err();
         let msg = payload.downcast_ref::<&str>().copied().unwrap_or("");
         assert!(msg.contains("root 777 exploded"), "payload preserved, got {msg:?}");
+    }
+
+    #[test]
+    fn join_returns_both_results_in_order() {
+        for threads in [1, 2] {
+            let par = ParConfig::new(threads);
+            let ran = std::sync::Mutex::new(Vec::new());
+            let (a, b) = join(
+                par,
+                || {
+                    ran.lock().unwrap().push('a');
+                    (0..100u64).sum::<u64>()
+                },
+                || {
+                    ran.lock().unwrap().push('b');
+                    "second"
+                },
+            );
+            assert_eq!((a, b), (4950, "second"), "threads={threads}");
+            let ran = ran.into_inner().unwrap();
+            assert_eq!(ran.len(), 2, "both halves run once");
+            if threads == 1 {
+                assert_eq!(ran, ['a', 'b'], "inline: `a` runs first");
+            }
+        }
+    }
+
+    #[test]
+    fn join_propagates_a_panic_from_either_half() {
+        for threads in [1, 2] {
+            let par = ParConfig::new(threads);
+            let from_a = std::panic::catch_unwind(|| join(par, || panic!("left half"), || 1));
+            let payload = from_a.unwrap_err();
+            assert_eq!(payload.downcast_ref::<&str>().copied(), Some("left half"), "{threads}");
+            let from_b = std::panic::catch_unwind(|| join(par, || 1, || panic!("right half")));
+            let payload = from_b.unwrap_err();
+            assert_eq!(payload.downcast_ref::<&str>().copied(), Some("right half"), "{threads}");
+        }
     }
 
     #[test]
