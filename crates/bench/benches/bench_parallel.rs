@@ -6,7 +6,7 @@
 //! the test suites); this bench demonstrates the speedup side.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dkc_clique::{collect_kcliques_parallel, count_kcliques_parallel, node_scores_parallel};
+use dkc_clique::{collect_kcliques, count_kcliques_parallel, node_scores_parallel};
 use dkc_cliquegraph::{CliqueGraph, CliqueGraphLimits};
 use dkc_core::{Algo, Engine, SolveRequest};
 use dkc_datagen::watts_strogatz;
@@ -32,7 +32,7 @@ fn bench_parallel(c: &mut Criterion) {
             b.iter(|| node_scores_parallel(std::hint::black_box(&dag), 3, par))
         });
         group.bench_with_input(BenchmarkId::new("list/k3", threads), &par, |b, &par| {
-            b.iter(|| collect_kcliques_parallel(std::hint::black_box(&dag), 3, par).len())
+            b.iter(|| collect_kcliques(std::hint::black_box(&dag), 3, None, par).map(|s| s.len()))
         });
         group.bench_with_input(BenchmarkId::new("lp-solve/k3", threads), &par, |b, &par| {
             let req = SolveRequest::new(Algo::Lp, 3).with_par(par);

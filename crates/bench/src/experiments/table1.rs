@@ -9,7 +9,7 @@ use crate::config::ReproConfig;
 use crate::mem::with_peak_tracking;
 use crate::table::Table;
 use crate::{human_count, timed};
-use dkc_clique::{collect_kcliques_store, count_kcliques_parallel};
+use dkc_clique::{collect_kcliques, count_kcliques_parallel};
 use dkc_graph::{Dag, NodeOrder, OrderingKind};
 use dkc_par::ParConfig;
 
@@ -44,7 +44,8 @@ pub fn run(cfg: &ReproConfig) -> String {
         let kmin = cfg.ks.iter().copied().min().unwrap_or(3);
         let peak = {
             let dag = Dag::from_graph(&g, NodeOrder::compute(&g, OrderingKind::Degeneracy));
-            let (store, peak) = with_peak_tracking(|| collect_kcliques_store(&dag, kmin));
+            let (store, peak) =
+                with_peak_tracking(|| collect_kcliques(&dag, kmin, None, ParConfig::sequential()));
             drop(store);
             peak
         };

@@ -25,7 +25,7 @@
 
 use super::line::MetricValue;
 use crate::mem::{with_alloc_tracking, with_peak_tracking};
-use dkc_clique::{collect_kcliques_store, collect_kcliques_store_parallel};
+use dkc_clique::collect_kcliques;
 use dkc_core::{improve, Algo, Engine, ImproveConfig, SolveRequest};
 use dkc_datagen::registry::DatasetId;
 use dkc_datagen::workload::{paper_mixed_workload, Update};
@@ -143,14 +143,14 @@ pub fn run_suite(cfg: &SuiteConfig) -> Result<SuiteOutcome, SuiteError> {
     let mut push = |name: &str, v: MetricValue| metrics.push((name.to_string(), v));
 
     // 1. k-clique listing (the paper's core enumeration kernel), through
-    //    the flat `CliqueStore` arena — the production collector since the
-    //    arena rewire (bit-identical rows to the legacy `Vec<Clique>` path).
+    //    `collect_kcliques`, the one collector behind GC and the clique graph.
     let mut samples = Vec::with_capacity(reps);
     let mut kcliques = 0u64;
     for _ in 0..reps {
         let t = Instant::now();
         let dag = Dag::from_graph(&g, NodeOrder::compute(&g, OrderingKind::Degeneracy));
-        let cliques = collect_kcliques_store_parallel(&dag, cfg.k, cfg.par);
+        let cliques = collect_kcliques(&dag, cfg.k, None, cfg.par)
+            .map_err(|_| fail("listing", "unbudgeted collector refused"))?;
         samples.push(ns(t));
         kcliques = cliques.len() as u64;
     }
@@ -164,7 +164,9 @@ pub fn run_suite(cfg: &SuiteConfig) -> Result<SuiteOutcome, SuiteError> {
     //     CLI does; under `cargo test` both sides of a check read 0, which
     //     still compares consistently).
     let dag = Dag::from_graph(&g, NodeOrder::compute(&g, OrderingKind::Degeneracy));
-    let (store, list_peak) = with_peak_tracking(|| collect_kcliques_store(&dag, cfg.k));
+    let (store, list_peak) =
+        with_peak_tracking(|| collect_kcliques(&dag, cfg.k, None, ParConfig::sequential()));
+    let store = store.map_err(|_| fail("list alloc bracket", "unbudgeted collector refused"))?;
     if store.len() as u64 != kcliques {
         return Err(fail("list alloc bracket", "sequential arena disagrees with parallel count"));
     }

@@ -305,7 +305,7 @@ impl<'a> MinScoreFinder<'a> {
 mod tests {
     use super::*;
     use crate::count::node_scores;
-    use crate::list::for_each_kclique_rooted;
+    use crate::list::tests::for_each_kclique_rooted;
     use dkc_graph::{CsrGraph, NodeOrder, OrderingKind};
 
     fn paper_graph() -> CsrGraph {

@@ -3,16 +3,20 @@
 //! Implements the kClist-style machinery (Danisch, Balalau, Sozio — WWW'18,
 //! the paper's reference \[13\]) that every solver in the workspace relies on:
 //!
-//! * [`for_each_kclique`] / [`collect_kcliques`] — enumerate every k-clique
-//!   of a DAG-oriented graph exactly once, rooted at its highest-ranked
-//!   member, in `O(k · m · (d/2)^(k-2))`.
+//! * [`for_each_kclique`] — enumerate every k-clique of a DAG-oriented
+//!   graph exactly once, rooted at its highest-ranked member, in
+//!   `O(k · m · (d/2)^(k-2))`, through a sequential callback.
+//! * [`collect_kcliques`] — the one collector, for the storage-heavy paths
+//!   (GC and the clique graph behind OPT and greedy-CG): it fans roots out
+//!   over the deterministic `dkc-par` executor and returns a [`CliqueStore`]
+//!   holding the callback's rows, each sorted, in enumeration order, for
+//!   any thread count. An optional clique budget aborts with `Err(limit)`,
+//!   and that decision does not depend on the schedule either.
 //! * [`count_kcliques`] / [`node_scores`] — count k-cliques globally and per
 //!   node *without materialising them* (Definition 5 of the paper: the node
-//!   score `s_n(u)` is the number of k-cliques containing `u`). Parallel
-//!   variants ([`count_kcliques_parallel`], [`node_scores_parallel`],
-//!   [`collect_kcliques_parallel`]) fan the root nodes out over the
-//!   deterministic `dkc-par` executor and are bit-identical to the
-//!   sequential passes for any thread count.
+//!   score `s_n(u)` is the number of k-cliques containing `u`). The parallel
+//!   variants ([`count_kcliques_parallel`], [`node_scores_parallel`]) are
+//!   bit-identical to the sequential passes for any thread count.
 //! * [`FirstFinder`] — the `FindOne` procedure of Algorithm 1: return the
 //!   first (k-1)-clique inside a root's out-neighbourhood, restricted to
 //!   still-valid nodes.
@@ -21,13 +25,10 @@
 //!   optionally applying the paper's score-driven pruning rule.
 //! * [`for_each_kclique_in_subset`] — bitset-based enumeration inside an
 //!   arbitrary node subset of a dynamic graph, used by the candidate-clique
-//!   index of Section V (Algorithm 5).
+//!   index of Section V (Algorithm 5) and the improvement layer.
 //! * [`Clique`] — an inline, allocation-free clique value type.
 //! * [`CliqueStore`] — a flat stride-`k` arena for clique *sets*: one
-//!   contiguous `Vec<u32>` instead of one allocation-heavy `Clique` per row,
-//!   with arena-backed collectors ([`collect_kcliques_store`],
-//!   [`collect_kcliques_store_parallel`], …) that are bit-identical to the
-//!   legacy `Vec<Clique>` collectors for every kernel mode and thread count.
+//!   contiguous `Vec<u32>` instead of one 72-byte `Clique` per row.
 //! * [`KernelMode`] — per-root choice between the sorted-slice merge kernel
 //!   and a dense bit-matrix kernel (Rossi et al., "A Fast Parallel Maximum
 //!   Clique Algorithm for Large Sparse Graphs"). Every `*_kernel` variant
@@ -52,16 +53,7 @@ pub use count::{
 };
 pub use find::{FirstFinder, MinScoreFinder, ScoredClique};
 pub use kernel::{KernelMode, DENSE_MAX_DEGREE, DENSE_MIN_DEGREE};
-pub use list::{
-    collect_kcliques, collect_kcliques_bounded, collect_kcliques_bounded_par,
-    collect_kcliques_budgeted, collect_kcliques_kernel, collect_kcliques_parallel,
-    collect_kcliques_parallel_kernel, for_each_kclique, for_each_kclique_kernel,
-    for_each_kclique_rooted, for_each_kclique_while,
-};
-pub use store::{
-    collect_kcliques_store, collect_kcliques_store_bounded, collect_kcliques_store_bounded_par,
-    collect_kcliques_store_budgeted, collect_kcliques_store_kernel,
-    collect_kcliques_store_parallel, collect_kcliques_store_parallel_kernel, CliqueStore,
-};
-pub use subset::{collect_kcliques_in_subset, for_each_kclique_in_subset};
+pub use list::{for_each_kclique, for_each_kclique_kernel};
+pub use store::{collect_kcliques, collect_kcliques_kernel, CliqueStore};
+pub use subset::for_each_kclique_in_subset;
 pub use types::{Clique, MAX_K};

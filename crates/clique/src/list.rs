@@ -1,7 +1,5 @@
 use crate::kernel::{self, DenseIndex, KernelMode};
-use crate::types::Clique;
 use dkc_graph::{Dag, NodeId};
-use dkc_par::{par_for_each_root, par_try_collect, ParConfig, SharedBudget};
 
 /// Enumerates every k-clique of the DAG-oriented graph exactly once.
 ///
@@ -37,162 +35,6 @@ where
     }
 }
 
-/// Like [`for_each_kclique`] but the callback returns `false` to stop the
-/// enumeration early — used by budgeted collectors so an over-limit clique
-/// population is detected without materialising (or even visiting) it all.
-pub fn for_each_kclique_while<F>(dag: &Dag, k: usize, mut cb: F)
-where
-    F: FnMut(&[NodeId]) -> bool,
-{
-    let mut ctx = ListCtx::new(dag, k);
-    for u in 0..dag.num_nodes() as NodeId {
-        if !ctx.run_root(u, &mut cb) {
-            return;
-        }
-    }
-}
-
-/// Enumerates only the k-cliques rooted at `root` (those in which `root` is
-/// the highest-ranked member).
-pub fn for_each_kclique_rooted<F>(dag: &Dag, root: NodeId, k: usize, mut cb: F)
-where
-    F: FnMut(&[NodeId]),
-{
-    let mut ctx = ListCtx::new(dag, k);
-    ctx.run_root(root, &mut |nodes| {
-        cb(nodes);
-        true
-    });
-}
-
-/// Collects all k-cliques into owned [`Clique`] values (the storage-heavy
-/// path used by Algorithm 2 / GC).
-pub fn collect_kcliques(dag: &Dag, k: usize) -> Vec<Clique> {
-    collect_kcliques_kernel(dag, k, KernelMode::default())
-}
-
-/// [`collect_kcliques`] with an explicit intersection kernel.
-pub fn collect_kcliques_kernel(dag: &Dag, k: usize, mode: KernelMode) -> Vec<Clique> {
-    let mut out = Vec::new();
-    for_each_kclique_kernel(dag, k, mode, |nodes| out.push(Clique::new(nodes)));
-    out
-}
-
-/// Parallel [`collect_kcliques`] on the [`dkc_par`] executor: roots fan out
-/// over workers (each with its own reusable `ListCtx` recursion scratch)
-/// and per-chunk clique segments are merged in ascending root order — the
-/// output `Vec` is **bit-identical** to the sequential collector for any
-/// thread count.
-pub fn collect_kcliques_parallel(dag: &Dag, k: usize, par: ParConfig) -> Vec<Clique> {
-    collect_kcliques_parallel_kernel(dag, k, par, KernelMode::default())
-}
-
-/// [`collect_kcliques_parallel`] with an explicit intersection kernel.
-pub fn collect_kcliques_parallel_kernel(
-    dag: &Dag,
-    k: usize,
-    par: ParConfig,
-    mode: KernelMode,
-) -> Vec<Clique> {
-    par_for_each_root(
-        par,
-        dag.num_nodes(),
-        || ListCtx::with_kernel(dag, k, mode),
-        |ctx, u, out| {
-            ctx.run_root(u as NodeId, &mut |nodes| {
-                out.push(Clique::new(nodes));
-                true
-            });
-        },
-    )
-}
-
-/// Budget-aware collection used by the GC solver and clique-graph
-/// construction: `Some(limit)` runs the shared-bound parallel bounded
-/// collector ([`collect_kcliques_bounded_par`]), `None` the unbounded
-/// parallel one. Both fan out over the executor with bit-identical output
-/// and (for `Some`) a deterministic `Err`/`Ok` decision.
-pub fn collect_kcliques_budgeted(
-    dag: &Dag,
-    k: usize,
-    max_cliques: Option<usize>,
-    par: ParConfig,
-) -> Result<Vec<Clique>, usize> {
-    match max_cliques {
-        Some(limit) => collect_kcliques_bounded_par(dag, k, limit, par, KernelMode::default()),
-        None => Ok(collect_kcliques_parallel(dag, k, par)),
-    }
-}
-
-/// Budgeted [`collect_kcliques`]: aborts with `Err(limit)` as soon as more
-/// than `limit` cliques exist, without materialising the excess — the
-/// mechanism behind the harness's deterministic "OOM" markers. Sequential
-/// reference implementation; [`collect_kcliques_bounded_par`] is the
-/// parallel equivalent.
-pub fn collect_kcliques_bounded(dag: &Dag, k: usize, limit: usize) -> Result<Vec<Clique>, usize> {
-    let mut out = Vec::new();
-    let mut overflow = false;
-    for_each_kclique_while(dag, k, |nodes| {
-        if out.len() >= limit {
-            overflow = true;
-            return false;
-        }
-        out.push(Clique::new(nodes));
-        true
-    });
-    if overflow {
-        Err(limit)
-    } else {
-        Ok(out)
-    }
-}
-
-/// Parallel [`collect_kcliques_bounded`] on the [`dkc_par`] executor with a
-/// [`SharedBudget`] as the cross-root pruning bound.
-///
-/// Every worker charges the shared bound once per clique it emits and
-/// abandons its root as soon as the bound is exhausted. This is lossless
-/// pruning in the sense of the executor's monotone-criterion contract: the
-/// total k-clique population is a property of the input alone, so either
-/// **every** schedule stays within budget (no worker ever observes
-/// exhaustion, the chunk-ordered output equals the sequential collector
-/// bit-for-bit) or **every** schedule eventually exceeds it (the run
-/// returns `Err(limit)` and all partial output is discarded — the skipped
-/// enumeration work could only have produced output that is already
-/// excluded). The `Err`/`Ok` decision therefore matches
-/// [`collect_kcliques_bounded`] for any thread count.
-pub fn collect_kcliques_bounded_par(
-    dag: &Dag,
-    k: usize,
-    limit: usize,
-    par: ParConfig,
-    mode: KernelMode,
-) -> Result<Vec<Clique>, usize> {
-    let budget = SharedBudget::new(limit);
-    par_try_collect(
-        par,
-        dag.num_nodes(),
-        || ListCtx::with_kernel(dag, k, mode),
-        |ctx, range, out| {
-            for u in range {
-                let mut over = false;
-                ctx.run_root(u as NodeId, &mut |nodes| {
-                    if !budget.charge(1) {
-                        over = true;
-                        return false;
-                    }
-                    out.push(Clique::new(nodes));
-                    true
-                });
-                if over {
-                    return Err(limit);
-                }
-            }
-            Ok(())
-        },
-    )
-}
-
 /// Reusable recursion state: one candidate buffer per depth plus the member
 /// stack, so enumeration performs no per-clique allocation. Holds both
 /// kernels' scratch; [`KernelMode`] picks per root.
@@ -209,10 +51,6 @@ pub(crate) struct ListCtx<'a> {
 }
 
 impl<'a> ListCtx<'a> {
-    fn new(dag: &'a Dag, k: usize) -> Self {
-        Self::with_kernel(dag, k, KernelMode::default())
-    }
-
     pub(crate) fn with_kernel(dag: &'a Dag, k: usize, mode: KernelMode) -> Self {
         assert!(k >= 1, "k must be at least 1");
         ListCtx {
@@ -365,8 +203,23 @@ pub(crate) fn intersect_sorted(a: &[NodeId], b: &[NodeId], out: &mut Vec<NodeId>
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::store::{collect_kcliques, collect_kcliques_kernel};
     use dkc_graph::{CsrGraph, NodeOrder, OrderingKind};
+    use dkc_par::ParConfig;
     use std::collections::BTreeSet;
+
+    /// Enumerates only the k-cliques rooted at `root` (those in which
+    /// `root` is the highest-ranked member).
+    pub(crate) fn for_each_kclique_rooted<F>(dag: &Dag, root: NodeId, k: usize, mut cb: F)
+    where
+        F: FnMut(&[NodeId]),
+    {
+        let mut ctx = ListCtx::with_kernel(dag, k, KernelMode::default());
+        ctx.run_root(root, &mut |nodes| {
+            cb(nodes);
+            true
+        });
+    }
 
     /// Fig. 2 graph of the paper (v1..v9 → 0..8), with seven 3-cliques.
     pub(crate) fn paper_graph() -> CsrGraph {
@@ -511,9 +364,10 @@ pub(crate) mod tests {
         let g = CsrGraph::from_edges(6, edges).unwrap();
         let dag = dag_of(&g, OrderingKind::Degeneracy);
         for k in 3..=7 {
+            let seq = ParConfig::sequential();
             assert_eq!(
-                collect_kcliques_kernel(&dag, k, KernelMode::Bitset),
-                collect_kcliques_kernel(&dag, k, KernelMode::Slice),
+                collect_kcliques_kernel(&dag, k, None, seq, KernelMode::Bitset),
+                collect_kcliques_kernel(&dag, k, None, seq, KernelMode::Slice),
                 "k={k}"
             );
         }
@@ -531,9 +385,9 @@ pub(crate) mod tests {
     fn collect_matches_for_each() {
         let g = paper_graph();
         let dag = dag_of(&g, OrderingKind::Identity);
-        let collected = collect_kcliques(&dag, 3);
+        let collected = collect_kcliques(&dag, 3, None, ParConfig::sequential()).unwrap();
         assert_eq!(collected.len(), 7);
-        let set: BTreeSet<Vec<NodeId>> = collected.iter().map(|c| c.as_slice().to_vec()).collect();
+        let set: BTreeSet<Vec<NodeId>> = collected.iter().map(<[NodeId]>::to_vec).collect();
         assert_eq!(set, clique_set(&dag, 3));
     }
 
@@ -541,15 +395,16 @@ pub(crate) mod tests {
     fn bounded_collection_respects_the_budget() {
         let g = paper_graph();
         let dag = dag_of(&g, OrderingKind::Degeneracy);
+        let seq = ParConfig::sequential();
         // Exactly at the limit succeeds.
-        let ok = collect_kcliques_bounded(&dag, 3, 7).unwrap();
+        let ok = collect_kcliques(&dag, 3, Some(7), seq).unwrap();
         assert_eq!(ok.len(), 7);
         // Below the limit aborts without materialising everything.
-        assert_eq!(collect_kcliques_bounded(&dag, 3, 6), Err(6));
-        assert_eq!(collect_kcliques_bounded(&dag, 3, 0), Err(0));
+        assert_eq!(collect_kcliques(&dag, 3, Some(6), seq), Err(6));
+        assert_eq!(collect_kcliques(&dag, 3, Some(0), seq), Err(0));
         // Generous limit behaves like the unbounded collector.
-        let all = collect_kcliques_bounded(&dag, 3, 1_000).unwrap();
-        assert_eq!(all.len(), collect_kcliques(&dag, 3).len());
+        let all = collect_kcliques(&dag, 3, Some(1_000), seq).unwrap();
+        assert_eq!(all, collect_kcliques(&dag, 3, None, seq).unwrap());
     }
 
     #[test]
@@ -559,10 +414,10 @@ pub(crate) mod tests {
         for mode in [KernelMode::Slice, KernelMode::Bitset, KernelMode::Adaptive] {
             for threads in [1usize, 2, 8] {
                 let par = ParConfig::new(threads).with_chunk(1);
-                for limit in [0usize, 3, 6, 7, 1000] {
-                    let seq = collect_kcliques_bounded(&dag, 3, limit);
-                    let par_res = collect_kcliques_bounded_par(&dag, 3, limit, par, mode);
-                    assert_eq!(par_res, seq, "threads={threads} limit={limit} {mode}");
+                for limit in [None, Some(0), Some(3), Some(6), Some(7), Some(1000)] {
+                    let seq = collect_kcliques(&dag, 3, limit, ParConfig::sequential());
+                    let par_res = collect_kcliques_kernel(&dag, 3, limit, par, mode);
+                    assert_eq!(par_res, seq, "threads={threads} limit={limit:?} {mode}");
                 }
             }
         }
@@ -570,14 +425,23 @@ pub(crate) mod tests {
 
     #[test]
     fn early_stop_enumeration_visits_a_prefix() {
+        // The bounded collector relies on `run_root` honouring a `false`
+        // from the callback at once, inside the recursion.
         let g = paper_graph();
         let dag = dag_of(&g, OrderingKind::Identity);
-        let mut seen = 0;
-        for_each_kclique_while(&dag, 3, |_| {
-            seen += 1;
-            seen < 3
-        });
-        assert_eq!(seen, 3, "stopped after the third clique");
+        for mode in [KernelMode::Slice, KernelMode::Bitset] {
+            let mut ctx = ListCtx::with_kernel(&dag, 3, mode);
+            let mut seen = 0;
+            for u in 0..dag.num_nodes() as NodeId {
+                if !ctx.run_root(u, &mut |_| {
+                    seen += 1;
+                    seen < 3
+                }) {
+                    break;
+                }
+            }
+            assert_eq!(seen, 3, "stopped after the third clique ({mode})");
+        }
     }
 
     #[test]

@@ -6,18 +6,16 @@
 //! arena costs `4k` bytes per clique — 6× smaller at `k = 3` — and iterating
 //! it walks one contiguous allocation instead of striding over padding.
 //!
-//! The store preserves the canonical order of whatever produced it, so the
-//! arena-backed collectors in this module are **bit-identical** to the legacy
-//! `Vec<Clique>` collectors in [`crate::list`] for every kernel mode and
+//! The store preserves the order of whatever produced it. [`collect_kcliques`],
+//! the one k-clique collector, fills it with the rows of the sequential
+//! callback enumeration in enumeration order, for every kernel mode and
 //! thread count (property-tested in `tests/proptest_clique_store.rs`).
 
 use crate::kernel::KernelMode;
-use crate::list::{for_each_kclique_kernel, for_each_kclique_while};
+use crate::list::ListCtx;
 use crate::types::{Clique, MAX_K};
 use dkc_graph::{Dag, NodeId};
-use dkc_par::{par_for_each_root, par_try_collect, ParConfig, SharedBudget};
-
-use crate::list::ListCtx;
+use dkc_par::{par_try_collect, ParConfig, SharedBudget};
 
 /// A flat arena of k-cliques: one `Vec<NodeId>` with stride `k`.
 ///
@@ -226,93 +224,44 @@ impl<'a> IntoIterator for &'a CliqueStore {
     }
 }
 
-/// Appends one clique (root-first recursion order) to a flat arena tail and
-/// sorts it in place — the zero-allocation emission step shared by every
-/// arena collector.
-#[inline]
-fn emit_flat(out: &mut Vec<NodeId>, nodes: &[NodeId]) {
-    let start = out.len();
-    out.extend_from_slice(nodes);
-    out[start..].sort_unstable();
-}
-
-/// Arena-backed [`crate::collect_kcliques`]: identical clique sequence, flat
-/// storage, zero per-clique allocations.
-pub fn collect_kcliques_store(dag: &Dag, k: usize) -> CliqueStore {
-    collect_kcliques_store_kernel(dag, k, KernelMode::default())
-}
-
-/// [`collect_kcliques_store`] with an explicit intersection kernel.
-pub fn collect_kcliques_store_kernel(dag: &Dag, k: usize, mode: KernelMode) -> CliqueStore {
-    let mut data = Vec::new();
-    for_each_kclique_kernel(dag, k, mode, |nodes| emit_flat(&mut data, nodes));
-    CliqueStore::from_flat(k, data)
-}
-
-/// Arena-backed [`crate::collect_kcliques_parallel`]: each worker emits
-/// `k` sorted ids per clique into its chunk segment, and the executor
-/// concatenates segments in ascending chunk order — since every clique
-/// contributes exactly `k` elements, the concatenation of flat segments *is*
-/// the sequential arena, bit for bit, for any thread count.
-pub fn collect_kcliques_store_parallel(dag: &Dag, k: usize, par: ParConfig) -> CliqueStore {
-    collect_kcliques_store_parallel_kernel(dag, k, par, KernelMode::default())
-}
-
-/// [`collect_kcliques_store_parallel`] with an explicit intersection kernel.
-pub fn collect_kcliques_store_parallel_kernel(
+/// Collects every k-clique of the DAG-oriented graph into a [`CliqueStore`]
+/// — the storage-heavy path behind GC (Algorithm 2) and the clique graph.
+///
+/// Roots fan out over the [`dkc_par`] executor, each worker with its own
+/// reusable recursion scratch, and every clique is written as `k` sorted ids
+/// into its chunk's flat segment. Segments are concatenated in ascending
+/// chunk order, and every clique contributes exactly `k` ids, so the arena
+/// holds the rows of [`for_each_kclique`](crate::for_each_kclique), each
+/// sorted, in enumeration order, for any thread count.
+///
+/// `max_cliques = Some(limit)` aborts with `Err(limit)` as soon as more than
+/// `limit` cliques exist, without materialising the excess — the mechanism
+/// behind the harness's deterministic "OOM" markers. Workers charge a
+/// [`SharedBudget`] once per clique and abandon their root once it is
+/// exhausted. The total population is a property of the input alone, so
+/// either every schedule stays within budget (and returns the full,
+/// chunk-ordered arena) or every schedule crosses it (and returns
+/// `Err(limit)`, discarding all partial output): the decision does not
+/// depend on the thread count. `None` charges nothing.
+pub fn collect_kcliques(
     dag: &Dag,
     k: usize,
+    max_cliques: Option<usize>,
     par: ParConfig,
-    mode: KernelMode,
-) -> CliqueStore {
-    let data = par_for_each_root(
-        par,
-        dag.num_nodes(),
-        || ListCtx::with_kernel(dag, k, mode),
-        |ctx, u, out: &mut Vec<NodeId>| {
-            ctx.run_root(u as NodeId, &mut |nodes| {
-                emit_flat(out, nodes);
-                true
-            });
-        },
-    );
-    CliqueStore::from_flat(k, data)
-}
-
-/// Arena-backed [`crate::collect_kcliques_bounded`] (sequential reference).
-pub fn collect_kcliques_store_bounded(
-    dag: &Dag,
-    k: usize,
-    limit: usize,
 ) -> Result<CliqueStore, usize> {
-    let mut data = Vec::new();
-    let mut overflow = false;
-    for_each_kclique_while(dag, k, |nodes| {
-        if data.len() >= limit * k {
-            overflow = true;
-            return false;
-        }
-        emit_flat(&mut data, nodes);
-        true
-    });
-    if overflow {
-        Err(limit)
-    } else {
-        Ok(CliqueStore::from_flat(k, data))
-    }
+    collect_kcliques_kernel(dag, k, max_cliques, par, KernelMode::default())
 }
 
-/// Arena-backed [`crate::collect_kcliques_bounded_par`]: the same
-/// [`SharedBudget`] lossless-pruning contract (deterministic `Err`/`Ok`,
-/// chunk-ordered output equal to the sequential arena) over flat segments.
-pub fn collect_kcliques_store_bounded_par(
+/// [`collect_kcliques`] with an explicit intersection kernel. Every mode
+/// collects the same rows in the same order.
+pub fn collect_kcliques_kernel(
     dag: &Dag,
     k: usize,
-    limit: usize,
+    max_cliques: Option<usize>,
     par: ParConfig,
     mode: KernelMode,
 ) -> Result<CliqueStore, usize> {
-    let budget = SharedBudget::new(limit);
+    let budget = max_cliques.map(SharedBudget::new);
     let data = par_try_collect(
         par,
         dag.num_nodes(),
@@ -321,15 +270,17 @@ pub fn collect_kcliques_store_bounded_par(
             for u in range {
                 let mut over = false;
                 ctx.run_root(u as NodeId, &mut |nodes| {
-                    if !budget.charge(1) {
+                    if budget.as_ref().is_some_and(|b| !b.charge(1)) {
                         over = true;
                         return false;
                     }
-                    emit_flat(out, nodes);
+                    let start = out.len();
+                    out.extend_from_slice(nodes);
+                    out[start..].sort_unstable();
                     true
                 });
                 if over {
-                    return Err(limit);
+                    return Err(max_cliques.unwrap_or_default());
                 }
             }
             Ok(())
@@ -338,27 +289,11 @@ pub fn collect_kcliques_store_bounded_par(
     Ok(CliqueStore::from_flat(k, data))
 }
 
-/// Arena-backed [`crate::collect_kcliques_budgeted`]: `Some(limit)` runs the
-/// shared-bound bounded collector, `None` the unbounded parallel one.
-pub fn collect_kcliques_store_budgeted(
-    dag: &Dag,
-    k: usize,
-    max_cliques: Option<usize>,
-    par: ParConfig,
-) -> Result<CliqueStore, usize> {
-    match max_cliques {
-        Some(limit) => {
-            collect_kcliques_store_bounded_par(dag, k, limit, par, KernelMode::default())
-        }
-        None => Ok(collect_kcliques_store_parallel(dag, k, par)),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::list::for_each_kclique_kernel;
     use crate::list::tests::{dag_of, paper_graph};
-    use crate::list::{collect_kcliques, collect_kcliques_bounded, collect_kcliques_parallel};
     use dkc_graph::OrderingKind;
 
     #[test]
@@ -422,19 +357,26 @@ mod tests {
         let _ = CliqueStore::from_flat(3, vec![1, 2]);
     }
 
+    /// The callback model: the rows of the slice-kernel enumeration, each
+    /// sorted, in enumeration order, as legacy `Clique` values.
+    fn legacy_model(dag: &Dag, k: usize) -> Vec<Clique> {
+        let mut rows = Vec::new();
+        for_each_kclique_kernel(dag, k, KernelMode::Slice, |nodes| rows.push(Clique::new(nodes)));
+        rows
+    }
+
     #[test]
     fn store_collectors_match_legacy_sequence() {
         let g = paper_graph();
         for kind in [OrderingKind::Identity, OrderingKind::Degeneracy] {
             let dag = dag_of(&g, kind);
             for k in 1..=4 {
-                let legacy = collect_kcliques(&dag, k);
-                assert_eq!(collect_kcliques_store(&dag, k).to_cliques(), legacy, "{kind:?} k={k}");
+                let legacy = legacy_model(&dag, k);
                 for threads in [1usize, 2, 8] {
                     let par = ParConfig::new(threads).with_chunk(1);
                     assert_eq!(
-                        collect_kcliques_store_parallel(&dag, k, par).to_cliques(),
-                        collect_kcliques_parallel(&dag, k, par),
+                        collect_kcliques(&dag, k, None, par).unwrap().to_cliques(),
+                        legacy,
                         "{kind:?} k={k} threads={threads}"
                     );
                 }
@@ -446,15 +388,20 @@ mod tests {
     fn bounded_store_matches_legacy_decisions() {
         let g = paper_graph();
         let dag = dag_of(&g, OrderingKind::Degeneracy);
+        let legacy = legacy_model(&dag, 3);
         for limit in [0usize, 3, 6, 7, 1000] {
-            let legacy = collect_kcliques_bounded(&dag, 3, limit);
-            let store = collect_kcliques_store_bounded(&dag, 3, limit);
-            assert_eq!(store.clone().map(|s| s.to_cliques()), legacy, "limit={limit}");
             for threads in [1usize, 2, 8] {
                 let par = ParConfig::new(threads).with_chunk(1);
-                let par_store =
-                    collect_kcliques_store_bounded_par(&dag, 3, limit, par, KernelMode::default());
-                assert_eq!(par_store, store, "limit={limit} threads={threads}");
+                let got = collect_kcliques(&dag, 3, Some(limit), par);
+                if legacy.len() > limit {
+                    assert_eq!(got, Err(limit), "limit={limit} threads={threads}");
+                } else {
+                    assert_eq!(
+                        got.unwrap().to_cliques(),
+                        legacy,
+                        "limit={limit} threads={threads}"
+                    );
+                }
             }
         }
     }
@@ -464,8 +411,10 @@ mod tests {
         let g = paper_graph();
         let dag = dag_of(&g, OrderingKind::Degeneracy);
         let par = ParConfig::new(2);
-        assert_eq!(collect_kcliques_store_budgeted(&dag, 3, None, par).unwrap().len(), 7);
-        assert_eq!(collect_kcliques_store_budgeted(&dag, 3, Some(6), par), Err(6));
-        assert_eq!(collect_kcliques_store_budgeted(&dag, 3, Some(7), par).unwrap().len(), 7);
+        let n = legacy_model(&dag, 3).len();
+        assert_eq!(n, 7);
+        assert_eq!(collect_kcliques(&dag, 3, None, par).unwrap().len(), n);
+        assert_eq!(collect_kcliques(&dag, 3, Some(n - 1), par), Err(n - 1));
+        assert_eq!(collect_kcliques(&dag, 3, Some(n), par).unwrap().len(), n);
     }
 }

@@ -1,5 +1,4 @@
 use crate::kernel;
-use crate::types::Clique;
 use dkc_graph::{DynGraph, NodeId};
 
 /// Enumerates every k-clique of the subgraph induced on `nodes`.
@@ -64,13 +63,6 @@ where
     let mut full = Vec::new();
     kernel::fill_full(&mut full, s);
     ctx.recurse(k, &full, &mut cb);
-}
-
-/// Collects the k-cliques of the induced subgraph into owned values.
-pub fn collect_kcliques_in_subset(g: &DynGraph, nodes: &[NodeId], k: usize) -> Vec<Clique> {
-    let mut out = Vec::new();
-    for_each_kclique_in_subset(g, nodes, k, |c| out.push(Clique::new(c)));
-    out
 }
 
 struct SubsetCtx<'a> {
@@ -203,12 +195,15 @@ mod tests {
 
     #[test]
     fn collect_returns_sorted_clique_values() {
+        // Callers collect the reported slices as they come (`Clique::from_sorted`,
+        // `CliqueStore::from_flat`), so each must already be ascending.
         let g = paper_dyn_graph();
-        let cliques = collect_kcliques_in_subset(&g, &(0..9).collect::<Vec<_>>(), 3);
-        assert_eq!(cliques.len(), 7);
-        for c in &cliques {
+        let mut rows = Vec::new();
+        for_each_kclique_in_subset(&g, &(0..9).collect::<Vec<_>>(), 3, |c| rows.push(c.to_vec()));
+        assert_eq!(rows.len(), 7);
+        for c in &rows {
             assert_eq!(c.len(), 3);
-            assert!(c.as_slice().windows(2).all(|w| w[0] < w[1]));
+            assert!(c.windows(2).all(|w| w[0] < w[1]), "{c:?} not ascending");
         }
     }
 

@@ -4,11 +4,9 @@
 use std::collections::BTreeSet;
 
 use dkc_clique::{
-    collect_kcliques, collect_kcliques_bounded, collect_kcliques_bounded_par,
-    collect_kcliques_in_subset, collect_kcliques_kernel, collect_kcliques_parallel,
-    collect_kcliques_parallel_kernel, count_kcliques, count_kcliques_kernel,
-    count_kcliques_parallel, node_scores, node_scores_kernel, node_scores_parallel, Clique,
-    FirstFinder, KernelMode, MinScoreFinder,
+    collect_kcliques, collect_kcliques_kernel, count_kcliques, count_kcliques_kernel,
+    count_kcliques_parallel, for_each_kclique_in_subset, for_each_kclique_kernel, node_scores,
+    node_scores_kernel, node_scores_parallel, Clique, FirstFinder, KernelMode, MinScoreFinder,
 };
 use dkc_graph::{CsrGraph, Dag, DynGraph, NodeId, NodeOrder, OrderingKind};
 use dkc_par::ParConfig;
@@ -55,6 +53,18 @@ fn dag(g: &CsrGraph, kind: OrderingKind) -> Dag {
     Dag::from_graph(g, NodeOrder::compute(g, kind))
 }
 
+/// The callback model every collector is held to: the slice-kernel
+/// enumeration's rows, each sorted, in enumeration order, flattened.
+fn model_rows(d: &Dag, k: usize) -> Vec<NodeId> {
+    let mut flat = Vec::new();
+    for_each_kclique_kernel(d, k, KernelMode::Slice, |nodes| {
+        let mut row = nodes.to_vec();
+        row.sort_unstable();
+        flat.extend(row);
+    });
+    flat
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -63,9 +73,10 @@ proptest! {
         let expected = brute_force_cliques(&g, k);
         for kind in [OrderingKind::Identity, OrderingKind::Degeneracy, OrderingKind::DegreeAsc] {
             let d = dag(&g, kind);
-            let got: BTreeSet<Vec<NodeId>> = collect_kcliques(&d, k)
+            let got: BTreeSet<Vec<NodeId>> = collect_kcliques(&d, k, None, ParConfig::sequential())
+                .unwrap()
                 .iter()
-                .map(|c| c.as_slice().to_vec())
+                .map(<[NodeId]>::to_vec)
                 .collect();
             prop_assert_eq!(&got, &expected, "ordering {:?}", kind);
             prop_assert_eq!(count_kcliques(&d, k), expected.len() as u64);
@@ -96,10 +107,10 @@ proptest! {
             .filter(|&u| mask.get(u as usize).copied().unwrap_or(false))
             .collect();
         let dyn_g = DynGraph::from_csr(&g);
-        let got: BTreeSet<Vec<NodeId>> = collect_kcliques_in_subset(&dyn_g, &nodes, k)
-            .iter()
-            .map(|c| c.as_slice().to_vec())
-            .collect();
+        let mut got: BTreeSet<Vec<NodeId>> = BTreeSet::new();
+        for_each_kclique_in_subset(&dyn_g, &nodes, k, |c| {
+            assert!(got.insert(c.to_vec()), "clique reported twice: {c:?}");
+        });
         let expected: BTreeSet<Vec<NodeId>> = brute_force_cliques(&g, k)
             .into_iter()
             .filter(|c| c.iter().all(|u| nodes.contains(u)))
@@ -166,7 +177,7 @@ proptest! {
         let d = dag(&g, OrderingKind::Degeneracy);
         let count = count_kcliques(&d, k);
         let scores = node_scores(&d, k);
-        let listed = collect_kcliques(&d, k);
+        let listed = model_rows(&d, k);
         for threads in [1usize, 2, 8] {
             // Tiny chunks force genuine fan-out on these small graphs.
             let par = ParConfig::new(threads).with_chunk(3);
@@ -175,8 +186,8 @@ proptest! {
             prop_assert_eq!(
                 &node_scores_parallel(&d, k, par), &scores, "scores, threads {}", threads);
             // Listing must match element-for-element (order included).
-            prop_assert_eq!(
-                &collect_kcliques_parallel(&d, k, par), &listed, "listing, threads {}", threads);
+            let store = collect_kcliques(&d, k, None, par).unwrap();
+            prop_assert_eq!(store.as_flat(), &listed[..], "listing, threads {}", threads);
         }
     }
 
@@ -189,18 +200,23 @@ proptest! {
         // kernels must reproduce its cliques *in order*, its count and its
         // per-node scores — sequentially and on every executor shape.
         let d = dag(&g, OrderingKind::Degeneracy);
-        let listed = collect_kcliques_kernel(&d, k, KernelMode::Slice);
+        let listed = model_rows(&d, k);
         let count = count_kcliques(&d, k);
         let scores = node_scores(&d, k);
-        prop_assert_eq!(count, listed.len() as u64);
+        prop_assert_eq!(count, (listed.len() / k) as u64);
         for mode in [KernelMode::Slice, KernelMode::Bitset, KernelMode::Adaptive] {
-            prop_assert_eq!(
-                &collect_kcliques_kernel(&d, k, mode), &listed, "sequential {}", mode);
+            let mut sequential = Vec::new();
+            for_each_kclique_kernel(&d, k, mode, |c| {
+                let mut row = c.to_vec();
+                row.sort_unstable();
+                sequential.extend(row);
+            });
+            prop_assert_eq!(&sequential, &listed, "sequential {}", mode);
             for threads in [1usize, 2, 8] {
                 let par = ParConfig::new(threads).with_chunk(3);
+                let store = collect_kcliques_kernel(&d, k, None, par, mode).unwrap();
                 prop_assert_eq!(
-                    &collect_kcliques_parallel_kernel(&d, k, par, mode), &listed,
-                    "listing, threads {} {}", threads, mode);
+                    store.as_flat(), &listed[..], "listing, threads {} {}", threads, mode);
                 prop_assert_eq!(
                     count_kcliques_kernel(&d, k, par, mode), count,
                     "count, threads {} {}", threads, mode);
@@ -217,18 +233,21 @@ proptest! {
         k in 3usize..=4,
         limit in 0usize..=40,
     ) {
-        // The shared-budget parallel collector must reach the sequential
-        // collector's exact Err/Ok decision (and, on Ok, its exact output)
-        // for every kernel and thread count — the monotone-criterion
-        // determinism argument, exercised on random graphs.
+        // The shared-budget collector must reach the callback model's
+        // Err/Ok decision (`Err` exactly when the model counts more than
+        // `limit`; on `Ok`, the model's rows) for every kernel and thread
+        // count — the monotone-criterion determinism argument, exercised on
+        // random graphs.
         let d = dag(&g, OrderingKind::Degeneracy);
-        let seq = collect_kcliques_bounded(&d, k, limit);
+        let listed = model_rows(&d, k);
+        let expected = if listed.len() / k > limit { Err(limit) } else { Ok(&listed[..]) };
         for mode in [KernelMode::Slice, KernelMode::Bitset, KernelMode::Adaptive] {
             for threads in [1usize, 2, 8] {
                 // Chunk 1 maximises interleaving opportunities.
                 let par = ParConfig::new(threads).with_chunk(1);
+                let got = collect_kcliques_kernel(&d, k, Some(limit), par, mode);
                 prop_assert_eq!(
-                    &collect_kcliques_bounded_par(&d, k, limit, par, mode), &seq,
+                    got.as_ref().map(|s| s.as_flat()).map_err(|&e| e), expected,
                     "threads {} limit {} {}", threads, limit, mode);
             }
         }

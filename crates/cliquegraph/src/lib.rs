@@ -26,10 +26,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use dkc_clique::{
-    collect_kcliques_store_bounded_par, collect_kcliques_store_parallel_kernel, Clique,
-    CliqueStore, KernelMode,
-};
+use dkc_clique::{collect_kcliques_kernel, Clique, CliqueStore, KernelMode};
 use dkc_graph::{CsrGraph, Dag, NodeOrder, OrderingKind};
 use dkc_par::{par_try_collect, ParConfig, SharedBudget};
 
@@ -129,39 +126,9 @@ impl CliqueGraph {
         let dag = Dag::from_graph(g, NodeOrder::compute(g, OrderingKind::Degeneracy));
         // Enforce the clique budget during collection so an over-limit
         // population aborts before materialising (deterministic OOM).
-        let cliques = match limits.max_cliques {
-            Some(limit) => collect_kcliques_store_bounded_par(&dag, k, limit, par, mode)
-                .map_err(|limit| CliqueGraphError::TooManyCliques { limit })?,
-            None => collect_kcliques_store_parallel_kernel(&dag, k, par, mode),
-        };
+        let cliques = collect_kcliques_kernel(&dag, k, limits.max_cliques, par, mode)
+            .map_err(|limit| CliqueGraphError::TooManyCliques { limit })?;
         Self::from_store_par(g.num_nodes(), cliques, limits, par)
-    }
-
-    /// Builds the conflict graph from an explicit legacy clique list
-    /// (compatibility shim over [`CliqueGraph::from_store_par`]), with the
-    /// default executor configuration.
-    pub fn from_cliques(
-        num_nodes: usize,
-        k: usize,
-        cliques: Vec<Clique>,
-        limits: CliqueGraphLimits,
-    ) -> Result<Self, CliqueGraphError> {
-        Self::from_store_par(
-            num_nodes,
-            CliqueStore::from_cliques(k, &cliques),
-            limits,
-            ParConfig::default(),
-        )
-    }
-
-    /// Builds the conflict graph from a clique arena with the default
-    /// executor configuration. See [`CliqueGraph::from_store_par`].
-    pub fn from_store(
-        num_nodes: usize,
-        cliques: CliqueStore,
-        limits: CliqueGraphLimits,
-    ) -> Result<Self, CliqueGraphError> {
-        Self::from_store_par(num_nodes, cliques, limits, ParConfig::default())
     }
 
     /// Builds the conflict graph from a clique arena on an explicit

@@ -201,6 +201,17 @@ impl Budget {
         }
     }
 
+    /// The budget a request for `algo` gets when it names none, on every
+    /// entry point (CLI flags and the JSON wire form alike): [`Budget::standard`]
+    /// for [`Algo::Opt`], whose exact search would otherwise run unbounded
+    /// past toy scale, and [`Budget::unlimited`] for everything else.
+    pub fn default_for(algo: Algo) -> Self {
+        match algo {
+            Algo::Opt => Self::standard(),
+            _ => Self::unlimited(),
+        }
+    }
+
     /// Overrides the stored-clique budget.
     pub fn with_max_cliques(mut self, limit: usize) -> Self {
         self.max_cliques = Some(limit);
@@ -374,8 +385,9 @@ impl SolveRequest {
     }
 
     /// Parses a request rendered by [`SolveRequest::to_json_value`]. The
-    /// `ordering`, `threads` and `budget` members are optional and default
-    /// to [`SolveRequest::new`]'s values.
+    /// `ordering` and `threads` members are optional and default to
+    /// [`SolveRequest::new`]'s values; a missing `budget` defaults to
+    /// [`Budget::default_for`] the algorithm.
     pub fn from_json_value(v: &Json) -> Result<Self, ParseReportError> {
         let algo: Algo = field(v, "algo")?
             .as_str()
@@ -394,9 +406,10 @@ impl SolveRequest {
         if let Some(threads) = v.get("threads") {
             req.par = req.par.with_threads(threads.as_usize().ok_or_else(|| bad_field("threads"))?);
         }
-        if let Some(budget) = v.get("budget") {
-            req.budget = Budget::from_json_value(budget)?;
-        }
+        req.budget = match v.get("budget") {
+            Some(budget) => Budget::from_json_value(budget)?,
+            None => Budget::default_for(algo),
+        };
         Ok(req)
     }
 }
@@ -1083,6 +1096,23 @@ mod tests {
         // Unknown algorithms fail cleanly.
         let bad = Json::parse(r#"{"algo":"zz","k":3}"#).unwrap();
         assert!(SolveRequest::from_json_value(&bad).is_err());
+    }
+
+    #[test]
+    fn a_missing_budget_gets_the_per_algorithm_default() {
+        // The wire form and the CLI share one default: OPT is budgeted so
+        // a bare `{"algo":"opt"}` degrades to OOM/OOT instead of hanging.
+        for algo in Algo::ALL {
+            let v = Json::parse(&format!(r#"{{"algo":"{}","k":3}}"#, algo.cli_name())).unwrap();
+            let req = SolveRequest::from_json_value(&v).unwrap();
+            assert_eq!(req.budget, Budget::default_for(algo), "{algo}");
+        }
+        assert_eq!(Budget::default_for(Algo::Opt), Budget::standard());
+        assert_eq!(Budget::default_for(Algo::Gc), Budget::unlimited());
+        // An explicit budget still wins, even an unlimited one.
+        let explicit = SolveRequest::new(Algo::Opt, 3).to_json_value();
+        let req = SolveRequest::from_json_value(&explicit).unwrap();
+        assert_eq!(req.budget, Budget::unlimited());
     }
 
     #[test]

@@ -1,5 +1,5 @@
 use crate::{check_k, Solution, SolveError, Solver};
-use dkc_clique::{collect_kcliques_store_budgeted, node_scores_parallel, Clique};
+use dkc_clique::{collect_kcliques, node_scores_parallel, Clique};
 use dkc_graph::{CsrGraph, Dag, NodeOrder, OrderingKind};
 use dkc_par::ParConfig;
 
@@ -54,7 +54,7 @@ impl Solver for GcSolver {
         let dag = Dag::from_graph(g, NodeOrder::compute(g, OrderingKind::Degeneracy));
         // The budget is enforced *during* collection: an over-limit clique
         // population aborts before materialising (deterministic OOM).
-        let cliques = collect_kcliques_store_budgeted(&dag, k, self.max_cliques, self.par)
+        let cliques = collect_kcliques(&dag, k, self.max_cliques, self.par)
             .map_err(|limit| SolveError::CliqueBudget { limit })?;
         let scores = node_scores_parallel(&dag, k, self.par);
         // Fixed total clique order: ascending score, ties by canonical

@@ -66,7 +66,7 @@ use crate::log::{FsyncPolicy, LogError, LogRecord, UpdateLog};
 use crate::solver::{BatchOutcome, DynamicSolver, EdgeUpdate, UpdateStats};
 use crate::view::{SharedView, SolutionView};
 use dkc_clique::{Clique, MAX_K};
-use dkc_core::{Engine, Solution, SolveError, SolveReport, SolveRequest};
+use dkc_core::{Engine, Solution, SolveError, SolveReport, SolveRequest, MIN_K};
 use dkc_graph::io::{read_snapshot_path, write_csr_snapshot_path};
 use dkc_graph::{CsrGraph, GraphError, NodeId};
 use dkc_improve::ImproveStats;
@@ -220,10 +220,7 @@ impl ServingSolver {
             .get("epoch")
             .and_then(Json::as_u64)
             .ok_or_else(|| ServeStateError::Meta("missing epoch".into()))?;
-        let request = SolveRequest::from_json_value(
-            meta.get("request").ok_or_else(|| ServeStateError::Meta("missing request".into()))?,
-        )
-        .map_err(|e| ServeStateError::Meta(e.to_string()))?;
+        let request = request_from_json(&meta)?;
         let stats = stats_from_json(
             meta.get("stats").ok_or_else(|| ServeStateError::Meta("missing stats".into()))?,
         )
@@ -431,10 +428,22 @@ impl ServingSolver {
     }
 
     /// Runs a full from-scratch engine solve on the *current* graph —
-    /// the serving `solve` command. Defaults to the solver's own request.
+    /// the serving `solve` command. Without `request` it replays the
+    /// solver's own request; a given request's thread count is capped at
+    /// the solver's own, so a client cannot make the server start more
+    /// workers than it was configured with.
     pub fn solve_fresh(&self, request: Option<SolveRequest>) -> Result<SolveReport, SolveError> {
         let csr = self.solver.graph().to_csr();
-        Engine::solve(&csr, request.unwrap_or(self.solver.request()))
+        Engine::solve(&csr, self.solve_request(request))
+    }
+
+    /// The request [`ServingSolver::solve_fresh`] runs.
+    fn solve_request(&self, request: Option<SolveRequest>) -> SolveRequest {
+        let own = self.solver.request();
+        match request {
+            Some(req) => req.with_threads(req.par.threads.min(own.par.threads)),
+            None => own,
+        }
     }
 
     /// Serialises the full serving state — graph edges, request, `S`,
@@ -477,11 +486,17 @@ impl ServingSolver {
             return Err(ServeStateError::Meta(format!("unsupported version {version}")));
         }
         let epoch = field("epoch")?;
-        let num_nodes = field("num_nodes")? as usize;
-        let request = SolveRequest::from_json_value(
-            doc.get("request").ok_or_else(|| ServeStateError::Meta("missing request".into()))?,
-        )
-        .map_err(|e| ServeStateError::Meta(e.to_string()))?;
+        // Every node id must fit a `NodeId` below its `NodeId::MAX`
+        // sentinel; a count inside that space is allocated as declared.
+        let num_nodes = field("num_nodes")?;
+        if num_nodes > u64::from(NodeId::MAX) {
+            return Err(ServeStateError::Meta(format!(
+                "num_nodes {num_nodes} exceeds the node id space ({})",
+                NodeId::MAX
+            )));
+        }
+        let num_nodes = num_nodes as usize;
+        let request = request_from_json(doc)?;
         let stats = stats_from_json(
             doc.get("stats").ok_or_else(|| ServeStateError::Meta("missing stats".into()))?,
         )
@@ -508,6 +523,23 @@ impl ServingSolver {
     }
 }
 
+/// Parses the `request` member of a state document (`meta.json` or an
+/// [`ServingSolver::export_state`] reply) and checks its `k` is one the
+/// solvers accept, `MIN_K..=MAX_K`.
+fn request_from_json(doc: &Json) -> Result<SolveRequest, ServeStateError> {
+    let request = SolveRequest::from_json_value(
+        doc.get("request").ok_or_else(|| ServeStateError::Meta("missing request".into()))?,
+    )
+    .map_err(|e| ServeStateError::Meta(e.to_string()))?;
+    if !(MIN_K..=MAX_K).contains(&request.k) {
+        return Err(ServeStateError::Meta(format!(
+            "request k = {} is outside the supported range {MIN_K}..={MAX_K}",
+            request.k
+        )));
+    }
+    Ok(request)
+}
+
 /// Parses the `cliques` member rendered by [`write_state`] and
 /// [`ServingSolver::export_state`] back into a [`Solution`], and checks it
 /// is a valid, maximal disjoint k-clique set of `g`. Damaged input is a
@@ -519,9 +551,6 @@ fn solution_from_json(doc: &Json, k: usize, g: &CsrGraph) -> Result<Solution, Se
         .get("cliques")
         .and_then(Json::as_arr)
         .ok_or_else(|| ServeStateError::Meta("missing cliques".into()))?;
-    if !(1..=MAX_K).contains(&k) {
-        return Err(bad(format!("k = {k} is outside the supported range 1..={MAX_K}")));
-    }
     let mut solution = Solution::new(k);
     let mut nodes: Vec<NodeId> = Vec::with_capacity(k);
     for (i, c) in cliques.iter().enumerate() {
@@ -1108,6 +1137,67 @@ mod tests {
         }
         let m = meta_error(ServingSolver::import_state(&Json::Obj(members)));
         assert!(m.contains("share node 2"), "{m}");
+    }
+
+    /// Sets `doc[path[0]][path[1]]…` to `value` (every step an object).
+    fn set_member(doc: &mut Json, path: &[&str], value: Json) {
+        let Json::Obj(members) = doc else { panic!("{} is not an object", doc.render()) };
+        let (_, slot) = members.iter_mut().find(|(k, _)| k == path[0]).expect("member exists");
+        match path {
+            [_] => *slot = value,
+            [_, rest @ ..] => set_member(slot, rest, value),
+            [] => unreachable!(),
+        }
+    }
+
+    #[test]
+    fn import_rejects_a_node_count_beyond_the_id_space() {
+        let s =
+            ServingSolver::in_memory(&three_triangles(), SolveRequest::new(Algo::Lp, 3)).unwrap();
+        for n in [(1u64 << 32) + 1, 1 << 40, u64::MAX] {
+            let mut doc = s.export_state();
+            set_member(&mut doc, &["num_nodes"], Json::u64(n));
+            let m = meta_error(ServingSolver::import_state(&doc));
+            assert!(m.contains("exceeds the node id space"), "{m}");
+        }
+    }
+
+    #[test]
+    fn import_and_restore_reject_a_k_outside_the_solver_range() {
+        // k = 2 with a valid maximal matching of the graph: accepted as a
+        // solution, so only the k check can refuse it.
+        let matching = Json::parse("[[0,1],[2,3],[4,5],[6,7]]").unwrap();
+        let s =
+            ServingSolver::in_memory(&three_triangles(), SolveRequest::new(Algo::Lp, 3)).unwrap();
+        for k in [2u64, 17] {
+            let mut doc = s.export_state();
+            set_member(&mut doc, &["request", "k"], Json::u64(k));
+            set_member(&mut doc, &["cliques"], matching.clone());
+            let m = meta_error(ServingSolver::import_state(&doc));
+            assert!(m.contains(&format!("request k = {k} is outside")), "{m}");
+        }
+        let dir = temp_dir("meta_k2");
+        ServingSolver::create(&dir, &three_triangles(), SolveRequest::new(Algo::Lp, 3)).unwrap();
+        let meta_path = dir.join(META_FILE);
+        let mut meta = Json::parse(&std::fs::read_to_string(&meta_path).unwrap()).unwrap();
+        set_member(&mut meta, &["request", "k"], Json::u64(2));
+        set_member(&mut meta, &["cliques"], matching);
+        std::fs::write(&meta_path, meta.render()).unwrap();
+        let m = meta_error(ServingSolver::restore(&dir));
+        std::fs::remove_dir_all(&dir).ok();
+        assert!(m.contains("request k = 2 is outside"), "{m}");
+    }
+
+    #[test]
+    fn solve_request_caps_wire_threads_at_the_servers_own() {
+        let own = SolveRequest::new(Algo::Lp, 3).with_threads(2);
+        let s = ServingSolver::in_memory(&demo_graph(), own).unwrap();
+        let wire = SolveRequest::new(Algo::Hg, 3).with_threads(100_000_000);
+        let capped = s.solve_request(Some(wire));
+        assert_eq!(capped.par.threads, 2);
+        assert_eq!(capped.algo, Algo::Hg);
+        assert_eq!(s.solve_request(Some(wire.with_threads(1))).par.threads, 1);
+        assert_eq!(s.solve_request(None), s.solver().request());
     }
 
     #[test]

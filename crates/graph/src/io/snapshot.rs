@@ -297,47 +297,22 @@ fn decode_sections(h: &Header, payload: &[u8]) -> Result<LoadedGraph, GraphError
     let (adj_sec, rest) = rest.split_at(adj_len * 4);
     let labels_sec = &rest[pad_len(adj_len)..];
 
-    // Fast path: when the source bytes are little-endian-native and the
-    // sections land aligned (always true for a memory-mapped file — every
-    // section starts 8-byte aligned in the format — and almost always for
-    // a heap buffer), reinterpret in place and bulk-copy instead of
-    // decoding word by word. `None` falls back to the portable decode;
-    // both produce identical arrays.
     let mut offsets = Vec::with_capacity(n + 1);
-    match dkc_mmap::cast_u64s(offsets_sec) {
-        Some(words) => {
-            for &w in words {
-                offsets.push(to_usize(w, "offset")?);
-            }
-        }
-        None => {
-            for chunk in offsets_sec.chunks_exact(8) {
-                offsets.push(to_usize(u64::from_le_bytes(chunk.try_into().expect("8")), "offset")?);
-            }
-        }
+    for chunk in offsets_sec.chunks_exact(8) {
+        offsets.push(to_usize(u64::from_le_bytes(chunk.try_into().expect("8")), "offset")?);
     }
-    let mut adjacency: Vec<NodeId> = Vec::with_capacity(adj_len);
-    match dkc_mmap::cast_u32s(adj_sec) {
-        Some(words) => adjacency.extend_from_slice(words),
-        None => {
-            for chunk in adj_sec.chunks_exact(4) {
-                adjacency.push(u32::from_le_bytes(chunk.try_into().expect("4")));
-            }
-        }
-    }
+    let adjacency: Vec<NodeId> = adj_sec
+        .chunks_exact(4)
+        .map(|chunk| u32::from_le_bytes(chunk.try_into().expect("4")))
+        .collect();
     let graph = CsrGraph::from_raw_parts(offsets, adjacency)?;
     if labels_len == 0 {
         Ok(LoadedGraph::identity(graph))
     } else {
-        let mut labels = Vec::with_capacity(labels_len);
-        match dkc_mmap::cast_u64s(labels_sec) {
-            Some(words) => labels.extend_from_slice(words),
-            None => {
-                for chunk in labels_sec.chunks_exact(8) {
-                    labels.push(u64::from_le_bytes(chunk.try_into().expect("8")));
-                }
-            }
-        }
+        let labels = labels_sec
+            .chunks_exact(8)
+            .map(|chunk| u64::from_le_bytes(chunk.try_into().expect("8")))
+            .collect();
         Ok(LoadedGraph::new(graph, labels))
     }
 }

@@ -52,7 +52,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use dkc_clique::{collect_kcliques_in_subset, Clique, CliqueStore, MAX_K};
+use dkc_clique::{for_each_kclique_in_subset, Clique, CliqueStore, MAX_K};
 use dkc_graph::{DynGraph, NodeId};
 use dkc_json::Json;
 use dkc_par::{par_collect, ParConfig};
@@ -553,7 +553,8 @@ fn propose_dissolve(
     for u in expect.iter() {
         subset.extend(g.neighbors(u).iter().copied().filter(|&v| free[v as usize]));
     }
-    let mut cliques = collect_kcliques_in_subset(g, &subset, k);
+    let mut cliques = Vec::new();
+    for_each_kclique_in_subset(g, &subset, k, |c| cliques.push(Clique::from_sorted(c)));
     cliques.sort_unstable();
     let mut picked: Vec<Clique> = Vec::new();
     for c in cliques {

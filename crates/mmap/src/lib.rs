@@ -4,14 +4,19 @@
 //! This crate is the single, deliberately tiny carve-out: it wraps the
 //! `mmap(2)`/`munmap(2)` syscalls behind a safe, read-only [`Mmap`] handle
 //! so `.dkcsr` snapshot loads cost page faults instead of a full
-//! read-and-copy, plus two alignment- and endianness-gated reinterpret
-//! helpers ([`cast_u32s`], [`cast_u64s`]) that let the snapshot decoder
-//! bulk-copy little-endian sections instead of decoding word by word.
+//! read-and-copy. The snapshot decoder reads the mapped bytes with the same
+//! portable little-endian decode as a buffered load; it reinterprets
+//! nothing in place. On the 19.3 MB DS@1 snapshot (2 vCPUs, medians of 11
+//! loads) a mapped load read 76–93 ms against 102–116 ms for
+//! `std::fs::read` with the same decode, while in-place `u32`/`u64` casts of
+//! the mapped sections measured no faster than the portable decode
+//! (84.4 ms against 84.5 ms over 8 alternating runs) and were removed.
 //!
 //! ## Audit policy
 //!
-//! * All `unsafe` in the workspace lives in this file; CI fails if the
-//!   token appears anywhere else (`unsafe-audit` step).
+//! * All `unsafe` in the library crates lives in this file (the other
+//!   audited site is the bench crate's tracking allocator); CI fails if
+//!   the token appears anywhere else (`unsafe-audit` step).
 //! * Every `unsafe` block carries a `SAFETY:` comment stating the invariant
 //!   it relies on.
 //! * Mappings are always `PROT_READ` + `MAP_PRIVATE`: the kernel enforces
@@ -164,36 +169,6 @@ impl Drop for Mmap {
     }
 }
 
-/// Reinterprets `bytes` as a `u32` slice when that is a no-op: the target
-/// is little-endian (so the on-disk LE layout *is* the in-memory layout),
-/// the length is an exact multiple of 4, and the pointer is 4-byte aligned.
-/// Returns `None` otherwise — callers keep their word-by-word decode path.
-pub fn cast_u32s(bytes: &[u8]) -> Option<&[u32]> {
-    if cfg!(target_endian = "big")
-        || !bytes.len().is_multiple_of(std::mem::size_of::<u32>())
-        || !(bytes.as_ptr() as usize).is_multiple_of(std::mem::align_of::<u32>())
-    {
-        return None;
-    }
-    // SAFETY: alignment and length divisibility were checked above, the
-    // source slice outlives the return (same lifetime), u32 tolerates any
-    // bit pattern, and on little-endian targets the reinterpretation equals
-    // the per-word from_le_bytes decode.
-    Some(unsafe { std::slice::from_raw_parts(bytes.as_ptr() as *const u32, bytes.len() / 4) })
-}
-
-/// [`cast_u32s`] for `u64` sections (8-byte alignment and divisibility).
-pub fn cast_u64s(bytes: &[u8]) -> Option<&[u64]> {
-    if cfg!(target_endian = "big")
-        || !bytes.len().is_multiple_of(std::mem::size_of::<u64>())
-        || !(bytes.as_ptr() as usize).is_multiple_of(std::mem::align_of::<u64>())
-    {
-        return None;
-    }
-    // SAFETY: as in cast_u32s, with 8-byte alignment/divisibility.
-    Some(unsafe { std::slice::from_raw_parts(bytes.as_ptr() as *const u64, bytes.len() / 8) })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -255,36 +230,5 @@ mod tests {
                 s.spawn(move || assert!(m.iter().all(|&b| b == 7)));
             }
         });
-    }
-
-    #[test]
-    fn casts_decode_little_endian_sections() {
-        let vals32: Vec<u32> = (0..1000u32).map(|i| i.wrapping_mul(2654435761)).collect();
-        let bytes32: Vec<u8> = vals32.iter().flat_map(|v| v.to_le_bytes()).collect();
-        if let Some(cast) = cast_u32s(&bytes32) {
-            assert_eq!(cast, &vals32[..]);
-        }
-        let vals64: Vec<u64> = (0..1000u64).map(|i| i.wrapping_mul(0x9e3779b97f4a7c15)).collect();
-        let bytes64: Vec<u8> = vals64.iter().flat_map(|v| v.to_le_bytes()).collect();
-        if let Some(cast) = cast_u64s(&bytes64) {
-            assert_eq!(cast, &vals64[..]);
-        }
-    }
-
-    #[test]
-    fn casts_reject_bad_lengths_and_misalignment() {
-        assert!(cast_u32s(&[0u8; 7]).is_none());
-        assert!(cast_u64s(&[0u8; 12]).is_none());
-        // Find a deliberately misaligned view inside an aligned buffer.
-        let buf = [0u8; 64];
-        let off = (1..8).find(|o| !(buf.as_ptr() as usize + o).is_multiple_of(8)).unwrap();
-        assert!(cast_u64s(&buf[off..off + 16]).is_none());
-        let off4 = (1..4).find(|o| !(buf.as_ptr() as usize + o).is_multiple_of(4)).unwrap();
-        assert!(cast_u32s(&buf[off4..off4 + 16]).is_none());
-        // Empty slices cast trivially (on little-endian).
-        if cfg!(target_endian = "little") {
-            assert_eq!(cast_u32s(&buf[..0]), Some(&[] as &[u32]));
-            assert_eq!(cast_u64s(&buf[..0]), Some(&[] as &[u64]));
-        }
     }
 }

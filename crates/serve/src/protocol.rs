@@ -4,6 +4,7 @@
 //! carries `"ok"`; failures render as `{"ok":false,"error":"…"}` reusing
 //! the library error `Display` forms (`SolveError`'s OOM/OOT markers
 //! included). Node ids on the wire are the server's dense internal ids.
+//! A `solve` request's `threads` is capped at the server's own thread count.
 //!
 //! Requests:
 //!
@@ -13,7 +14,7 @@
 //! {"cmd":"query","what":"solution"}
 //! {"cmd":"query","what":"stats"}
 //! {"cmd":"solve"}                      — replay the server's bootstrap request
-//! {"cmd":"solve","request":{"algo":"hg","k":3}}
+//! {"cmd":"solve","request":{"algo":"hg","k":3}}  — no "budget": the CLI's default for the algo
 //! {"cmd":"improve","steps":256}        — run one bounded local-search slice
 //! {"cmd":"improve","steps":256,"seed":7}
 //! {"cmd":"snapshot"}                   — persist state + truncate the log

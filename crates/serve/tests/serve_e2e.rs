@@ -290,6 +290,33 @@ fn solve_passthrough_and_errors_are_structured() {
     handle.join();
 }
 
+#[test]
+fn solve_verb_budgets_opt_like_the_cli() {
+    // K20: 1,140 triangles whose exact MIS search runs for hours unbudgeted.
+    // A wire request that names no budget gets OPT's standard one, so the
+    // writer answers with the CLI's OOT error and goes back to updates.
+    let edges: Vec<_> = (0..20u32).flat_map(|a| (a + 1..20).map(move |b| (a, b))).collect();
+    let g = dkc_graph::CsrGraph::from_edges(20, edges).unwrap();
+    let serving = ServingSolver::in_memory(&g, SolveRequest::new(Algo::Lp, 3)).unwrap();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let handle = Server::start(listener, serving, ServerConfig::default()).unwrap();
+    let mut client = Client::connect(handle.local_addr());
+    // A hang fails the test instead of stalling the suite.
+    client.reader.get_ref().set_read_timeout(Some(Duration::from_secs(120))).unwrap();
+
+    let v = client.call(r#"{"cmd":"solve","request":{"algo":"opt","k":3}}"#);
+    assert_eq!(v.get("ok").and_then(Json::as_bool), Some(false), "{}", v.render());
+    assert!(v.get("error").and_then(Json::as_str).unwrap().contains("OOT"), "{}", v.render());
+
+    let mut other = Client::connect(handle.local_addr());
+    other.reader.get_ref().set_read_timeout(Some(Duration::from_secs(120))).unwrap();
+    let v = other.call_ok(r#"{"cmd":"update","updates":[{"op":"delete","u":0,"v":1}]}"#);
+    assert_eq!(v.get("epoch").and_then(Json::as_u64), Some(1), "{}", v.render());
+
+    client.call_ok(r#"{"cmd":"shutdown"}"#);
+    handle.join();
+}
+
 /// A central triangle {0,1,2} blocking one planted triangle per member:
 /// HG under the identity ordering bootstraps to the size-1 blocker, and
 /// one dissolve-and-recombine improvement slice reaches the optimum 3.

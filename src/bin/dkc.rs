@@ -417,10 +417,7 @@ fn dataset_for(name: &str) -> DatasetId {
 /// (degrade to a structured OOM/OOT error instead of hanging past exact
 /// scale); every algorithm honours explicit budget overrides.
 fn request_from_args(args: &Args) -> SolveRequest {
-    let mut budget = match args.algo {
-        Algo::Opt => Budget::standard(),
-        _ => Budget::unlimited(),
-    };
+    let mut budget = Budget::default_for(args.algo);
     if let Some(n) = args.max_cliques {
         budget = budget.with_max_cliques(n);
     }

@@ -1,13 +1,13 @@
 //! Property suite for the flat `CliqueStore` arena: round-trips with the
 //! legacy `Vec<Clique>` representation are lossless, mutation mirrors the
-//! boxed model exactly, and the arena listing collectors are
-//! **bit-identical** to the legacy collectors for every kernel mode and
-//! thread count — the contract that let the whole pipeline move onto the
-//! arena without changing a single output byte.
+//! boxed model exactly, and the one k-clique collector, `collect_kcliques`,
+//! holds to the sequential callback model for every kernel mode, thread
+//! count and clique budget: either the model's rows, each sorted, in
+//! enumeration order, or `Err(limit)` exactly when the model counts more
+//! than `limit` cliques.
 
 use disjoint_kcliques::clique::{
-    collect_kcliques_kernel, collect_kcliques_parallel_kernel, collect_kcliques_store_kernel,
-    collect_kcliques_store_parallel_kernel, Clique, CliqueStore, KernelMode,
+    collect_kcliques_kernel, for_each_kclique_kernel, Clique, CliqueStore, KernelMode,
 };
 use disjoint_kcliques::graph::{Dag, NodeOrder, OrderingKind};
 use disjoint_kcliques::prelude::*;
@@ -82,33 +82,47 @@ proptest! {
         prop_assert_eq!(store.to_cliques(), model);
     }
 
-    /// The arena listing collectors emit the exact rows, in the exact
-    /// order, of the legacy collectors — for every kernel mode, ordering,
-    /// and thread count (1, 2, 8).
+    /// The collector returns the rows of the slice-kernel callback
+    /// enumeration as legacy `Clique` values (each sorted, in enumeration
+    /// order), or `Err(limit)` exactly when that model holds more than
+    /// `limit` cliques — for every kernel mode, thread count (1, 2, 8,
+    /// tiny chunks) and budget (`None` or `0..=40`).
     #[test]
     fn arena_listing_is_bit_identical_to_legacy(
         g in graph_strategy(14, 70),
         k in 3usize..=4,
+        unbounded in any::<bool>(),
+        l in 0usize..=40,
     ) {
+        let limit = (!unbounded).then_some(l);
         let dag = Dag::from_graph(&g, NodeOrder::compute(&g, OrderingKind::Degeneracy));
+        let mut legacy: Vec<Clique> = Vec::new();
+        for_each_kclique_kernel(&dag, k, KernelMode::Slice, |c| legacy.push(Clique::new(c)));
+        let over = limit.filter(|&l| legacy.len() > l);
         for mode in MODES {
-            let legacy = collect_kcliques_kernel(&dag, k, mode);
-            let store = collect_kcliques_store_kernel(&dag, k, mode);
-            prop_assert_eq!(&store.to_cliques(), &legacy, "sequential, mode {:?}", mode);
             for threads in [1usize, 2, 8] {
-                let par = ParConfig::new(threads).with_chunk(2);
-                let par_legacy = collect_kcliques_parallel_kernel(&dag, k, par, mode);
-                let par_store = collect_kcliques_store_parallel_kernel(&dag, k, par, mode);
-                prop_assert_eq!(&par_legacy, &legacy, "legacy parallel differs");
-                prop_assert_eq!(
-                    &par_store.to_cliques(), &legacy,
-                    "arena parallel differs: mode {:?}, threads {}", mode, threads
-                );
-                // The flat buffer itself is the concatenation of the
-                // legacy rows — the stronger, byte-level statement.
-                let flat: Vec<u32> =
-                    legacy.iter().flat_map(|c| c.as_slice().iter().copied()).collect();
-                prop_assert_eq!(par_store.as_flat(), &flat[..]);
+                for chunk in [1usize, 2] {
+                    let par = ParConfig::new(threads).with_chunk(chunk);
+                    let got = collect_kcliques_kernel(&dag, k, limit, par, mode);
+                    let ctx = format!("mode {mode:?}, threads {threads}, chunk {chunk}");
+                    match (got, over) {
+                        (Err(e), Some(l)) => prop_assert_eq!(e, l, "{}", ctx),
+                        (Ok(store), None) => {
+                            prop_assert_eq!(store.k(), k);
+                            prop_assert_eq!(&store.to_cliques(), &legacy, "{}", ctx);
+                            // The flat buffer itself is the concatenation
+                            // of the legacy rows — the byte-level statement.
+                            let flat: Vec<u32> =
+                                legacy.iter().flat_map(|c| c.as_slice().iter().copied()).collect();
+                            prop_assert_eq!(store.as_flat(), &flat[..], "{}", ctx);
+                        }
+                        (got, _) => prop_assert!(
+                            false,
+                            "{}: limit {:?} with {} cliques gave {:?}",
+                            ctx, limit, legacy.len(), got.map(|s| s.len())
+                        ),
+                    }
+                }
             }
         }
     }
