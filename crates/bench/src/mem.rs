@@ -84,6 +84,16 @@ pub fn with_peak_tracking<T>(f: impl FnOnce() -> T) -> (T, usize) {
     (out, peak.saturating_sub(baseline))
 }
 
+/// Convenience: runs `f` and reports `(result, live bytes f left
+/// allocated)` — the heap its result holds, provided no other thread
+/// allocates meanwhile. Only meaningful in binaries that installed
+/// [`TrackingAllocator`]; otherwise the byte count is 0.
+pub fn with_live_tracking<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let before = current_bytes();
+    let out = f();
+    (out, current_bytes().saturating_sub(before))
+}
+
 /// Total successful allocation calls since process start (frees are not
 /// subtracted — this counts *events*, not live objects).
 pub fn alloc_count() -> usize {

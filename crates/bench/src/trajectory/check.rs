@@ -80,6 +80,9 @@ pub fn gates() -> &'static [GateSpec] {
         GateSpec { metric: "snapshot_bytes", kind: EXACT },
         GateSpec { metric: "apply_batch_ns", kind: WALL },
         GateSpec { metric: "apply_applied", kind: EXACT },
+        // Live heap of a sequential candidate-index build: any growth of
+        // the index layout fails the gate.
+        GateSpec { metric: "index_live_bytes", kind: EXACT },
         GateSpec { metric: "serve_p99_us", kind: TAIL },
         GateSpec { metric: "serve_errors", kind: EXACT },
         GateSpec { metric: "serve_cached_read_p99_us", kind: TAIL },

@@ -13,6 +13,7 @@
 //! | `snapshot_load_ns` | `.dkcsr` load of the same graph | `snapshot_bytes` |
 //! | `snapshot_mmap_ns` | zero-copy `.dkcsr` load via `read_snapshot_path` | |
 //! | `apply_batch_ns` | dynamic maintenance of a mixed update stream | `apply_applied` |
+//! | `index_live_bytes` | live heap of a sequential candidate-index build over the LP solution | |
 //! | `serve_p{50,95,99}_us` | in-process `dkc-serve` + seeded loadgen | `serve_errors` |
 //! | `serve_cached_read_p99_us` | read-only loadgen (reply-cache hits) | |
 //! | `serve_sharded_p99_us` | the same loadgen against a 2-shard router | `router_merge_replies`, `serve_sharded_errors` |
@@ -24,13 +25,13 @@
 //! lets the baseline gate compare them exactly across machines.
 
 use super::line::MetricValue;
-use crate::mem::{with_alloc_tracking, with_peak_tracking};
+use crate::mem::{with_alloc_tracking, with_live_tracking, with_peak_tracking};
 use dkc_clique::collect_kcliques;
 use dkc_core::{improve, Algo, Engine, ImproveConfig, SolveRequest};
 use dkc_datagen::registry::DatasetId;
 use dkc_datagen::workload::{paper_mixed_workload, Update};
 use dkc_datagen::DatasetRegistry;
-use dkc_dynamic::{EdgeUpdate, ServingSolver};
+use dkc_dynamic::{CandidateIndex, EdgeUpdate, ServingSolver, SolutionState};
 use dkc_graph::io::{
     load_graph, read_snapshot_path, write_edge_list_labeled, write_snapshot_path, LoadedGraph,
 };
@@ -180,15 +181,17 @@ pub fn run_suite(cfg: &SuiteConfig) -> Result<SuiteOutcome, SuiteError> {
     // 2. LP solve (the flagship solver) through the engine.
     let request = SolveRequest::new(Algo::Lp, cfg.k).with_par(cfg.par);
     let mut samples = Vec::with_capacity(reps);
-    let (mut lp_size, mut lp_heap_pops) = (0u64, 0u64);
+    let (mut lp_size, mut lp_heap_pops, mut lp_solution) = (0u64, 0u64, None);
     for _ in 0..reps {
         let t = Instant::now();
         let report = Engine::solve(&g, request).map_err(|e| fail("lp solve", e))?;
         samples.push(ns(t));
         lp_size = report.solution.len() as u64;
         lp_heap_pops = report.lp_stats.map(|s| s.heap_pops).unwrap_or(0);
+        lp_solution = Some(report.solution);
     }
     push("lp_solve_ns", MetricValue::summarize(samples));
+    let lp_solution = lp_solution.ok_or_else(|| fail("lp solve", "no repetition ran"))?;
     push("lp_size", MetricValue::counter(lp_size));
     push("lp_heap_pops", MetricValue::counter(lp_heap_pops));
 
@@ -262,6 +265,16 @@ pub fn run_suite(cfg: &SuiteConfig) -> Result<SuiteOutcome, SuiteError> {
     }
     push("apply_batch_ns", MetricValue::summarize(samples));
     push("apply_applied", MetricValue::counter(applied));
+
+    // 5b. Memory of Algorithm 5's candidate index: the live heap a
+    //     sequential build leaves allocated over the LP solution. Exact-
+    //     gated like the allocation metrics of 1b (and 0 under `cargo test`).
+    let dyn_g = DynGraph::from_csr(&g);
+    let state = SolutionState::from_solution(&lp_solution);
+    let (index, index_bytes) =
+        with_live_tracking(|| CandidateIndex::build(&dyn_g, &state, ParConfig::sequential()));
+    drop(index);
+    push("index_live_bytes", MetricValue::counter(index_bytes as u64));
 
     // 6. Serving latency: an in-process server on an ephemeral port driven
     //    by the seeded loadgen, warmup excluded from the percentiles.

@@ -1,8 +1,9 @@
 //! Property tests for the parallel conflict-graph construction: for any
 //! graph, clique size and thread count, the structure — and the budgeted
-//! `Err`/`Ok` decision — must be identical to the sequential build.
+//! `Err`/`Ok` decision — must be identical to the sequential build, and a
+//! clique budget must refuse exactly the graphs with too many cliques.
 
-use dkc_cliquegraph::{CliqueGraph, CliqueGraphLimits};
+use dkc_cliquegraph::{CliqueGraph, CliqueGraphError, CliqueGraphLimits};
 use dkc_graph::CsrGraph;
 use dkc_par::ParConfig;
 use proptest::prelude::*;
@@ -55,6 +56,48 @@ proptest! {
                     "budget decision differs: sequential={:?} threads={}={:?}",
                     a.is_ok(), threads, b.is_ok()
                 ),
+            }
+        }
+    }
+
+    /// A clique budget of `limit`: every thread count refuses with
+    /// `TooManyCliques { limit }` exactly when the unlimited build holds
+    /// more than `limit` cliques, and otherwise returns that build, clique
+    /// by clique.
+    #[test]
+    fn clique_budget_refuses_exactly_past_the_limit(
+        g in graph_strategy(16, 80),
+        k in 3usize..=4,
+        limit in 0usize..40,
+    ) {
+        let full = CliqueGraph::build_par(
+            &g, k, CliqueGraphLimits::unlimited(), ParConfig::sequential()).unwrap();
+        let limits = CliqueGraphLimits { max_cliques: Some(limit), max_conflicts: None };
+        for threads in [1usize, 2, 8] {
+            let par = ParConfig::new(threads).with_chunk(1);
+            let got = CliqueGraph::build_par(&g, k, limits, par);
+            if full.num_cliques() > limit {
+                prop_assert_eq!(
+                    got.err(),
+                    Some(CliqueGraphError::TooManyCliques { limit }),
+                    "{} cliques, threads={}", full.num_cliques(), threads
+                );
+                continue;
+            }
+            let cg = match got {
+                Ok(cg) => cg,
+                Err(e) => {
+                    return Err(TestCaseError::fail(format!(
+                        "{} cliques within limit {limit} refused at threads={threads}: {e:?}",
+                        full.num_cliques()
+                    )))
+                }
+            };
+            prop_assert_eq!(cg.num_cliques(), full.num_cliques(), "threads={}", threads);
+            prop_assert_eq!(cg.num_conflicts(), full.num_conflicts(), "threads={}", threads);
+            for id in 0..cg.num_cliques() as u32 {
+                prop_assert_eq!(cg.clique(id), full.clique(id), "clique {}", id);
+                prop_assert_eq!(cg.conflicts(id), full.conflicts(id), "conflicts of {}", id);
             }
         }
     }

@@ -1,18 +1,177 @@
 use crate::state::{CliqueId, SolutionState};
-use dkc_clique::{for_each_kclique_in_subset, Clique};
+use dkc_clique::{for_each_kclique_in_subset, Clique, MAX_K};
 use dkc_graph::{DynGraph, NodeId};
 use dkc_par::ParConfig;
-use std::collections::BTreeSet;
 
-/// Identifier of a candidate clique inside the index (reused after a
-/// drop). Ids depend on the index's history; no solver decision reads
-/// them.
+/// Identifier of a candidate clique inside the index: its slot (reused
+/// after a drop). Ids depend on the index's history; no solver decision
+/// reads them.
 pub type CandId = u32;
 
+/// End of a list, an empty list's head, and a vacant slot's leader.
+const NIL: u32 = u32::MAX;
+
+/// List elements are *entries* `s << POS_BITS | i`: member position `i`
+/// of slot `s` (position 0 for a slot's place in its leader's list).
+const POS_BITS: u32 = 4;
+const _: () = assert!(MAX_K <= 1 << POS_BITS);
+
+/// The entry of member position `i` of slot `s`.
+fn entry(s: CandId, i: usize) -> u32 {
+    s << POS_BITS | i as u32
+}
+
+/// The slot an entry belongs to.
+fn slot_of(e: u32) -> CandId {
+    e >> POS_BITS
+}
+
+/// The member position of an entry.
+fn position(e: u32) -> usize {
+    (e & ((1 << POS_BITS) - 1)) as usize
+}
+
+/// Slots per page of the per-slot arrays.
+const PAGE_SLOTS: usize = 1 << 10;
+
+/// A built index allocates room for `1 / SPARE_DIVISOR` more slots than it
+/// fills. The inserts of later updates then reuse memory allocated (and
+/// paged in) by the build, instead of allocating on the write path, until
+/// the index has grown by that share.
+const SPARE_DIVISOR: usize = 8;
+
+/// `per` values per slot, in pages of [`PAGE_SLOTS`] slots. A page is
+/// allocated once and never moved, so a growing index adds pages but never
+/// copies, frees or over-allocates the rows already stored (a doubling
+/// `Vec` would copy megabytes on the update that crosses its capacity, and
+/// keep up to half of itself unused).
 #[derive(Debug, Clone, PartialEq, Eq)]
-struct Candidate {
-    clique: Clique,
-    attached: CliqueId,
+struct Paged<T> {
+    per: usize,
+    pages: Vec<Box<[T]>>,
+}
+
+impl<T: Copy> Paged<T> {
+    fn new(per: usize) -> Self {
+        Paged { per, pages: Vec::new() }
+    }
+
+    /// Slots with room allocated.
+    fn capacity(&self) -> usize {
+        self.pages.len() * PAGE_SLOTS
+    }
+
+    /// Allocates room for slot `s`, filling new pages with `fill`.
+    fn reserve_slot(&mut self, s: CandId, fill: T) {
+        while s as usize >= self.capacity() {
+            self.pages.push(vec![fill; PAGE_SLOTS * self.per].into_boxed_slice());
+        }
+    }
+
+    /// The `per` values of slot `s`.
+    fn row(&self, s: CandId) -> &[T] {
+        let at = s as usize % PAGE_SLOTS * self.per;
+        &self.pages[s as usize / PAGE_SLOTS][at..at + self.per]
+    }
+
+    fn row_mut(&mut self, s: CandId) -> &mut [T] {
+        let at = s as usize % PAGE_SLOTS * self.per;
+        &mut self.pages[s as usize / PAGE_SLOTS][at..at + self.per]
+    }
+
+    /// The value of entry `e`.
+    fn at(&self, e: u32) -> T {
+        self.row(slot_of(e))[position(e)]
+    }
+
+    fn at_mut(&mut self, e: u32) -> &mut T {
+        &mut self.row_mut(slot_of(e))[position(e)]
+    }
+}
+
+/// One entry's place in its doubly-linked list.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Link {
+    prev: u32,
+    next: u32,
+}
+
+const UNLINKED: Link = Link { prev: NIL, next: NIL };
+
+/// A family of intrusive doubly-linked lists over entries: list `l` starts
+/// at `head[l]` and follows `next`. Each entry sits in at most one list,
+/// and its owner knows which.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Lists {
+    head: Vec<u32>,
+    link: Paged<Link>,
+}
+
+impl Lists {
+    /// `lists` empty lists over entries with positions `0..per`.
+    fn new(lists: usize, per: usize) -> Self {
+        Lists { head: vec![NIL; lists], link: Paged::new(per) }
+    }
+
+    /// The first entry of list `l` (`NIL` when empty or out of range).
+    fn first(&self, l: u32) -> u32 {
+        self.head.get(l as usize).copied().unwrap_or(NIL)
+    }
+
+    /// The entries of list `l`, front to back.
+    fn iter(&self, l: u32) -> impl Iterator<Item = u32> + '_ {
+        std::iter::successors(Some(self.first(l)).filter(|&e| e != NIL), move |&e| {
+            Some(self.link.at(e).next).filter(|&n| n != NIL)
+        })
+    }
+
+    /// Makes `e` the first entry of list `l`.
+    fn push_front(&mut self, l: u32, e: u32) {
+        let old = self.head[l as usize];
+        *self.link.at_mut(e) = Link { prev: NIL, next: old };
+        if old != NIL {
+            self.link.at_mut(old).prev = e;
+        }
+        self.head[l as usize] = e;
+    }
+
+    /// Takes `e` out of list `l`, which holds it.
+    fn unlink(&mut self, l: u32, e: u32) {
+        let Link { prev, next } = self.link.at(e);
+        if prev == NIL {
+            self.head[l as usize] = next;
+        } else {
+            self.link.at_mut(prev).next = next;
+        }
+        if next != NIL {
+            self.link.at_mut(next).prev = prev;
+        }
+    }
+
+    /// Walks list `l`, checking that every `prev` names the entry before
+    /// it, and hands each entry to `visit`, which must check that the
+    /// entry is in range and not seen before (this also ends a cycle).
+    fn audit(
+        &self,
+        l: u32,
+        mut visit: impl FnMut(u32) -> Result<(), String>,
+    ) -> Result<(), String> {
+        let mut prev = NIL;
+        let mut e = self.first(l);
+        while e != NIL {
+            visit(e)?;
+            let link = self.link.at(e);
+            if link.prev != prev {
+                return Err(format!(
+                    "list {l}: entry {e} has prev {} but follows {prev}",
+                    link.prev
+                ));
+            }
+            prev = e;
+            e = link.next;
+        }
+        Ok(())
+    }
 }
 
 /// The candidate-clique index of Section V-B (Algorithm 5).
@@ -24,17 +183,47 @@ struct Candidate {
 /// may trade `C` for — the "strong constraint \[that\] limits the index
 /// size" (Section VI-E, Table VII).
 ///
-/// Besides the per-clique lists, an inverted node → candidates map supports
-/// the incremental repairs of Algorithms 6/7 (dropping candidates hit by an
-/// edge deletion or by nodes changing free status).
+/// Besides the per-clique lists, per-node lists support the incremental
+/// repairs of Algorithms 6/7 (dropping candidates hit by an edge deletion
+/// or by nodes changing free status).
+///
+/// # Layout
+///
+/// Each candidate lives in a numbered **slot**. Slot `s` keeps:
+///
+/// * its `k` members, ascending (a stride-k `u32` arena, the `CliqueStore`
+///   idiom, stored in fixed pages of 1024 slots);
+/// * the leader of the clique of `S` it is attached to (`NIL` while the
+///   slot is vacant; vacant slots wait on a free list for reuse);
+/// * a `prev`/`next` link in its leader's list;
+/// * one `prev`/`next` link per member position `i`, in member `i`'s node
+///   list.
+///
+/// Both kinds of list are intrusive and doubly linked, headed by one `u32`
+/// per node, so inserting or dropping a candidate touches `k + 1` lists in
+/// O(1) each. Per candidate that is `4k + 4 + 8 + 8k = 12k + 12` bytes
+/// (48 B at k = 3, 60 B at k = 4), plus 8 B per node for the two heads.
+/// A build leaves an eighth of its slots spare for later inserts. On DS@1
+/// at k = 3 (260k nodes, 197,770 candidates) the index holds 12.2 MiB of
+/// live heap.
+///
+/// List order follows insertion and drops, so it depends on the index's
+/// history, as slot numbers do. No solver decision reads either: every
+/// choice among candidates sorts them or compares them as sets.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CandidateIndex {
-    cands: Vec<Option<Candidate>>,
+    k: usize,
+    /// Slot `s`'s sorted members.
+    members: Paged<NodeId>,
+    /// The leader each slot is attached to; `NIL` for a vacant slot.
+    leader: Paged<CliqueId>,
+    /// Slots ever used: `0..slots` are live or vacant.
+    slots: usize,
     vacant: Vec<CandId>,
-    /// `by_clique[leader]`: the candidates attached to the clique of `S`
-    /// led by `leader`.
-    by_clique: Vec<Vec<CandId>>,
-    by_node: Vec<Vec<CandId>>,
+    /// Slots (entries at position 0), one list per leader.
+    by_leader: Lists,
+    /// Member entries, one list per node.
+    by_node: Lists,
     len: usize,
 }
 
@@ -51,10 +240,11 @@ pub(crate) struct RebuildReport {
 }
 
 /// What Algorithm 5 finds for one clique `C` of `S`, in enumeration
-/// order: its candidates, plus any k-cliques of only free nodes.
+/// order: its candidates as stride-k rows, plus any k-cliques of only
+/// free nodes.
 #[derive(Debug, Default)]
 struct Found {
-    candidates: Vec<Clique>,
+    candidates: Vec<NodeId>,
     all_free: Vec<Clique>,
 }
 
@@ -77,26 +267,28 @@ fn enumerate_for_clique(g: &DynGraph, state: &SolutionState, clique: &[NodeId]) 
         if members == clique {
             return;
         }
-        let cand = Clique::from_sorted(members);
         if members.iter().all(|&u| state.is_free(u)) {
-            found.all_free.push(cand);
+            found.all_free.push(Clique::from_sorted(members));
         } else {
             // By construction of B, every non-free member lies in `clique`.
-            debug_assert!(cand.iter().all(|u| state.is_free(u) || clique.contains(&u)));
-            found.candidates.push(cand);
+            debug_assert!(members.iter().all(|&u| state.is_free(u) || clique.contains(&u)));
+            found.candidates.extend_from_slice(members);
         }
     });
     found
 }
 
 impl CandidateIndex {
-    /// An empty index over `num_nodes` nodes.
-    fn empty(num_nodes: usize) -> Self {
+    /// An empty index of `k`-cliques over `num_nodes` nodes.
+    fn empty(k: usize, num_nodes: usize) -> Self {
         CandidateIndex {
-            cands: Vec::new(),
+            k,
+            members: Paged::new(k),
+            leader: Paged::new(1),
+            slots: 0,
             vacant: Vec::new(),
-            by_clique: vec![Vec::new(); num_nodes],
-            by_node: vec![Vec::new(); num_nodes],
+            by_leader: Lists::new(num_nodes, 1),
+            by_node: Lists::new(num_nodes, k),
             len: 0,
         }
     }
@@ -105,10 +297,10 @@ impl CandidateIndex {
     ///
     /// The per-clique searches run on `par`'s workers, a bounded window of
     /// cliques at a time; each window's results are inserted in leader
-    /// order, so candidate ids and every list come out identical for any
-    /// thread count.
+    /// order, so slots and every list come out identical for any thread
+    /// count.
     pub fn build(g: &DynGraph, state: &SolutionState, par: ParConfig) -> Self {
-        let mut idx = CandidateIndex::empty(g.num_nodes());
+        let mut idx = CandidateIndex::empty(state.k(), g.num_nodes());
         let live: Vec<&[NodeId]> = state.iter().collect();
         let window = par.chunk.max(1) * par.threads.max(1) * WINDOW_CHUNKS_PER_WORKER;
         for cliques in live.chunks(window) {
@@ -120,11 +312,12 @@ impl CandidateIndex {
             );
             for (clique, found) in cliques.iter().zip(found) {
                 debug_assert!(found.all_free.is_empty(), "index built over a non-maximal solution");
-                for cand in found.candidates {
-                    idx.insert(cand, clique[0]);
+                for row in found.candidates.chunks_exact(idx.k) {
+                    idx.insert(row, clique[0]);
                 }
             }
         }
+        idx.reserve_slots(idx.slots + idx.slots / SPARE_DIVISOR);
         idx
     }
 
@@ -139,100 +332,117 @@ impl CandidateIndex {
         self.len == 0
     }
 
-    /// Grows the node range (both lists are node-indexed).
+    /// Grows the node range (both list heads are node-indexed).
     pub(crate) fn ensure_node(&mut self, u: NodeId) {
-        if u as usize >= self.by_node.len() {
-            self.by_node.resize(u as usize + 1, Vec::new());
-            self.by_clique.resize(u as usize + 1, Vec::new());
+        if u as usize >= self.by_node.head.len() {
+            self.by_node.head.resize(u as usize + 1, NIL);
+            self.by_leader.head.resize(u as usize + 1, NIL);
         }
+    }
+
+    /// Allocates room for slots `0..n` in every per-slot array.
+    fn reserve_slots(&mut self, n: usize) {
+        let Some(last) = n.checked_sub(1) else { return };
+        let last = last as CandId;
+        self.members.reserve_slot(last, NIL);
+        self.leader.reserve_slot(last, NIL);
+        self.by_leader.link.reserve_slot(last, UNLINKED);
+        self.by_node.link.reserve_slot(last, UNLINKED);
+    }
+
+    /// The leader slot `s` is attached to (`NIL` when vacant).
+    fn leader_of(&self, s: CandId) -> CliqueId {
+        self.leader.row(s)[0]
+    }
+
+    /// The slots attached to the clique led by `leader`.
+    fn slots_of(&self, leader: CliqueId) -> impl Iterator<Item = CandId> + '_ {
+        self.by_leader.iter(leader).map(slot_of)
     }
 
     /// The live candidate cliques of `C(C)` for the clique `C` led by
     /// `leader`, in no particular order.
     pub fn candidates_of(&self, leader: CliqueId) -> Vec<Clique> {
-        match self.by_clique.get(leader as usize) {
-            None => Vec::new(),
-            Some(ids) => ids
-                .iter()
-                .filter_map(|&id| self.cands[id as usize].as_ref().map(|c| c.clique))
-                .collect(),
-        }
+        self.slots_of(leader).map(|s| Clique::from_sorted(self.members.row(s))).collect()
     }
 
-    fn insert(&mut self, clique: Clique, attached: CliqueId) {
-        // Members are sorted and one of them lies in the attached clique,
-        // so the last member bounds both node-indexed lists.
-        self.ensure_node(clique.as_slice()[clique.len() - 1]);
-        debug_assert!((attached as usize) < self.by_clique.len());
-        let id = match self.vacant.pop() {
-            Some(id) => {
-                self.cands[id as usize] = Some(Candidate { clique, attached });
-                id
-            }
+    /// Stores the sorted `row` as a candidate of the clique led by `leader`.
+    fn insert(&mut self, row: &[NodeId], leader: CliqueId) {
+        debug_assert_eq!(row.len(), self.k);
+        // Rows are sorted and one member lies in the attached clique, whose
+        // smallest member is `leader`: the last member bounds both heads.
+        let last = row[row.len() - 1];
+        self.ensure_node(last);
+        debug_assert!(leader <= last);
+        let s = match self.vacant.pop() {
+            Some(s) => s,
             None => {
-                self.cands.push(Some(Candidate { clique, attached }));
-                (self.cands.len() - 1) as CandId
+                let s = self.slots as CandId;
+                // Entries of every slot stay below `NIL`.
+                assert!(s < NIL >> POS_BITS, "candidate index is full");
+                self.slots += 1;
+                self.reserve_slots(self.slots);
+                s
             }
         };
-        self.by_clique[attached as usize].push(id);
-        for u in clique.iter() {
-            self.by_node[u as usize].push(id);
+        self.members.row_mut(s).copy_from_slice(row);
+        self.leader.row_mut(s)[0] = leader;
+        self.by_leader.push_front(leader, entry(s, 0));
+        for (i, &u) in row.iter().enumerate() {
+            self.by_node.push_front(u, entry(s, i));
         }
         self.len += 1;
     }
 
-    fn drop_candidate(&mut self, id: CandId) {
-        let Some(cand) = self.cands[id as usize].take() else {
-            return;
-        };
-        retain_id(&mut self.by_clique[cand.attached as usize], id);
-        for u in cand.clique.iter() {
-            retain_id(&mut self.by_node[u as usize], id);
+    /// Drops the live candidate in slot `s` and frees the slot.
+    fn drop_slot(&mut self, s: CandId) {
+        let leader = std::mem::replace(&mut self.leader.row_mut(s)[0], NIL);
+        debug_assert_ne!(leader, NIL, "slot {s} is already vacant");
+        self.by_leader.unlink(leader, entry(s, 0));
+        for i in 0..self.k {
+            self.by_node.unlink(self.members.row(s)[i], entry(s, i));
         }
-        self.vacant.push(id);
+        self.vacant.push(s);
         self.len -= 1;
     }
 
     /// Drops every candidate attached to the clique led by `leader` (when
     /// that clique leaves `S`).
     pub(crate) fn drop_attached(&mut self, leader: CliqueId) {
-        if (leader as usize) < self.by_clique.len() {
-            let ids = std::mem::take(&mut self.by_clique[leader as usize]);
-            for id in ids {
-                let Some(cand) = self.cands[id as usize].take() else { continue };
-                for u in cand.clique.iter() {
-                    retain_id(&mut self.by_node[u as usize], id);
-                }
-                self.vacant.push(id);
-                self.len -= 1;
+        loop {
+            let e = self.by_leader.first(leader);
+            if e == NIL {
+                return;
             }
+            self.drop_slot(slot_of(e));
         }
     }
 
     /// Drops every candidate containing node `u` — used when `u` turns
     /// non-free, which invalidates any candidate it participated in.
     pub(crate) fn drop_containing_node(&mut self, u: NodeId) {
-        if (u as usize) < self.by_node.len() {
-            let ids: Vec<CandId> = self.by_node[u as usize].clone();
-            for id in ids {
-                self.drop_candidate(id);
+        loop {
+            let e = self.by_node.first(u);
+            if e == NIL {
+                return;
             }
+            self.drop_slot(slot_of(e));
         }
     }
 
     /// Drops every candidate containing the edge `(u, v)` — used on edge
     /// deletion, which destroys those cliques (Algorithm 7, Line 6).
     pub(crate) fn drop_with_edge(&mut self, u: NodeId, v: NodeId) {
-        if (u as usize) >= self.by_node.len() {
-            return;
-        }
-        let ids: Vec<CandId> = self.by_node[u as usize].clone();
-        for id in ids {
-            if let Some(cand) = &self.cands[id as usize] {
-                if cand.clique.contains(v) {
-                    self.drop_candidate(id);
-                }
+        let mut e = self.by_node.first(u);
+        while e != NIL {
+            // Dropping a slot unlinks only its own entries; `u` sits at one
+            // position of it, so the next entry of `u`'s list survives.
+            let next = self.by_node.link.at(e).next;
+            let s = slot_of(e);
+            if self.members.row(s).contains(&v) {
+                self.drop_slot(s);
             }
+            e = next;
         }
     }
 
@@ -248,20 +458,104 @@ impl CandidateIndex {
         let Some(clique) = state.clique(leader) else {
             return RebuildReport::default();
         };
-        let old: BTreeSet<Clique> = self.candidates_of(leader).into_iter().collect();
-        self.drop_attached(leader);
         let found = enumerate_for_clique(g, state, clique);
-        let has_new = found.candidates.iter().any(|c| !old.contains(c));
-        for cand in found.candidates {
-            self.insert(cand, leader);
+        let mut old: Vec<&[NodeId]> = self.slots_of(leader).map(|s| self.members.row(s)).collect();
+        old.sort_unstable();
+        let has_new =
+            found.candidates.chunks_exact(self.k).any(|row| old.binary_search(&row).is_err());
+        self.drop_attached(leader);
+        for row in found.candidates.chunks_exact(self.k) {
+            self.insert(row, leader);
         }
         RebuildReport { has_new, all_free: found.all_free }
     }
 
-    /// Audits the incremental index against a from-scratch Algorithm 5 run.
-    /// Returns a description of the first mismatch. Test/debug helper; the
-    /// fresh index is built sequentially, the simplest reference.
+    /// Checks the flat layout itself: every live slot is reached exactly
+    /// once from its leader's list and, at each member position, from that
+    /// member's node list; no list reaches a vacant slot; `prev` and
+    /// `next` agree; the free list holds exactly the vacant slots; and
+    /// `len` counts the live ones.
+    fn audit(&self) -> Result<(), String> {
+        let (k, slots) = (self.k, self.slots);
+        let nodes = self.by_node.head.len();
+        let pages = self.members.pages.len();
+        let page_counts = [
+            self.leader.pages.len(),
+            self.by_leader.link.pages.len(),
+            self.by_node.link.pages.len(),
+        ];
+        if slots > pages * PAGE_SLOTS
+            || page_counts.iter().any(|&p| p != pages)
+            || self.by_leader.head.len() != nodes
+        {
+            return Err(format!(
+                "{slots} slots in {pages} member pages and {page_counts:?} other pages; \
+                 {nodes} heads of each list"
+            ));
+        }
+        let live = |s: usize| self.leader_of(s as CandId) != NIL;
+        let mut freed = vec![false; slots];
+        for &s in &self.vacant {
+            let s = s as usize;
+            if s >= slots || live(s) || std::mem::replace(&mut freed[s], true) {
+                return Err(format!(
+                    "free list holds slot {s}, which is not a distinct vacant slot"
+                ));
+            }
+        }
+        let live_count = (0..slots).filter(|&s| live(s)).count();
+        if live_count != self.len || live_count + self.vacant.len() != slots {
+            return Err(format!(
+                "len {} but {live_count} live and {} free of {slots} slots",
+                self.len,
+                self.vacant.len()
+            ));
+        }
+        for s in (0..slots).filter(|&s| live(s)) {
+            let row = self.members.row(s as CandId);
+            if row.windows(2).any(|w| w[0] >= w[1]) || row[k - 1] as usize >= nodes {
+                return Err(format!("slot {s} holds {row:?}: not ascending or out of range"));
+            }
+        }
+        let in_range = |e: u32, per: usize| (slot_of(e) as usize) < slots && position(e) < per;
+        let mut on_leader_list = vec![false; slots];
+        let mut on_node_list = vec![false; slots << POS_BITS];
+        for l in 0..nodes as u32 {
+            self.by_leader.audit(l, |e| {
+                let s = slot_of(e) as usize;
+                if !in_range(e, 1)
+                    || self.leader_of(s as CandId) != l
+                    || std::mem::replace(&mut on_leader_list[s], true)
+                {
+                    return Err(format!("leader list {l} reaches entry {e} wrongly or twice"));
+                }
+                Ok(())
+            })?;
+            self.by_node.audit(l, |e| {
+                if !in_range(e, k)
+                    || !live(slot_of(e) as usize)
+                    || self.members.at(e) != l
+                    || std::mem::replace(&mut on_node_list[e as usize], true)
+                {
+                    return Err(format!("node list {l} reaches entry {e} wrongly or twice"));
+                }
+                Ok(())
+            })?;
+        }
+        for s in (0..slots as CandId).filter(|&s| live(s as usize)) {
+            if !on_leader_list[s as usize] || (0..k).any(|i| !on_node_list[entry(s, i) as usize]) {
+                return Err(format!("live slot {s} is missing from one of its lists"));
+            }
+        }
+        Ok(())
+    }
+
+    /// Audits the flat layout, then the incremental index against a
+    /// from-scratch Algorithm 5 run. Returns a description of the first
+    /// mismatch. Test/debug helper; the fresh index is built sequentially,
+    /// the simplest reference.
     pub fn validate(&self, g: &DynGraph, state: &SolutionState) -> Result<(), String> {
+        self.audit()?;
         let fresh = CandidateIndex::build(g, state, ParConfig::sequential());
         if fresh.len() != self.len() {
             return Err(format!(
@@ -283,12 +577,6 @@ impl CandidateIndex {
             }
         }
         Ok(())
-    }
-}
-
-fn retain_id(list: &mut Vec<CandId>, id: CandId) {
-    if let Some(pos) = list.iter().position(|&x| x == id) {
-        list.swap_remove(pos);
     }
 }
 
@@ -448,10 +736,9 @@ mod tests {
             let churn = |idx: &mut CandidateIndex| {
                 let mut freed = Vec::new();
                 for c in state.iter().step_by(3) {
-                    let ids = idx.by_clique[c[0] as usize].clone();
-                    if let Some(&id) = ids.first() {
-                        let cand = idx.cands[id as usize].as_ref().unwrap().clique;
-                        let (u, v) = (cand.as_slice()[0], cand.as_slice()[1]);
+                    let first = idx.slots_of(c[0]).next();
+                    if let Some(s) = first {
+                        let (u, v) = (idx.members.row(s)[0], idx.members.row(s)[1]);
                         idx.drop_with_edge(u, v);
                     }
                     if let Some(w) = g.neighbors(c[0]).iter().find(|&&w| state.is_free(w)) {
@@ -491,7 +778,7 @@ mod tests {
         }
         let mut state = SolutionState::new(3);
         let leader = state.add(Clique::new(&[0, 1, 2]));
-        let mut idx = CandidateIndex::empty(6);
+        let mut idx = CandidateIndex::empty(3, 6);
         let report = idx.rebuild_for_clique(&g, &state, leader);
         // {3,4,5} is all-free: surfaced in the report, never stored.
         assert_eq!(report.all_free, vec![Clique::new(&[3, 4, 5])]);
@@ -503,5 +790,143 @@ mod tests {
             cands,
             vec![Clique::new(&[2, 3, 4]), Clique::new(&[2, 3, 5]), Clique::new(&[2, 4, 5]),]
         );
+    }
+
+    /// Four slots' entries pushed front onto one list, `0, 1, 2, 3` (so
+    /// it reads `3, 2, 1, 0`), audited after every unlink.
+    #[test]
+    fn unlinking_a_lists_head_middle_and_tail_keeps_it_consistent() {
+        let mut lists = Lists::new(2, 1);
+        for s in 0..4 {
+            lists.link.reserve_slot(s, UNLINKED);
+            lists.push_front(1, entry(s, 0));
+        }
+        let walk = |lists: &Lists| {
+            let mut seen = Vec::new();
+            lists
+                .audit(1, |e| {
+                    seen.push(slot_of(e));
+                    Ok(())
+                })
+                .unwrap();
+            assert_eq!(lists.iter(1).map(slot_of).collect::<Vec<_>>(), seen);
+            seen
+        };
+        assert_eq!(walk(&lists), [3, 2, 1, 0]);
+        lists.unlink(1, entry(2, 0)); // middle
+        assert_eq!(walk(&lists), [3, 1, 0]);
+        lists.unlink(1, entry(3, 0)); // head
+        assert_eq!(walk(&lists), [1, 0]);
+        lists.unlink(1, entry(0, 0)); // tail
+        assert_eq!(walk(&lists), [1]);
+        lists.unlink(1, entry(1, 0)); // the only entry
+        assert!(walk(&lists).is_empty());
+        assert_eq!(lists.first(1), NIL);
+        assert_eq!(lists.first(0), NIL, "the other list was never touched");
+        assert_eq!(lists.first(9), NIL, "out of range reads as empty");
+    }
+
+    #[test]
+    fn audit_rejects_a_broken_prev_link() {
+        let mut lists = Lists::new(1, 1);
+        for s in 0..3 {
+            lists.link.reserve_slot(s, UNLINKED);
+            lists.push_front(0, entry(s, 0));
+        }
+        lists.link.at_mut(entry(1, 0)).prev = NIL;
+        assert!(lists.audit(0, |_| Ok(())).is_err());
+    }
+
+    #[test]
+    fn dropped_slots_are_reused_last_freed_first() {
+        let (mut g, state) = fig5_g1();
+        g.insert_edge(4, 6);
+        let mut idx = CandidateIndex::build(&g, &state, ParConfig::sequential());
+        assert_eq!((idx.len(), idx.slots), (2, 2));
+        let c1 = state.owner(2).unwrap();
+        idx.drop_with_edge(4, 6); // (v5, v6, v7) sits in slot 1
+        assert_eq!(idx.vacant, [1]);
+        idx.audit().unwrap();
+        let report = idx.rebuild_for_clique(&g, &state, c1);
+        assert!(report.has_new);
+        // Both candidates were dropped and re-inserted into the two slots;
+        // no slot was added.
+        assert_eq!((idx.len(), idx.slots), (2, 2));
+        assert!(idx.vacant.is_empty());
+        idx.validate(&g, &state).unwrap();
+        idx.drop_attached(c1);
+        assert_eq!(idx.vacant.len(), 2);
+        assert!((0..2).all(|s| idx.leader_of(s) == NIL));
+        idx.audit().unwrap();
+    }
+
+    #[test]
+    fn a_built_index_keeps_spare_slots_for_later_inserts() {
+        let (g, state) = planted_graph(3, 1);
+        let mut idx = CandidateIndex::build(&g, &state, ParConfig::sequential());
+        let (slots, pages) = (idx.slots, idx.members.pages.len());
+        assert!(pages * PAGE_SLOTS >= slots + slots / SPARE_DIVISOR);
+        // Fill every spare slot: no page is added.
+        let leader = state.iter().next().unwrap()[0];
+        let top = g.num_nodes() as NodeId;
+        for i in slots..pages * PAGE_SLOTS {
+            idx.insert(&[leader, top + 2 * i as NodeId, top + 2 * i as NodeId + 1], leader);
+        }
+        assert_eq!(idx.members.pages.len(), pages);
+        idx.audit().unwrap();
+        idx.insert(
+            &[leader, 2 * top + 4 * PAGE_SLOTS as NodeId, 2 * top + 5 * PAGE_SLOTS as NodeId],
+            leader,
+        );
+        assert_eq!(idx.members.pages.len(), pages + 1);
+        idx.audit().unwrap();
+    }
+
+    #[test]
+    fn slots_past_one_page_keep_their_rows_and_links() {
+        // Three pages' worth of candidates on one leader: growth adds pages
+        // and never moves a stored row.
+        let mut idx = CandidateIndex::empty(3, 2);
+        let n = 2 * PAGE_SLOTS as u32 + 5;
+        for s in 0..n {
+            idx.insert(&[0, 1 + 2 * s, 2 + 2 * s], 0);
+        }
+        assert_eq!((idx.len(), idx.slots, idx.members.pages.len()), (n as usize, n as usize, 3));
+        assert_eq!(
+            idx.members.row(PAGE_SLOTS as u32),
+            [0, 1 + 2 * PAGE_SLOTS as u32, 2 + 2 * PAGE_SLOTS as u32]
+        );
+        assert_eq!(idx.candidates_of(0).len(), n as usize);
+        idx.audit().unwrap();
+        idx.drop_containing_node(1 + 2 * PAGE_SLOTS as u32);
+        idx.drop_with_edge(0, 2);
+        assert_eq!(idx.len(), n as usize - 2);
+        idx.audit().unwrap();
+        idx.drop_attached(0);
+        assert!(idx.is_empty());
+        idx.audit().unwrap();
+    }
+
+    #[test]
+    fn inserting_beyond_the_node_range_grows_both_heads() {
+        let mut idx = CandidateIndex::empty(3, 2);
+        idx.insert(&[5, 6, 7], 5);
+        assert_eq!((idx.by_leader.head.len(), idx.by_node.head.len()), (8, 8));
+        idx.audit().unwrap();
+        assert_eq!(idx.candidates_of(5), vec![Clique::new(&[5, 6, 7])]);
+        // Reads and drops past the range are no-ops.
+        assert!(idx.candidates_of(100).is_empty());
+        idx.drop_containing_node(100);
+        idx.drop_with_edge(100, 5);
+        idx.drop_attached(100);
+        assert_eq!(idx.len(), 1);
+        idx.ensure_node(11);
+        assert_eq!((idx.by_leader.head.len(), idx.by_node.head.len()), (12, 12));
+        idx.ensure_node(3); // never shrinks
+        assert_eq!(idx.by_node.head.len(), 12);
+        idx.audit().unwrap();
+        idx.drop_containing_node(6);
+        assert!(idx.is_empty());
+        idx.audit().unwrap();
     }
 }

@@ -9,12 +9,13 @@ use crate::protocol::{
     render_improve_request, render_query_request, render_shards_request, render_update_request,
     Query,
 };
+use crate::server::send_line;
 use dkc_dynamic::EdgeUpdate;
 use dkc_graph::NodeId;
 use dkc_json::Json;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
@@ -299,8 +300,7 @@ fn drive_connection(cfg: &LoadgenConfig, seed: u64) -> std::io::Result<ConnResul
             render_query_request(Query::GroupOf(probe))
         };
         let t = Instant::now();
-        writeln!(writer, "{request}")?;
-        writer.flush()?;
+        send_line(&mut writer, request)?;
         line.clear();
         let n = reader.read_line(&mut line)?;
         let latency = t.elapsed();
@@ -332,8 +332,7 @@ pub fn fetch_pools(addr: &str) -> std::io::Result<Vec<Vec<NodeId>>> {
     let stream = TcpStream::connect(addr)?;
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
-    writeln!(writer, "{}", render_shards_request(true))?;
-    writer.flush()?;
+    send_line(&mut writer, render_shards_request(true))?;
     let mut line = String::new();
     reader.read_line(&mut line)?;
     let v = Json::parse(line.trim_end())
@@ -366,8 +365,7 @@ fn final_stats(addr: &str) -> std::io::Result<(u64, usize)> {
     let stream = TcpStream::connect(addr)?;
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
-    writeln!(writer, "{}", render_query_request(Query::Stats))?;
-    writer.flush()?;
+    send_line(&mut writer, render_query_request(Query::Stats))?;
     let mut line = String::new();
     reader.read_line(&mut line)?;
     let v = Json::parse(line.trim_end())

@@ -322,28 +322,50 @@ pub fn group_of_reply(view: &SolutionView, node: NodeId) -> Json {
     Json::Obj(m)
 }
 
-/// The `query solution` reply.
+/// The `query solution` reply as a [`Json`] value: the text of
+/// [`solution_line`] without its newline.
 pub fn solution_reply(view: &SolutionView) -> Json {
-    let mut m = ok_members(view.epoch());
-    m.push(("k".into(), Json::usize(view.k())));
-    m.push(("size".into(), Json::usize(view.len())));
-    m.push(("covered_nodes".into(), Json::usize(view.covered_nodes())));
-    // The view caches each page's text, so this re-renders only the pages
-    // written since they were last rendered; the rest is one copy.
+    let mut line = solution_line(view);
+    line.pop();
+    Json::Raw(line)
+}
+
+/// The `query solution` reply line, trailing `\n` included, rendered into
+/// one `String` of exact size. The view caches each page's text, so this
+/// re-renders only the pages written since they were last rendered; the
+/// rest is one copy into the reply.
+pub fn solution_line(view: &SolutionView) -> String {
+    solution_line_into(view, String::new())
+}
+
+/// [`solution_line`] rendered into `line`'s buffer, whose old contents are
+/// discarded. The buffer grows to exactly the reply's length when it is
+/// too small, and is never reallocated while the reply is written.
+pub fn solution_line_into(view: &SolutionView, mut line: String) -> String {
+    let head = format!(
+        r#"{{"ok":true,"epoch":{},"k":{},"size":{},"covered_nodes":{},"cliques":["#,
+        view.epoch(),
+        view.k(),
+        view.len(),
+        view.covered_nodes()
+    );
     let pages: Vec<&str> = view.cliques_json().collect();
-    let len = pages.iter().map(|p| p.len()).sum::<usize>() + pages.len().saturating_sub(1) + 2;
-    let mut cliques = String::with_capacity(len);
-    cliques.push('[');
+    let len = head.len()
+        + pages.iter().map(|p| p.len()).sum::<usize>()
+        + pages.len().saturating_sub(1)
+        + "]}\n".len();
+    line.clear();
+    line.reserve_exact(len);
+    line.push_str(&head);
     for (i, page) in pages.iter().enumerate() {
         if i > 0 {
-            cliques.push(',');
+            line.push(',');
         }
-        cliques.push_str(page);
+        line.push_str(page);
     }
-    cliques.push(']');
-    debug_assert_eq!(cliques.len(), len);
-    m.push(("cliques".into(), Json::Raw(cliques)));
-    Json::Obj(m)
+    line.push_str("]}\n");
+    debug_assert_eq!(line.len(), len);
+    line
 }
 
 /// The `query stats` reply.
@@ -578,7 +600,13 @@ mod tests {
             let view = SolutionView::new(7, 200_001, s, UpdateStats::default());
             for _ in 0..2 {
                 // The second render reads the cached page text.
-                assert_eq!(solution_reply(&view).render(), solution_tree(&view).render());
+                let tree = solution_tree(&view).render();
+                assert_eq!(solution_reply(&view).render(), tree);
+                let line = solution_line(&view);
+                assert_eq!(line, format!("{tree}\n"));
+                assert_eq!(line.capacity(), line.len(), "rendered at exact size");
+                let reused = solution_line_into(&view, "stale".repeat(100_000));
+                assert_eq!(reused, line, "a reused buffer yields the same bytes");
             }
         }
     }

@@ -29,10 +29,10 @@
 
 use crate::protocol::{
     error_reply, group_of_reply, parse_request, render_command_request, render_tail_request,
-    shutdown_reply, solution_reply, stats_reply, Query, Request,
+    shutdown_reply, solution_line, stats_reply, Query, Request,
 };
 use crate::queue::{BoundedQueue, Pop};
-use crate::server::read_line_patiently;
+use crate::server::{read_line_patiently, send_line};
 use dkc_dynamic::{parse_records, LogRecord, ServingSolver, SharedView};
 use dkc_json::Json;
 use std::io::{BufRead, BufReader, Write};
@@ -176,8 +176,7 @@ fn call_once(
     stream.set_nodelay(true).ok();
     stream.set_read_timeout(Some(Duration::from_millis(200))).ok();
     let mut writer = stream.try_clone()?;
-    writeln!(writer, "{line}")?;
-    writer.flush()?;
+    send_line(&mut writer, line.to_owned())?;
     let mut reader = BufReader::new(stream);
     let mut buf = String::new();
     loop {
@@ -261,10 +260,7 @@ fn applier_loop(
             Ok(w) => w,
             Err(_) => continue,
         };
-        if writeln!(writer, "{}", render_tail_request(serving.epoch()))
-            .and_then(|()| writer.flush())
-            .is_err()
-        {
+        if send_line(&mut writer, render_tail_request(serving.epoch())).is_err() {
             std::thread::sleep(backoff);
             continue;
         }
@@ -379,15 +375,19 @@ fn serve_connection(stream: TcpStream, cell: &ViewCell, shutdown: &AtomicBool, p
                 let view = cell.read().expect("view cell").current();
                 match query {
                     Query::GroupOf(node) => group_of_reply(&view, node).render(),
-                    Query::Solution => solution_reply(&view).render(),
+                    Query::Solution => {
+                        // Already newline-terminated.
+                        if writer.write_all(solution_line(&view).as_bytes()).is_err() {
+                            return;
+                        }
+                        continue;
+                    }
                     Query::Stats => stats_reply(&view).render(),
                 }
             }
             Ok(Request::Shutdown) => {
                 let epoch = cell.read().expect("view cell").current().epoch();
-                let reply = shutdown_reply(epoch).render();
-                let _ = writeln!(writer, "{reply}");
-                let _ = writer.flush();
+                let _ = send_line(&mut writer, shutdown_reply(epoch).render());
                 shutdown.store(true, Ordering::SeqCst);
                 return;
             }
@@ -396,7 +396,7 @@ fn serve_connection(stream: TcpStream, cell: &ViewCell, shutdown: &AtomicBool, p
             ))
             .render(),
         };
-        if writeln!(writer, "{reply}").and_then(|()| writer.flush()).is_err() {
+        if send_line(&mut writer, reply).is_err() {
             return;
         }
     }

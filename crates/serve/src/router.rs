@@ -34,12 +34,12 @@ use crate::protocol::{
     error_reply, parse_request, render_query_request, render_update_request, Query, Request,
 };
 use crate::queue::{BoundedQueue, Pop};
-use crate::server::read_line_patiently;
+use crate::server::{read_line_patiently, send_line};
 use dkc_dynamic::EdgeUpdate;
 use dkc_graph::ShardPlan;
 use dkc_json::Json;
 use std::collections::HashMap;
-use std::io::{BufReader, Write};
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -230,8 +230,7 @@ impl ConnCache {
         }
         let conn = self.map.get_mut(addr).expect("just inserted");
         let result = (|| {
-            writeln!(conn.writer, "{line}")?;
-            conn.writer.flush()?;
+            send_line(&mut conn.writer, line.to_owned())?;
             let mut buf = String::new();
             read_line_patiently(&mut conn.reader, &mut buf, shutdown)
                 .ok_or_else(|| std::io::Error::other("downstream connection closed"))?;
@@ -361,7 +360,7 @@ fn handle_connection(stream: TcpStream, core: &RouterCore) {
             continue;
         }
         let (reply, stop) = route_request(core, &mut conns, line.trim_end());
-        if writeln!(writer, "{reply}").and_then(|()| writer.flush()).is_err() {
+        if send_line(&mut writer, reply).is_err() {
             return;
         }
         if stop {

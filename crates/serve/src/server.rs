@@ -24,11 +24,11 @@
 //! connections (reads time out periodically so idle connections notice),
 //! and [`ServerHandle::join`] drains and joins everything.
 
-use crate::cache::ReplyCache;
+use crate::cache::{Body, ReplyCache};
 use crate::hub::{ReplicationHub, TailGap};
 use crate::protocol::{
     error_reply, fetch_reply, group_of_reply, improve_reply, parse_request, shutdown_reply,
-    snapshot_reply, solution_reply, solve_reply, stats_reply, tail_ack, update_reply, Query,
+    snapshot_reply, solution_line_into, solve_reply, stats_reply, tail_ack, update_reply, Query,
     Request,
 };
 use crate::queue::{BoundedQueue, Pop};
@@ -250,6 +250,14 @@ fn worker_loop(
     }
 }
 
+/// Writes `line` plus its terminating `\n` in one `write_all`: on a raw
+/// `TcpStream`, `writeln!` issues one `write` per formatted piece, so a
+/// reply would leave as two segments. Shared with every front end.
+pub(crate) fn send_line(writer: &mut impl Write, mut line: String) -> std::io::Result<()> {
+    line.push('\n');
+    writer.write_all(line.as_bytes())
+}
+
 /// Reads one line, tolerating read timeouts (so idle connections observe
 /// shutdown). Returns `None` on EOF, connection error, or shutdown.
 /// Shared with the router and replica front ends.
@@ -306,9 +314,10 @@ fn handle_connection(
             continue;
         }
         out.clear();
-        // Cache hits borrow the shared rendered body instead of copying
-        // it into `out`; exactly one of `cached` / `out` carries the reply.
-        let mut cached: Option<Arc<str>> = None;
+        // Cache hits borrow the shared rendered line (newline included)
+        // instead of copying it into `out`; exactly one of `cached` / `out`
+        // carries the reply.
+        let mut cached: Option<Body> = None;
         match parse_request(line.trim_end()) {
             Err(message) => error_reply(message).render_into(&mut out),
             Ok(Request::Query(query)) => {
@@ -322,7 +331,7 @@ fn handle_connection(
                         // Epoch-keyed: the first reader at this epoch
                         // renders, every later one serves the same bytes.
                         cached = Some(
-                            cache.solution_body(view.epoch(), || solution_reply(&view).render()),
+                            cache.solution_body(view.epoch(), |buf| solution_line_into(&view, buf)),
                         );
                     }
                     Query::Stats => {
@@ -398,21 +407,20 @@ fn handle_connection(
                     .render_into(&mut out)
             }
             Ok(Request::Shutdown) => {
-                shutdown_reply(shared.current().epoch()).render_into(&mut out);
-                let _ = writeln!(writer, "{out}");
-                let _ = writer.flush();
+                let _ = send_line(&mut writer, shutdown_reply(shared.current().epoch()).render());
                 shutdown.store(true, Ordering::SeqCst);
                 return;
             }
         };
-        // Same bytes as `writeln!(writer, "{body}")`: body then one '\n'.
-        let body: &str = cached.as_deref().unwrap_or(&out);
-        if writer
-            .write_all(body.as_bytes())
-            .and_then(|()| writer.write_all(b"\n"))
-            .and_then(|()| writer.flush())
-            .is_err()
-        {
+        // One `write` per reply: the line and its '\n' leave together.
+        let line: &str = match &cached {
+            Some(body) => body,
+            None => {
+                out.push('\n');
+                &out
+            }
+        };
+        if writer.write_all(line.as_bytes()).is_err() {
             return;
         }
     }
@@ -430,8 +438,7 @@ fn tail_connection(
     from: u64,
     shutdown: &AtomicBool,
 ) {
-    let ack = tail_ack(shared.current().epoch(), from).render();
-    if writeln!(writer, "{ack}").and_then(|()| writer.flush()).is_err() {
+    if send_line(writer, tail_ack(shared.current().epoch(), from).render()).is_err() {
         return;
     }
     let mut cursor = from;
@@ -449,16 +456,15 @@ fn tail_connection(
                 cursor = next;
             }
             Err(TailGap::Timeout) => {
-                if writeln!(writer, "# keepalive").and_then(|()| writer.flush()).is_err() {
+                if writer.write_all(b"# keepalive\n").is_err() {
                     return;
                 }
             }
             Err(TailGap::Stale { oldest }) => {
-                let _ = writeln!(
+                let _ = send_line(
                     writer,
-                    "# stale: oldest retained epoch is {oldest}, re-bootstrap with fetch"
+                    format!("# stale: oldest retained epoch is {oldest}, re-bootstrap with fetch"),
                 );
-                let _ = writer.flush();
                 return;
             }
             Err(TailGap::Closed) => return,
@@ -648,7 +654,7 @@ fn run_writer_op(
             let body = fetch_reply(serving.epoch(), state).render();
             // Publish for the readers: later fetches at this epoch are
             // served straight from the cache, no writer round-trip.
-            cache.store_fetch(serving.epoch(), &body);
+            cache.store_fetch(serving.epoch(), format!("{body}\n"));
             let _ = reply.send(body);
         }
     }
@@ -747,9 +753,9 @@ mod tests {
     /// Restoring the state directory reproduces the live `solution` reply
     /// byte for byte.
     fn assert_restores(dir: &Path, live: &SharedView) {
-        let live = solution_reply(&live.current()).render();
+        let live = crate::protocol::solution_line(&live.current());
         let restored = ServingSolver::restore(dir).expect("restore");
-        assert_eq!(solution_reply(&restored.view()).render(), live);
+        assert_eq!(crate::protocol::solution_line(&restored.view()), live);
         std::fs::remove_dir_all(dir).ok();
     }
 
