@@ -86,9 +86,6 @@ pub fn gates() -> &'static [GateSpec] {
         GateSpec { metric: "serve_p99_us", kind: TAIL },
         GateSpec { metric: "serve_errors", kind: EXACT },
         GateSpec { metric: "serve_cached_read_p99_us", kind: TAIL },
-        GateSpec { metric: "serve_sharded_p99_us", kind: TAIL },
-        GateSpec { metric: "router_merge_replies", kind: EXACT },
-        GateSpec { metric: "serve_sharded_errors", kind: EXACT },
         GateSpec { metric: "improve_step_us", kind: STEP },
         GateSpec { metric: "improve_uplift", kind: EXACT },
         GateSpec { metric: "improve_moves_applied", kind: EXACT },

@@ -16,7 +16,6 @@
 //! | `index_live_bytes` | live heap of a sequential candidate-index build over the LP solution | |
 //! | `serve_p{50,95,99}_us` | in-process `dkc-serve` + seeded loadgen | `serve_errors` |
 //! | `serve_cached_read_p99_us` | read-only loadgen (reply-cache hits) | |
-//! | `serve_sharded_p99_us` | the same loadgen against a 2-shard router | `router_merge_replies`, `serve_sharded_errors` |
 //! | `improve_step_us` | per-step cost of the `dkc-improve` pass over HG | `improve_uplift`, `improve_moves_applied` |
 //!
 //! Timings aggregate to `{median, min}` over [`SuiteConfig::reps`];
@@ -35,11 +34,9 @@ use dkc_dynamic::{CandidateIndex, EdgeUpdate, ServingSolver, SolutionState};
 use dkc_graph::io::{
     load_graph, read_snapshot_path, write_edge_list_labeled, write_snapshot_path, LoadedGraph,
 };
-use dkc_graph::{partition_shards, Dag, DynGraph, NodeOrder, OrderingKind};
-use dkc_json::Json;
+use dkc_graph::{Dag, DynGraph, NodeOrder, OrderingKind};
 use dkc_par::ParConfig;
-use dkc_serve::protocol::{render_query_request, Query};
-use dkc_serve::{run_loadgen, LoadgenConfig, Router, RouterConfig, Server, ServerConfig};
+use dkc_serve::{run_loadgen, LoadgenConfig, Server, ServerConfig};
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -297,7 +294,6 @@ pub fn run_suite(cfg: &SuiteConfig) -> Result<SuiteOutcome, SuiteError> {
             batch: 8,
             nodes: (g.num_nodes() as dkc_graph::NodeId).max(2),
             seed: cfg.seed,
-            pools: None,
         };
         let report = run_loadgen(&lg);
         handle.stop();
@@ -337,7 +333,6 @@ pub fn run_suite(cfg: &SuiteConfig) -> Result<SuiteOutcome, SuiteError> {
             batch: 8,
             nodes: (g.num_nodes() as dkc_graph::NodeId).max(2),
             seed: cfg.seed,
-            pools: None,
         };
         let report = run_loadgen(&lg);
         handle.stop();
@@ -347,64 +342,7 @@ pub fn run_suite(cfg: &SuiteConfig) -> Result<SuiteOutcome, SuiteError> {
     }
     push("serve_cached_read_p99_us", MetricValue::summarize(cached_p99s));
 
-    // 7. Sharded serving: the identical seeded loadgen, with pool-local
-    //    endpoints, against a 2-shard deployment behind the router. The
-    //    merge counter is deterministic (the stats-op schedule is a pure
-    //    function of the loadgen seed), so it gates exactly.
-    const SHARDS: usize = 2;
-    let plan = partition_shards(&g, SHARDS, cfg.seed);
-    let pools = plan.node_pools();
-    let mut p99s = Vec::with_capacity(reps);
-    let mut merges = 0u64;
-    let mut sharded_errors = 0u64;
-    for _ in 0..reps {
-        let mut shard_handles = Vec::with_capacity(SHARDS);
-        let mut addrs = Vec::with_capacity(SHARDS);
-        for s in 0..SHARDS {
-            let serving = ServingSolver::in_memory(&plan.shard_graph(&g, s), request)
-                .map_err(|e| fail("shard init", e))?;
-            let listener =
-                std::net::TcpListener::bind(("127.0.0.1", 0)).map_err(|e| fail("shard bind", e))?;
-            let handle = Server::start(listener, serving, ServerConfig::default())
-                .map_err(|e| fail("shard start", e))?;
-            addrs.push(handle.local_addr().to_string());
-            shard_handles.push(handle);
-        }
-        let listener =
-            std::net::TcpListener::bind(("127.0.0.1", 0)).map_err(|e| fail("router bind", e))?;
-        let router = Router::start(listener, addrs, plan.clone(), RouterConfig::default())
-            .map_err(|e| fail("router start", e))?;
-        let lg = LoadgenConfig {
-            addr: router.local_addr().to_string(),
-            connections: cfg.serve_conns.max(1),
-            ops_per_connection: cfg.serve_ops.max(1),
-            warmup_ops: cfg.serve_warmup,
-            update_fraction: 0.3,
-            improve_fraction: 0.0,
-            improve_steps: 64,
-            batch: 8,
-            nodes: (g.num_nodes() as dkc_graph::NodeId).max(2),
-            seed: cfg.seed,
-            pools: Some(pools.clone()),
-        };
-        let report = run_loadgen(&lg);
-        let observed = router_merges(&router.local_addr().to_string());
-        router.stop();
-        router.join();
-        for handle in shard_handles {
-            handle.stop();
-            handle.join();
-        }
-        let report = report.map_err(|e| fail("sharded loadgen", e))?;
-        p99s.push(report.queries.p99.as_micros() as u64);
-        merges += observed?;
-        sharded_errors += report.errors as u64;
-    }
-    push("serve_sharded_p99_us", MetricValue::summarize(p99s));
-    push("router_merge_replies", MetricValue::counter(merges));
-    push("serve_sharded_errors", MetricValue::counter(sharded_errors));
-
-    // 8. Improvement: the `dkc-improve` local-search pass over the HG
+    // 7. Improvement: the `dkc-improve` local-search pass over the HG
     //    construction (the construction with the most headroom left; LP is
     //    near-optimal at this scale). Step budget and seed are pinned, so
     //    the uplift and applied-move counts are deterministic and gate
@@ -434,27 +372,6 @@ pub fn run_suite(cfg: &SuiteConfig) -> Result<SuiteOutcome, SuiteError> {
 
 fn ns(t: Instant) -> u64 {
     t.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64
-}
-
-/// Reads the router's lifetime merge counter via a stats query. The query
-/// itself is counted as a merge before the reply renders, so the observed
-/// value covers every fan-out of the run — still a pure function of the
-/// loadgen schedule, which is what lets it gate exactly.
-fn router_merges(addr: &str) -> Result<u64, SuiteError> {
-    use std::io::{BufRead, BufReader, Write};
-    let stream = std::net::TcpStream::connect(addr).map_err(|e| fail("router stats", e))?;
-    let mut writer = stream.try_clone().map_err(|e| fail("router stats", e))?;
-    let mut reader = BufReader::new(stream);
-    writeln!(writer, "{}", render_query_request(Query::Stats))
-        .map_err(|e| fail("router stats", e))?;
-    writer.flush().map_err(|e| fail("router stats", e))?;
-    let mut line = String::new();
-    reader.read_line(&mut line).map_err(|e| fail("router stats", e))?;
-    let v = Json::parse(line.trim_end()).map_err(|e| fail("router stats", e))?;
-    v.get("router")
-        .and_then(|r| r.get("merges"))
-        .and_then(Json::as_u64)
-        .ok_or_else(|| SuiteError("router stats reply lacks router.merges".into()))
 }
 
 /// Both ingestion paths must reproduce the resolved graph — a format

@@ -368,7 +368,9 @@ fn parse_log(text: &str) -> Result<Vec<LogRecord>, LogError> {
                     .next()
                     .and_then(|t| t.parse().ok())
                     .ok_or_else(|| corrupt(lineno, "bad batch length"))?;
-                pending = Some(Pending::Batch(len, Vec::with_capacity(len)));
+                // `len` is untrusted input: the updates grow as their lines
+                // arrive, and a wrong count fails at the commit marker.
+                pending = Some(Pending::Batch(len, Vec::new()));
             }
             "i" => {
                 if pending.is_some() {
@@ -560,6 +562,21 @@ mod tests {
         std::fs::write(&path, format!("{HEADER}\nzz\n")).unwrap();
         assert!(UpdateLog::replay(&path).is_err());
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_huge_batch_length_is_corrupt_or_a_discarded_tail_never_a_panic() {
+        for len in ["18446744073709551615", "1000000000000"] {
+            let committed = format!("{HEADER}\nb {len}\n+ 1 2\nc\n");
+            match parse_records(&committed) {
+                Err(LogError::Corrupt { line: 4, message }) => {
+                    assert_eq!(message, "batch length mismatch", "b {len}")
+                }
+                other => panic!("b {len}: expected a length mismatch, got {other:?}"),
+            }
+            let torn = format!("{HEADER}\nb {len}\n+ 1 2\n");
+            assert_eq!(parse_records(&torn).unwrap(), Vec::new(), "b {len}");
+        }
     }
 
     #[test]

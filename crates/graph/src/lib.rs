@@ -35,7 +35,6 @@ mod dynamic;
 mod error;
 pub mod io;
 mod order;
-mod partition;
 mod stats;
 mod subgraph;
 
@@ -48,7 +47,6 @@ pub use error::{GraphError, SnapshotError};
 pub use order::{
     degeneracy_removal_order, greedy_coloring, NodeOrder, OrderingKind, ParseOrderingError,
 };
-pub use partition::{partition_shards, ShardPlan};
 pub use stats::GraphStats;
 pub use subgraph::InducedSubgraph;
 

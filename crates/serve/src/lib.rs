@@ -23,10 +23,10 @@
 //! | `update` | insert/delete edge batch → journaled, applied, new epoch |
 //! | `query group_of` / `solution` / `stats` | read at one consistent epoch |
 //! | `solve` | full from-scratch [`dkc_core::Engine`] run on the current graph |
+//! | `improve` | one bounded local-search slice → journaled, new epoch if it applied moves |
 //! | `snapshot` | persist state (`.dkcsr` + meta, new generation) and start a fresh log |
 //! | `shutdown` | graceful stop (journal synced) |
 //! | `fetch` / `tail` | replication: full state export / committed-journal stream |
-//! | `shards` / `register_replica` | router topology report / replica announcement |
 //!
 //! Update commands are bounded: node ids beyond the server's growth cap
 //! ([`ServerConfig::max_node`], derived from the served graph by default)
@@ -39,21 +39,15 @@
 //! journal tail — the restored server answers with the exact epoch, `|S|`
 //! and membership of the stopped one (see `dkc_dynamic::serving`).
 //!
-//! ## Sharding & replication
+//! ## Read replicas
 //!
-//! A deployment scales horizontally with a [`Router`] over several shard
-//! primaries (one [`Server`] each, serving the shard subgraph of a
-//! `dkc_graph::ShardPlan`): updates route by the node→shard map (cut-edge
-//! updates are dropped and counted, never half-applied), reads fan out
-//! and merge under a per-shard epoch vector stamped into every merged
-//! reply. A [`Replica`] bootstraps from a primary with `fetch`, tails its
-//! journal over the wire (committed records only — the wire format is the
-//! on-disk log format), serves read-only queries from its own view, and
-//! joins the router's per-shard read rotation bounded by
-//! [`RouterConfig::staleness`] (max epoch lag before the router re-asks
-//! the primary). [`loadgen`] grows a pool-local mode
-//! ([`LoadgenConfig::pools`]) so a seeded op stream applies identically
-//! on 1-shard and N-shard deployments.
+//! One server keeps one maintained result over the whole graph. Reads
+//! scale out through [`Replica`]s: a replica bootstraps from the primary
+//! with `fetch`, tails its journal over the wire (committed records only —
+//! the wire format is the on-disk log format), and serves read-only
+//! queries from its own view, which is bit-identical to the primary's at
+//! every epoch it has caught up to. A replica refuses mutating commands
+//! with an error that names the primary.
 //!
 //! ## Example (in-process)
 //!
@@ -91,11 +85,9 @@ pub mod loadgen;
 pub mod protocol;
 mod queue;
 mod replica;
-mod router;
 mod server;
 
-pub use loadgen::{fetch_pools, run_loadgen, LatencySummary, LoadgenConfig, LoadgenReport};
+pub use loadgen::{run_loadgen, LatencySummary, LoadgenConfig, LoadgenReport};
 pub use protocol::{Query, Request};
 pub use replica::{Replica, ReplicaConfig, ReplicaHandle};
-pub use router::{Router, RouterConfig, RouterHandle};
 pub use server::{Server, ServerConfig, ServerHandle};

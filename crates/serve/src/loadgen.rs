@@ -5,10 +5,7 @@
 //! and reports throughput plus per-kind latency percentiles — the
 //! measurement harness behind `dkc loadgen`.
 
-use crate::protocol::{
-    render_improve_request, render_query_request, render_shards_request, render_update_request,
-    Query,
-};
+use crate::protocol::{render_improve_request, render_query_request, render_update_request, Query};
 use crate::server::send_line;
 use dkc_dynamic::EdgeUpdate;
 use dkc_graph::NodeId;
@@ -51,15 +48,6 @@ pub struct LoadgenConfig {
     pub nodes: NodeId,
     /// Workload seed (connection `i` derives seed `seed + i`).
     pub seed: u64,
-    /// Multi-shard mode: draw both endpoints of every update (and every
-    /// `group_of` probe) from within one of these node pools — a shard
-    /// plan's [`node_pools`]. Pool-local updates never touch cut edges, so
-    /// the identical seeded op stream applies byte-identically on a
-    /// 1-shard and an N-shard deployment — the fair scaling comparison.
-    /// `None` keeps the classic uniform `0..nodes` draw.
-    ///
-    /// [`node_pools`]: dkc_graph::ShardPlan::node_pools
-    pub pools: Option<Vec<Vec<NodeId>>>,
 }
 
 impl Default for LoadgenConfig {
@@ -75,7 +63,6 @@ impl Default for LoadgenConfig {
             batch: 8,
             nodes: 100,
             seed: 42,
-            pools: None,
         }
     }
 }
@@ -232,18 +219,6 @@ fn drive_connection(cfg: &LoadgenConfig, seed: u64) -> std::io::Result<ConnResul
         errors: 0,
     };
     let nodes = cfg.nodes.max(2);
-    // Pool mode: edges are drawn within one pool (pools with < 2 nodes
-    // cannot host an edge and are skipped); probes come from any pool.
-    let edge_pools: Vec<&Vec<NodeId>> = cfg
-        .pools
-        .as_ref()
-        .map(|pools| pools.iter().filter(|p| p.len() >= 2).collect())
-        .unwrap_or_default();
-    let probe_pools: Vec<&Vec<NodeId>> = cfg
-        .pools
-        .as_ref()
-        .map(|pools| pools.iter().filter(|p| !p.is_empty()).collect())
-        .unwrap_or_default();
     let mut line = String::new();
     // Warmup ops run first on the same connection and rng stream; their
     // latencies are discarded so short measured runs aren't dominated by
@@ -261,23 +236,11 @@ fn drive_connection(cfg: &LoadgenConfig, seed: u64) -> std::io::Result<ConnResul
         let request = if is_update {
             let updates: Vec<EdgeUpdate> = (0..cfg.batch.max(1))
                 .map(|_| {
-                    let (a, b) = if edge_pools.is_empty() {
-                        let a = rng.gen_range(0..nodes);
-                        let mut b = rng.gen_range(0..nodes);
-                        if a == b {
-                            b = (b + 1) % nodes;
-                        }
-                        (a, b)
-                    } else {
-                        // Both endpoints from one pool: never a cut edge.
-                        let pool = edge_pools[rng.gen_range(0..edge_pools.len())];
-                        let i = rng.gen_range(0..pool.len());
-                        let mut j = rng.gen_range(0..pool.len());
-                        if i == j {
-                            j = (j + 1) % pool.len();
-                        }
-                        (pool[i], pool[j])
-                    };
+                    let a = rng.gen_range(0..nodes);
+                    let mut b = rng.gen_range(0..nodes);
+                    if a == b {
+                        b = (b + 1) % nodes;
+                    }
                     if rng.gen_range(0..2) == 0 {
                         EdgeUpdate::Insert(a, b)
                     } else {
@@ -291,13 +254,7 @@ fn drive_connection(cfg: &LoadgenConfig, seed: u64) -> std::io::Result<ConnResul
         } else if op % 16 == 7 {
             render_query_request(Query::Stats)
         } else {
-            let probe = if probe_pools.is_empty() {
-                rng.gen_range(0..nodes)
-            } else {
-                let pool = probe_pools[rng.gen_range(0..probe_pools.len())];
-                pool[rng.gen_range(0..pool.len())]
-            };
-            render_query_request(Query::GroupOf(probe))
+            render_query_request(Query::GroupOf(rng.gen_range(0..nodes)))
         };
         let t = Instant::now();
         send_line(&mut writer, request)?;
@@ -324,41 +281,6 @@ fn drive_connection(cfg: &LoadgenConfig, seed: u64) -> std::io::Result<ConnResul
         }
     }
     Ok(result)
-}
-
-/// Fetches a router's per-shard node pools (`{"cmd":"shards","pools":true}`)
-/// for [`LoadgenConfig::pools`] — the `dkc loadgen --sharded` bootstrap.
-pub fn fetch_pools(addr: &str) -> std::io::Result<Vec<Vec<NodeId>>> {
-    let stream = TcpStream::connect(addr)?;
-    let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
-    send_line(&mut writer, render_shards_request(true))?;
-    let mut line = String::new();
-    reader.read_line(&mut line)?;
-    let v = Json::parse(line.trim_end())
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    if v.get("ok").and_then(Json::as_bool) != Some(true) {
-        let msg = v.get("error").and_then(Json::as_str).unwrap_or("shards query refused");
-        return Err(std::io::Error::other(format!("{msg} (is {addr} a router?)")));
-    }
-    let pools = v
-        .get("pools")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| std::io::Error::other("shards reply lacks pools"))?;
-    Ok(pools
-        .iter()
-        .map(|p| {
-            p.as_arr()
-                .map(|nodes| {
-                    nodes
-                        .iter()
-                        .filter_map(Json::as_u64)
-                        .filter_map(|u| NodeId::try_from(u).ok())
-                        .collect()
-                })
-                .unwrap_or_default()
-        })
-        .collect())
 }
 
 fn final_stats(addr: &str) -> std::io::Result<(u64, usize)> {

@@ -20,9 +20,6 @@
 //! {"cmd":"snapshot"}                   — persist state + truncate the log
 //! {"cmd":"fetch"}                      — full-state bootstrap (replicas)
 //! {"cmd":"tail","from":E}              — stream committed journal records
-//! {"cmd":"shards"}                     — sharded topology (router only)
-//! {"cmd":"shards","pools":true}        —  … with per-shard node pools
-//! {"cmd":"register_replica","shard":0,"addr":"127.0.0.1:7950"}
 //! {"cmd":"shutdown"}
 //! ```
 //!
@@ -40,12 +37,6 @@
 //! tail     → {"ok":true,"epoch":E,"from":F} then raw journal-format lines
 //! shutdown → {"ok":true,"epoch":E,"shutdown":true}
 //! ```
-//!
-//! A sharded deployment's router answers the same protocol, but fanned-out
-//! replies (`solution`, `stats`, `update`, `snapshot`) are **merged**: they
-//! carry an `"epochs"` per-shard epoch vector (and keep a scalar `"epoch"`
-//! — the vector's sum — so single-shard clients keep working), see
-//! [`crate::Router`].
 
 use dkc_core::{ImproveStats, SolveReport, SolveRequest};
 use dkc_dynamic::{stats_to_json, BatchOutcome, EdgeUpdate, SolutionView};
@@ -78,19 +69,6 @@ pub enum Request {
     Tail {
         /// Epoch the tailing replica is already caught up to.
         from: u64,
-    },
-    /// Sharded-deployment topology (router only). With `pools`, the reply
-    /// includes per-shard node pools for loadgen's multi-shard mode.
-    Shards {
-        /// Include per-shard node id pools in the reply.
-        pools: bool,
-    },
-    /// Announce a read replica serving a shard (router only).
-    RegisterReplica {
-        /// Shard index the replica replicates.
-        shard: usize,
-        /// Address the replica answers queries on.
-        addr: String,
     },
     /// Stop the server.
     Shutdown,
@@ -172,27 +150,10 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 .ok_or_else(|| "tail needs a \"from\" epoch".to_string())?;
             Ok(Request::Tail { from })
         }
-        "shards" => {
-            let pools = v.get("pools").and_then(Json::as_bool).unwrap_or(false);
-            Ok(Request::Shards { pools })
-        }
-        "register_replica" => {
-            let shard = v
-                .get("shard")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| "register_replica needs a \"shard\" index".to_string())?
-                as usize;
-            let addr = v
-                .get("addr")
-                .and_then(Json::as_str)
-                .ok_or_else(|| "register_replica needs an \"addr\"".to_string())?
-                .to_string();
-            Ok(Request::RegisterReplica { shard, addr })
-        }
         "shutdown" => Ok(Request::Shutdown),
         other => Err(format!(
             "unknown command {other:?} \
-             (try update|query|solve|improve|snapshot|fetch|tail|shards|register_replica|shutdown)"
+             (try update|query|solve|improve|snapshot|fetch|tail|shutdown)"
         )),
     }
 }
@@ -247,8 +208,8 @@ pub fn render_query_request(query: Query) -> String {
     Json::Obj(members).render()
 }
 
-/// Renders a bare command (`solve` / `snapshot` / `fetch` / `shards` /
-/// `shutdown`) request line.
+/// Renders a bare command (`solve` / `snapshot` / `fetch` / `shutdown`)
+/// request line.
 pub fn render_command_request(cmd: &str) -> String {
     Json::Obj(vec![("cmd".into(), Json::str(cmd))]).render()
 }
@@ -265,25 +226,6 @@ pub fn render_improve_request(steps: u64, seed: Option<u64>) -> String {
 /// Renders a `tail` request line (replica side).
 pub fn render_tail_request(from: u64) -> String {
     Json::Obj(vec![("cmd".into(), Json::str("tail")), ("from".into(), Json::u64(from))]).render()
-}
-
-/// Renders a `shards` topology request line.
-pub fn render_shards_request(pools: bool) -> String {
-    let mut m = vec![("cmd".into(), Json::str("shards"))];
-    if pools {
-        m.push(("pools".into(), Json::Bool(true)));
-    }
-    Json::Obj(m).render()
-}
-
-/// Renders a `register_replica` announcement line.
-pub fn render_register_replica_request(shard: usize, addr: &str) -> String {
-    Json::Obj(vec![
-        ("cmd".into(), Json::str("register_replica")),
-        ("shard".into(), Json::usize(shard)),
-        ("addr".into(), Json::str(addr)),
-    ])
-    .render()
 }
 
 fn ok_members(epoch: u64) -> Vec<(String, Json)> {
@@ -490,22 +432,9 @@ mod tests {
     }
 
     #[test]
-    fn replication_and_topology_requests_roundtrip() {
+    fn replication_requests_roundtrip() {
         assert_eq!(parse_request(&render_tail_request(7)).unwrap(), Request::Tail { from: 7 });
-        assert_eq!(
-            parse_request(&render_shards_request(false)).unwrap(),
-            Request::Shards { pools: false }
-        );
-        assert_eq!(
-            parse_request(&render_shards_request(true)).unwrap(),
-            Request::Shards { pools: true }
-        );
-        assert_eq!(
-            parse_request(&render_register_replica_request(1, "127.0.0.1:7950")).unwrap(),
-            Request::RegisterReplica { shard: 1, addr: "127.0.0.1:7950".into() }
-        );
         assert!(parse_request(r#"{"cmd":"tail"}"#).is_err());
-        assert!(parse_request(r#"{"cmd":"register_replica","shard":0}"#).is_err());
     }
 
     #[test]

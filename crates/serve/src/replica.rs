@@ -1,6 +1,6 @@
-//! Read replicas: tail a shard's update log over the wire, serve queries.
+//! Read replicas: tail a primary's update log over the wire, serve queries.
 //!
-//! A replica bootstraps by `fetch`ing the shard primary's full serving
+//! A replica bootstraps by `fetch`ing the primary's full serving
 //! state (graph and solution; a solver built from them behaves exactly
 //! like the primary's), then holds a `tail` connection streaming committed
 //! journal records and applies each one — batches with
@@ -77,18 +77,18 @@ pub struct ReplicaHandle {
 }
 
 impl Replica {
-    /// Bootstraps from the shard primary at `shard_addr` (blocking
+    /// Bootstraps from the primary at `primary_addr` (blocking
     /// `fetch`), then serves read queries on `listener` while a background
     /// applier tails the primary's journal. Returns once the bootstrap
     /// completed — the replica is immediately consistent as of the fetched
     /// epoch.
     pub fn start(
-        shard_addr: &str,
+        primary_addr: &str,
         listener: TcpListener,
         config: ReplicaConfig,
     ) -> std::io::Result<ReplicaHandle> {
         let shutdown = Arc::new(AtomicBool::new(false));
-        let serving = fetch_state(shard_addr, config.bootstrap_timeout, &shutdown)?;
+        let serving = fetch_state(primary_addr, config.bootstrap_timeout, &shutdown)?;
         let cell: ViewCell = Arc::new(RwLock::new(serving.reader()));
 
         let local_addr = listener.local_addr()?;
@@ -118,7 +118,7 @@ impl Replica {
                 let shutdown = Arc::clone(&shutdown);
                 let conn_queue = Arc::clone(&conn_queue);
                 let cell = Arc::clone(&cell);
-                let primary = shard_addr.to_string();
+                let primary = primary_addr.to_string();
                 std::thread::spawn(move || loop {
                     match conn_queue.pop_timeout(Duration::from_millis(100)) {
                         Pop::Item(stream) => serve_connection(stream, &cell, &shutdown, &primary),
@@ -131,7 +131,7 @@ impl Replica {
         let applier = {
             let shutdown = Arc::clone(&shutdown);
             let cell = Arc::clone(&cell);
-            let primary = shard_addr.to_string();
+            let primary = primary_addr.to_string();
             let timeout = config.bootstrap_timeout;
             std::thread::spawn(move || applier_loop(serving, &cell, &primary, timeout, &shutdown))
         };
@@ -201,14 +201,14 @@ fn call_once(
 
 /// The bootstrap: `fetch` the primary's full state and import it.
 fn fetch_state(
-    shard_addr: &str,
+    primary_addr: &str,
     timeout: Duration,
     shutdown: &AtomicBool,
 ) -> std::io::Result<ServingSolver> {
     let deadline = Instant::now() + timeout;
     let mut last_err = None;
     while Instant::now() < deadline && !shutdown.load(Ordering::SeqCst) {
-        match try_fetch(shard_addr, deadline, shutdown) {
+        match try_fetch(primary_addr, deadline, shutdown) {
             Ok(serving) => return Ok(serving),
             Err(e) => {
                 last_err = Some(e);
@@ -220,11 +220,11 @@ fn fetch_state(
 }
 
 fn try_fetch(
-    shard_addr: &str,
+    primary_addr: &str,
     deadline: Instant,
     shutdown: &AtomicBool,
 ) -> std::io::Result<ServingSolver> {
-    let line = call_once(shard_addr, &render_command_request("fetch"), deadline, shutdown)?;
+    let line = call_once(primary_addr, &render_command_request("fetch"), deadline, shutdown)?;
     let v = Json::parse(line.trim_end()).map_err(std::io::Error::other)?;
     if v.get("ok").and_then(Json::as_bool) != Some(true) {
         let msg = v.get("error").and_then(Json::as_str).unwrap_or("fetch refused");
@@ -282,8 +282,12 @@ fn applier_loop(
 
         // Stream state: journal-format lines accumulate until each commit
         // marker, then the whole record applies as one epoch.
+        // Keepalives can arrive faster than the read timeout fires, so
+        // shutdown is checked per line, not only on a timeout.
         let mut record = String::new();
-        while read_line_patiently(&mut reader, &mut line, shutdown).is_some() {
+        while !shutdown.load(Ordering::SeqCst)
+            && read_line_patiently(&mut reader, &mut line, shutdown).is_some()
+        {
             let trimmed = line.trim_end();
             if trimmed.is_empty() {
                 continue;
@@ -392,7 +396,7 @@ fn serve_connection(stream: TcpStream, cell: &ViewCell, shutdown: &AtomicBool, p
                 return;
             }
             Ok(_) => error_reply(format!(
-                "read-only replica: send mutating commands to the shard primary at {primary}"
+                "read-only replica: send mutating commands to the primary at {primary}"
             ))
             .render(),
         };

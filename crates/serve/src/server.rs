@@ -260,7 +260,7 @@ pub(crate) fn send_line(writer: &mut impl Write, mut line: String) -> std::io::R
 
 /// Reads one line, tolerating read timeouts (so idle connections observe
 /// shutdown). Returns `None` on EOF, connection error, or shutdown.
-/// Shared with the router and replica front ends.
+/// Shared with the replica front end.
 pub(crate) fn read_line_patiently(
     reader: &mut BufReader<TcpStream>,
     buf: &mut String,
@@ -401,10 +401,6 @@ fn handle_connection(
                 // ends on client disconnect, shutdown, or a stale cursor.
                 tail_connection(&mut writer, shared, hub, from, shutdown);
                 return;
-            }
-            Ok(Request::Shards { .. }) | Ok(Request::RegisterReplica { .. }) => {
-                error_reply("not a sharded deployment (send this to a router)")
-                    .render_into(&mut out)
             }
             Ok(Request::Shutdown) => {
                 let _ = send_line(&mut writer, shutdown_reply(shared.current().epoch()).render());
@@ -628,11 +624,7 @@ fn run_writer_op(
         WriterOp::Batch { .. } => unreachable!("batches go through apply_round"),
         WriterOp::Solve { request, reply } => {
             let line = match serving.solve_fresh(request) {
-                Ok(report) => {
-                    // A fresh solve replaces the maintained solution.
-                    cache.invalidate();
-                    solve_reply(serving.epoch(), &report).render()
-                }
+                Ok(report) => solve_reply(serving.epoch(), &report).render(),
                 Err(e) => error_reply(e.to_string()).render(),
             };
             let _ = reply.send(line);

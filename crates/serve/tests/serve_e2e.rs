@@ -1,14 +1,17 @@
 //! End-to-end serving tests: a server bootstrapped from a registry
 //! dataset answers concurrent reader queries at consistent epochs while a
-//! writer batch is in flight, and kill + restart (snapshot + log replay)
-//! reproduces a byte-identical `SolutionView`.
+//! writer batch is in flight, kill + restart (snapshot + log replay)
+//! reproduces a byte-identical `SolutionView`, and read replicas converge
+//! to the primary's epoch with byte-identical replies.
 
 use dkc_core::{Algo, SolveRequest};
 use dkc_datagen::workload::sample_edges;
 use dkc_datagen::DatasetRegistry;
 use dkc_dynamic::{EdgeUpdate, ServingSolver};
 use dkc_json::Json;
-use dkc_serve::{run_loadgen, LoadgenConfig, Replica, ReplicaConfig, Server, ServerConfig};
+use dkc_serve::{
+    run_loadgen, LoadgenConfig, Replica, ReplicaConfig, ReplicaHandle, Server, ServerConfig,
+};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -28,11 +31,17 @@ impl Client {
 
     /// One request line out, one (validated-JSON) reply line back.
     fn call(&mut self, request: &str) -> Json {
+        let line = self.call_line(request);
+        Json::parse(line.trim_end()).unwrap_or_else(|e| panic!("bad reply {line:?}: {e}"))
+    }
+
+    /// One request line out, the reply line back exactly as received.
+    fn call_line(&mut self, request: &str) -> String {
         writeln!(self.writer, "{request}").expect("send");
         self.writer.flush().expect("flush");
         let mut line = String::new();
         self.reader.read_line(&mut line).expect("reply");
-        Json::parse(line.trim_end()).unwrap_or_else(|e| panic!("bad reply {line:?}: {e}"))
+        line
     }
 
     fn call_ok(&mut self, request: &str) -> Json {
@@ -233,6 +242,23 @@ fn reply_cache_serves_byte_identical_bodies_across_epochs() {
     assert_eq!(cached, fresh, "post-bump hit must match the post-bump render");
     assert_ne!(fresh, miss, "epoch member alone must distinguish the bodies");
 
+    // A `solve` publishes nothing: the next `solution` at the same epoch
+    // is still a cache hit.
+    let counters = |client: &mut Client| {
+        let stats = client.call_ok(r#"{"cmd":"query","what":"stats"}"#);
+        let c = stats.get("reply_cache").expect("reply_cache counters");
+        (
+            c.get("hits").and_then(Json::as_u64).unwrap(),
+            c.get("misses").and_then(Json::as_u64).unwrap(),
+        )
+    };
+    let (hits, misses) = counters(&mut client);
+    let v = client.call_ok(r#"{"cmd":"solve"}"#);
+    assert_eq!(v.get("epoch").and_then(Json::as_u64), Some(bumped), "solve costs no epoch");
+    let after_solve = client.call_ok(r#"{"cmd":"query","what":"solution"}"#).render();
+    assert_eq!(after_solve, fresh, "solve leaves the served solution alone");
+    assert_eq!(counters(&mut client), (hits + 1, misses), "solution after solve must hit");
+
     client.call_ok(r#"{"cmd":"shutdown"}"#);
     handle.join();
 
@@ -378,11 +404,7 @@ fn improve_verb_journals_replicates_and_survives_restart() {
 
     // The replica replays the journaled (steps, seed) record and lands on
     // the byte-identical improved view at the same epoch.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while replica.epoch() < 1 {
-        assert!(Instant::now() < deadline, "replica stuck at epoch {}", replica.epoch());
-        std::thread::sleep(Duration::from_millis(20));
-    }
+    wait_for_epoch(&replica, 1);
     let primary_solution = client.call_ok(r#"{"cmd":"query","what":"solution"}"#).render();
     let mut rclient = Client::connect(replica.local_addr());
     let replica_solution = rclient.call_ok(r#"{"cmd":"query","what":"solution"}"#).render();
@@ -404,6 +426,91 @@ fn improve_verb_journals_replicates_and_survives_restart() {
     client.call_ok(r#"{"cmd":"shutdown"}"#);
     handle.join();
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Applies each chunk of `edges` as one update batch (deleting or
+/// inserting) and returns the epoch of the last reply.
+fn apply_chunks(client: &mut Client, edges: &[(u32, u32)], insert: bool) -> u64 {
+    let mut epoch = 0;
+    for chunk in edges.chunks(4) {
+        let updates: Vec<EdgeUpdate> = chunk
+            .iter()
+            .map(|&(a, b)| if insert { EdgeUpdate::Insert(a, b) } else { EdgeUpdate::Delete(a, b) })
+            .collect();
+        let v = client.call_ok(&dkc_serve::protocol::render_update_request(&updates));
+        epoch = v.get("epoch").and_then(Json::as_u64).unwrap();
+    }
+    epoch
+}
+
+/// Waits (10 s at most) until `replica` reaches `epoch`, and checks that it
+/// went no further.
+fn wait_for_epoch(replica: &ReplicaHandle, epoch: u64) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while replica.epoch() < epoch {
+        assert!(Instant::now() < deadline, "replica stuck at epoch {}", replica.epoch());
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    assert_eq!(replica.epoch(), epoch, "replica ran past its primary");
+}
+
+#[test]
+fn replica_catches_up_and_serves_reads() {
+    let g = registry_graph();
+    let victims = sample_edges(&g, 24, 5);
+    let serving = ServingSolver::in_memory(&g, SolveRequest::new(Algo::Lp, 3)).unwrap();
+    let primary =
+        Server::start(TcpListener::bind("127.0.0.1:0").unwrap(), serving, ServerConfig::default())
+            .unwrap();
+    let primary_addr = primary.local_addr().to_string();
+    let start_replica = || {
+        Replica::start(
+            &primary_addr,
+            TcpListener::bind("127.0.0.1:0").unwrap(),
+            ReplicaConfig::default(),
+        )
+        .unwrap()
+    };
+    let solution = r#"{"cmd":"query","what":"solution"}"#;
+
+    // A replica bootstrapped at epoch 0 follows the live tail to the
+    // primary's epoch and answers with the byte-identical solution line.
+    let first = start_replica();
+    let mut client = Client::connect(primary.local_addr());
+    let epoch = apply_chunks(&mut client, &victims[..12], false);
+    assert!(epoch > 0);
+    wait_for_epoch(&first, epoch);
+    let mut first_client = Client::connect(first.local_addr());
+    let line = client.call_line(solution);
+    assert_eq!(first_client.call_line(solution), line, "replica line is byte-identical");
+
+    // The replica is read-only.
+    let v = first_client.call(r#"{"cmd":"update","updates":[{"op":"insert","u":0,"v":1}]}"#);
+    assert_eq!(v.get("ok").and_then(Json::as_bool), Some(false));
+    assert!(v.get("error").and_then(Json::as_str).unwrap().contains("read-only"));
+    assert_eq!(first.epoch(), epoch, "a refused mutation costs no epoch");
+
+    // A second replica started after the primary advanced bootstraps at
+    // the newer epoch; both then follow further updates.
+    let advanced = apply_chunks(&mut client, &victims[12..], false);
+    let second = start_replica();
+    assert_eq!(second.epoch(), advanced, "bootstrap lands at the primary's epoch");
+    let epoch = apply_chunks(&mut client, &victims, true);
+    for replica in [&first, &second] {
+        wait_for_epoch(replica, epoch);
+    }
+    let line = client.call_line(solution);
+    for replica in [&first, &second] {
+        let mut rclient = Client::connect(replica.local_addr());
+        assert_eq!(rclient.call_line(solution), line, "replica line is byte-identical");
+    }
+
+    for replica in [first, second] {
+        replica.stop();
+        replica.join();
+    }
+    client.call_ok(r#"{"cmd":"shutdown"}"#);
+    primary.join();
 }
 
 #[test]
@@ -449,7 +556,6 @@ fn loadgen_drives_a_server_and_reports() {
         batch: 4,
         nodes,
         seed: 9,
-        pools: None,
     };
     let report = run_loadgen(&cfg).expect("loadgen run");
     assert_eq!(report.total_ops, 120);

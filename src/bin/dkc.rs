@@ -5,9 +5,9 @@
 //! dkc solve     <graph> --k K [common flags] [--json]        maximal disjoint k-clique set
 //! dkc partition <graph> --k K [common flags] [--json]        assign EVERY node to a group (≤ K)
 //! dkc serve     <dataset|graph> --k K [--port P] [--state-dir D]   dynamic serving over TCP
-//!               [--shards N] [--fsync POLICY] [--staleness N]      … sharded: router + N primaries
-//! dkc replica   <shard-addr> [--port P] [--router ADDR --shard I]  read replica tailing a shard
-//! dkc loadgen   <host:port> [--conns N] [--ops N] [--update-pct P] [--improve-pct P] [--sharded]   drive a server, report latency
+//!               [--fsync POLICY]
+//! dkc replica   <primary-addr> [--port P] [--readers N]        read replica tailing a primary
+//! dkc loadgen   <host:port> [--conns N] [--ops N] [--update-pct P] [--improve-pct P]   drive a server, report latency
 //! dkc bench     [--reps N] [--check BASELINE] [--out FILE]   pinned perf suite → one JSON line
 //! dkc bench     summary [FILES...] [--json] [--plot]         fold trajectory files into a table
 //! dkc convert   <in> <out> [--threads N]                     text ⇄ binary .dkcsr snapshot
@@ -58,20 +58,14 @@
 //! persists, and a restart resumes at the exact epoch via log replay; an
 //! existing state directory wins over `<dataset>`. `--fsync` picks the
 //! journal durability point (`per-commit`, `per-batch` (default), or
-//! `snapshot`). With `--shards N` the deployment is horizontal: the graph
-//! is deterministically partitioned (whole components first, degree-
-//! balanced split of the giant component), one shard primary per part on
-//! `port+1..=port+N`, and a router on `--port` that routes updates by the
-//! node → shard map and fans reads out, merging at a per-shard epoch
-//! vector; the plan persists to `<state-dir>/plan.json` so restarts reuse
-//! the exact assignment. `replica` bootstraps a read replica from a shard
-//! primary (`fetch` + journal tail) and optionally registers with the
-//! router (`--router ADDR --shard I`) to join that shard's read rotation,
-//! bounded by the router's `--staleness` (max epoch lag). `loadgen`
-//! drives a running server with a seeded update/query mix and prints
-//! throughput and latency percentiles; `--sharded` fetches the router's
-//! node pools first so updates stay intra-shard, and `--improve-pct`
-//! mixes in `improve` verbs (`--improve-steps` per call). On the serve
+//! `snapshot`). A state directory that holds a `plan.json` is refused
+//! with exit 1: it is the state of a sharded deployment, which this
+//! server cannot resume. `replica` bootstraps a read replica from a
+//! primary (`fetch` + journal tail) and serves read queries on `--port`,
+//! bit-identical to the primary at every epoch it has caught up to.
+//! `loadgen` drives a running server with a seeded update/query mix and
+//! prints throughput and latency percentiles; `--improve-pct` mixes in
+//! `improve` verbs (`--improve-steps` per call). On the serve
 //! side `--improve-slice N` turns on background improvement: whenever
 //! the writer is idle it runs an N-step improvement slice, journals any
 //! slice that applied moves, and publishes the improved view as a new
@@ -86,14 +80,12 @@ use disjoint_kcliques::graph::io::{
     load_graph, write_edge_list_labeled, write_edge_list_path, write_snapshot_path, LoadReport,
     LoadedGraph,
 };
-use disjoint_kcliques::graph::{partition_shards, ShardPlan};
 use disjoint_kcliques::graph::{Dag, NodeOrder};
 use disjoint_kcliques::json::Json;
 use disjoint_kcliques::par::ParConfig;
 use disjoint_kcliques::prelude::*;
 use disjoint_kcliques::serve::{
-    fetch_pools, run_loadgen, LoadgenConfig, Replica, ReplicaConfig, Router, RouterConfig, Server,
-    ServerConfig,
+    run_loadgen, LoadgenConfig, Replica, ReplicaConfig, Server, ServerConfig,
 };
 use std::time::{Duration, Instant};
 
@@ -134,7 +126,7 @@ static ALLOC: disjoint_kcliques::bench::mem::TrackingAllocator =
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  dkc stats <graph> [--kmax K] [common flags]\n  dkc solve <graph> --k K [common flags] [--json]\n  dkc partition <graph> --k K [common flags] [--json]\n  dkc serve <dataset|graph> --k K [--port P] [--state-dir D] [--data-dir D]\n            [--scale X] [--seed N] [--readers N] [--batch-max N]\n            [--max-node N] [--shards N] [--improve-slice N]\n            [--fsync per-commit|per-batch|snapshot] [--staleness N] [common flags]\n  dkc replica <shard-addr> [--port P] [--readers N] [--router ADDR --shard I]\n  dkc loadgen <host:port> [--conns N] [--ops N] [--warmup N] [--update-pct P]\n            [--improve-pct P] [--improve-steps N] [--batch N] [--nodes N]\n            [--seed N] [--sharded] [--json]\n  dkc bench [--dataset NAME] [--scale X] [--seed N] [--k K] [--reps N]\n            [--threads N] [--out FILE] [--check BASELINE.json] [--stamp DATE]\n            [--host NAME] [--git-rev SHA] [--data-dir D] [--scratch D]\n            [--conns N] [--ops N] [--warmup N] [--batches N] [--batch-size N]\n  dkc bench summary [FILES...] [--json] [--plot]\n  dkc convert <in> <out> [--threads N]\n  dkc gen <dataset> <out> [--scale X] [--seed N]\n  dkc cache <dataset> --data-dir D [--scale X] [--seed N] [--threads N] [--json]\n  dkc cache evict --data-dir D [--dataset NAME] [--scale X] [--seed N]\n\ncommon flags: --algo hg|gc|l|lp|opt|greedy-cg   --threads N\n              --ordering identity|degree-asc|degree-desc|degeneracy|color\n              --max-cliques N --max-conflicts N --mis-nodes N\n              --improve-steps N --improve-seed N\n\n<graph> is a KONECT-style edge list or a binary .dkcsr snapshot (detected\nby content). --threads defaults to the available parallelism (env\nDKC_THREADS overrides); results are identical for any thread count.\n--algo opt defaults to the standard deterministic OOM/OOT budgets; the\nbudget flags override them for any algorithm. --json prints the engine\nreport as JSON on stdout. serve speaks newline-delimited JSON (see the\ndkc-serve crate docs); with --state-dir it journals updates and restarts\nresume at the exact epoch via snapshot + log replay. bench appends one\nJSON line per run to BENCH_<host>.json and, with --check, exits nonzero\nwhen a gated metric regresses past the committed baseline's tolerance.\nbench summary folds every line of the given trajectory files (default:\nthis host's file) into a per-metric median/min table across runs;\n--plot appends per-metric ASCII sparklines in run order."
+        "usage:\n  dkc stats <graph> [--kmax K] [common flags]\n  dkc solve <graph> --k K [common flags] [--json]\n  dkc partition <graph> --k K [common flags] [--json]\n  dkc serve <dataset|graph> --k K [--port P] [--state-dir D] [--data-dir D]\n            [--scale X] [--seed N] [--readers N] [--batch-max N]\n            [--max-node N] [--improve-slice N]\n            [--fsync per-commit|per-batch|snapshot] [common flags]\n  dkc replica <primary-addr> [--port P] [--readers N]\n  dkc loadgen <host:port> [--conns N] [--ops N] [--warmup N] [--update-pct P]\n            [--improve-pct P] [--improve-steps N] [--batch N] [--nodes N]\n            [--seed N] [--json]\n  dkc bench [--dataset NAME] [--scale X] [--seed N] [--k K] [--reps N]\n            [--threads N] [--out FILE] [--check BASELINE.json] [--stamp DATE]\n            [--host NAME] [--git-rev SHA] [--data-dir D] [--scratch D]\n            [--conns N] [--ops N] [--warmup N] [--batches N] [--batch-size N]\n  dkc bench summary [FILES...] [--json] [--plot]\n  dkc convert <in> <out> [--threads N]\n  dkc gen <dataset> <out> [--scale X] [--seed N]\n  dkc cache <dataset> --data-dir D [--scale X] [--seed N] [--threads N] [--json]\n  dkc cache evict --data-dir D [--dataset NAME] [--scale X] [--seed N]\n\ncommon flags: --algo hg|gc|l|lp|opt|greedy-cg   --threads N\n              --ordering identity|degree-asc|degree-desc|degeneracy|color\n              --max-cliques N --max-conflicts N --mis-nodes N\n              --improve-steps N --improve-seed N\n\n<graph> is a KONECT-style edge list or a binary .dkcsr snapshot (detected\nby content). --threads defaults to the available parallelism (env\nDKC_THREADS overrides); results are identical for any thread count.\n--algo opt defaults to the standard deterministic OOM/OOT budgets; the\nbudget flags override them for any algorithm. --json prints the engine\nreport as JSON on stdout. serve speaks newline-delimited JSON (see the\ndkc-serve crate docs); with --state-dir it journals updates and restarts\nresume at the exact epoch via snapshot + log replay. bench appends one\nJSON line per run to BENCH_<host>.json and, with --check, exits nonzero\nwhen a gated metric regresses past the committed baseline's tolerance.\nbench summary folds every line of the given trajectory files (default:\nthis host's file) into a per-metric median/min table across runs;\n--plot appends per-metric ASCII sparklines in run order."
     );
     std::process::exit(2);
 }
@@ -164,14 +156,7 @@ struct Args {
     readers: usize,
     batch_max: usize,
     max_node: Option<u32>,
-    shards: usize,
     fsync: FsyncPolicy,
-    staleness: u64,
-    // replica flags
-    router: Option<String>,
-    shard: Option<usize>,
-    // loadgen flags
-    sharded: bool,
     // loadgen flags (conns/ops default differently for loadgen and bench)
     conns: Option<usize>,
     ops: Option<usize>,
@@ -236,12 +221,7 @@ fn parse_args() -> Args {
         readers: 4,
         batch_max: 4096,
         max_node: None,
-        shards: 1,
         fsync: FsyncPolicy::default(),
-        staleness: 8,
-        router: None,
-        shard: None,
-        sharded: false,
         conns: None,
         ops: None,
         warmup: None,
@@ -325,22 +305,12 @@ fn parse_args() -> Args {
             "--readers" => args.readers = value().parse().unwrap_or_else(|_| usage()),
             "--batch-max" => args.batch_max = value().parse().unwrap_or_else(|_| usage()),
             "--max-node" => args.max_node = Some(value().parse().unwrap_or_else(|_| usage())),
-            "--shards" => {
-                args.shards = value().parse().unwrap_or_else(|_| usage());
-                if args.shards == 0 {
-                    usage();
-                }
-            }
             "--fsync" => {
                 args.fsync = value().parse().unwrap_or_else(|e| {
                     eprintln!("{e}");
                     std::process::exit(2);
                 })
             }
-            "--staleness" => args.staleness = value().parse().unwrap_or_else(|_| usage()),
-            "--router" => args.router = Some(value()),
-            "--shard" => args.shard = Some(value().parse().unwrap_or_else(|_| usage())),
-            "--sharded" => args.sharded = true,
             "--conns" => args.conns = Some(value().parse().unwrap_or_else(|_| usage())),
             "--ops" => args.ops = Some(value().parse().unwrap_or_else(|_| usage())),
             "--warmup" => args.warmup = Some(value().parse().unwrap_or_else(|_| usage())),
@@ -454,7 +424,6 @@ fn main() {
         "stats" => cmd_stats(&args),
         "solve" => cmd_solve(&args),
         "partition" => cmd_partition(&args),
-        "serve" if args.shards > 1 => cmd_serve_sharded(&args),
         "serve" => cmd_serve(&args),
         "replica" => cmd_replica(&args),
         "loadgen" => cmd_loadgen(&args),
@@ -498,6 +467,20 @@ fn serve_bootstrap(args: &Args) -> Result<CsrGraph, ServeStateError> {
 fn cmd_serve(args: &Args) {
     if args.k == 0 {
         usage();
+    }
+    if let Some(dir) = &args.state_dir {
+        // A sharded deployment kept `plan.json` plus one state dir per
+        // shard here. Creating a fresh state next to them would silently
+        // drop every update the shards acknowledged.
+        let plan = std::path::Path::new(dir).join("plan.json");
+        if plan.exists() {
+            eprintln!(
+                "{} is the state of a sharded deployment (plan.json, shard<i>/); \
+                 dkc serve resumes only a single-server state dir",
+                plan.display()
+            );
+            std::process::exit(1);
+        }
     }
     let request = request_from_args(args);
     let built = match &args.state_dir {
@@ -554,188 +537,8 @@ fn cmd_serve(args: &Args) {
     eprintln!("# server stopped");
 }
 
-/// Persisted shard-plan document (`<state-dir>/plan.json`): the assignment
-/// a deployment was created with, reused verbatim on restart — the graph
-/// has mutated since, so re-partitioning it would re-route nodes.
-fn plan_to_json(plan: &ShardPlan, seed: u64) -> Json {
-    Json::Obj(vec![
-        ("version".into(), Json::u64(1)),
-        ("shards".into(), Json::usize(plan.shards())),
-        ("seed".into(), Json::u64(seed)),
-        (
-            "assign".into(),
-            Json::Arr(plan.assignment().iter().map(|&s| Json::u64(s as u64)).collect()),
-        ),
-        (
-            "cut_edges".into(),
-            Json::Arr(
-                plan.cut_edges()
-                    .iter()
-                    .map(|&(u, v)| Json::Arr(vec![Json::u64(u as u64), Json::u64(v as u64)]))
-                    .collect(),
-            ),
-        ),
-        ("split_components".into(), Json::usize(plan.split_components())),
-    ])
-}
-
-fn plan_from_json(doc: &Json) -> Option<ShardPlan> {
-    let shards = doc.get("shards").and_then(Json::as_u64)? as usize;
-    let assign: Vec<u32> = doc
-        .get("assign")
-        .and_then(Json::as_arr)?
-        .iter()
-        .map(|v| v.as_u64().map(|s| s as u32))
-        .collect::<Option<_>>()?;
-    let cut_edges = doc
-        .get("cut_edges")
-        .and_then(Json::as_arr)?
-        .iter()
-        .map(|e| {
-            let pair = e.as_arr()?;
-            Some((pair.first()?.as_u64()? as u32, pair.get(1)?.as_u64()? as u32))
-        })
-        .collect::<Option<Vec<_>>>()?;
-    let split = doc.get("split_components").and_then(Json::as_u64)? as usize;
-    Some(ShardPlan::from_parts(shards, assign, cut_edges, split))
-}
-
-/// `dkc serve --shards N`: one `ServingSolver` per shard (each with its own
-/// generation-named state dir under `<state-dir>/shard<i>`) behind a router
-/// on `--port`; shard primaries listen on `port+1 ..= port+N`.
-fn cmd_serve_sharded(args: &Args) {
-    if args.k == 0 {
-        usage();
-    }
-    let request = request_from_args(args);
-    let seed = args.seed.unwrap_or(42);
-    let graph = match serve_bootstrap(args) {
-        Ok(g) => g,
-        Err(e) => {
-            eprintln!("serve bootstrap failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    // The plan: reuse the persisted one when restarting a durable
-    // deployment, partition afresh otherwise.
-    let plan_path = args.state_dir.as_ref().map(|d| std::path::Path::new(d).join("plan.json"));
-    let persisted = plan_path
-        .as_ref()
-        .and_then(|p| std::fs::read_to_string(p).ok())
-        .and_then(|text| Json::parse(text.trim()).ok())
-        .and_then(|doc| plan_from_json(&doc));
-    let (plan, restored_plan) = match persisted {
-        Some(plan) => {
-            if plan.shards() != args.shards {
-                eprintln!(
-                    "state dir was created with {} shards; --shards {} cannot re-shard it",
-                    plan.shards(),
-                    args.shards
-                );
-                std::process::exit(1);
-            }
-            (plan, true)
-        }
-        None => (partition_shards(&graph, args.shards, seed), false),
-    };
-    eprintln!("# plan: {}{}", plan.summary(), if restored_plan { " (restored)" } else { "" });
-
-    let config = ServerConfig {
-        readers: args.readers.max(1),
-        queue_capacity: 128,
-        batch_max_updates: args.batch_max.max(1),
-        max_node: args.max_node,
-        fsync: args.fsync,
-        improve_slice: args.improve_slice,
-        improve_seed: args.improve_seed.unwrap_or(0),
-    };
-    let mut shard_addrs = Vec::new();
-    let mut shard_handles = Vec::new();
-    for s in 0..plan.shards() {
-        let built = match &args.state_dir {
-            Some(dir) => {
-                let shard_dir = std::path::Path::new(dir).join(format!("shard{s}"));
-                ServingSolver::open(shard_dir, request, || Ok(plan.shard_graph(&graph, s)))
-            }
-            None => ServingSolver::in_memory(&plan.shard_graph(&graph, s), request)
-                .map_err(Into::into)
-                .map(|v| (v, false)),
-        };
-        let (serving, restored) = match built {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("shard {s} bootstrap failed: {e}");
-                std::process::exit(1);
-            }
-        };
-        let port = args.port + 1 + s as u16;
-        let listener = match std::net::TcpListener::bind(("127.0.0.1", port)) {
-            Ok(l) => l,
-            Err(e) => {
-                eprintln!("failed to bind shard {s} on 127.0.0.1:{port}: {e}");
-                std::process::exit(1);
-            }
-        };
-        let view = serving.view();
-        let handle = match Server::start(listener, serving, config) {
-            Ok(h) => h,
-            Err(e) => {
-                eprintln!("failed to start shard {s}: {e}");
-                std::process::exit(1);
-            }
-        };
-        eprintln!(
-            "# shard {s} on {} — epoch={} |S|={}{}",
-            handle.local_addr(),
-            view.epoch(),
-            view.len(),
-            if restored { " (restored)" } else { "" }
-        );
-        shard_addrs.push(handle.local_addr().to_string());
-        shard_handles.push(handle);
-    }
-    if let (Some(path), false) = (&plan_path, restored_plan) {
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir).ok();
-        }
-        if let Err(e) = std::fs::write(path, plan_to_json(&plan, seed).render() + "\n") {
-            eprintln!("failed to persist {}: {e}", path.display());
-            std::process::exit(1);
-        }
-    }
-
-    let listener = match std::net::TcpListener::bind(("127.0.0.1", args.port)) {
-        Ok(l) => l,
-        Err(e) => {
-            eprintln!("failed to bind router on 127.0.0.1:{}: {e}", args.port);
-            std::process::exit(1);
-        }
-    };
-    let router_config = RouterConfig { workers: args.readers.max(1), staleness: args.staleness };
-    let router = match Router::start(listener, shard_addrs, plan, router_config) {
-        Ok(h) => h,
-        Err(e) => {
-            eprintln!("failed to start router: {e}");
-            std::process::exit(1);
-        }
-    };
-    eprintln!(
-        "# router on {} — {} shards, staleness bound {}, fsync {}",
-        router.local_addr(),
-        args.shards,
-        args.staleness,
-        args.fsync
-    );
-    router.join();
-    for h in shard_handles {
-        h.join();
-    }
-    eprintln!("# sharded deployment stopped");
-}
-
-/// `dkc replica <shard-addr>`: bootstrap from the shard primary (`fetch`),
-/// tail its journal, serve read queries; optionally announce the replica
-/// to a router so it joins that shard's read rotation.
+/// `dkc replica <primary-addr>`: bootstrap from the primary (`fetch`),
+/// tail its journal, serve read queries.
 fn cmd_replica(args: &Args) {
     let listener = match std::net::TcpListener::bind(("127.0.0.1", args.port)) {
         Ok(l) => l,
@@ -758,54 +561,11 @@ fn cmd_replica(args: &Args) {
         args.path,
         handle.epoch()
     );
-    if let Some(router) = &args.router {
-        let shard = args.shard.unwrap_or(0);
-        let line = disjoint_kcliques::serve::protocol::render_register_replica_request(
-            shard,
-            &handle.local_addr().to_string(),
-        );
-        let registered = std::net::TcpStream::connect(router).and_then(|stream| {
-            use std::io::{BufRead, BufReader, Write};
-            let mut w = stream.try_clone()?;
-            writeln!(w, "{line}")?;
-            w.flush()?;
-            let mut reply = String::new();
-            BufReader::new(stream).read_line(&mut reply)?;
-            Ok(reply)
-        });
-        match registered {
-            Ok(reply) if reply.contains("\"ok\":true") => {
-                eprintln!("# registered with router {router} for shard {shard}");
-            }
-            Ok(reply) => eprintln!("# router {router} refused registration: {}", reply.trim_end()),
-            Err(e) => eprintln!("# could not reach router {router}: {e}"),
-        }
-    }
     handle.join();
     eprintln!("# replica stopped");
 }
 
 fn cmd_loadgen(args: &Args) {
-    // `--sharded` asks the router for its per-shard node pools so every
-    // generated update stays intra-shard (never dropped as a cut edge).
-    let pools = if args.sharded {
-        match fetch_pools(&args.path) {
-            Ok(pools) => {
-                eprintln!(
-                    "# sharded mode: {} pools ({} nodes)",
-                    pools.len(),
-                    pools.iter().map(Vec::len).sum::<usize>()
-                );
-                Some(pools)
-            }
-            Err(e) => {
-                eprintln!("failed to fetch shard pools from {}: {e}", args.path);
-                std::process::exit(1);
-            }
-        }
-    } else {
-        None
-    };
     let cfg = LoadgenConfig {
         addr: args.path.clone(),
         connections: args.conns.unwrap_or(4).max(1),
@@ -817,7 +577,6 @@ fn cmd_loadgen(args: &Args) {
         batch: args.batch.max(1),
         nodes: args.nodes.unwrap_or(1000),
         seed: args.seed.unwrap_or(42),
-        pools,
     };
     match run_loadgen(&cfg) {
         Ok(report) => {

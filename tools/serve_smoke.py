@@ -8,7 +8,9 @@ shutdown), validates every reply as JSON, writes all reply lines to a
 file for external `python3 -m json.tool` validation, and — on a second
 invocation with ``--verify-restart`` — asserts that a restarted server
 reproduced the pre-shutdown epoch and |S| via snapshot + log replay, and
-that its `solution` reply is byte-identical to the live server's.
+that its `solution` reply is byte-identical to the live server's. With
+``--replica-catchup`` it checks that a `dkc replica` tailing the server
+reached the server's epoch and serves the same `solution` bytes.
 
 Usage:
     serve_smoke.py --port P --replies OUT.jsonl [phase flags]
@@ -19,6 +21,12 @@ Phases:
     --verify-restart EPOCH SIZE
                     after a restart: assert stats report exactly this
                     epoch/|S|, then shut the server down
+    --replica-catchup PORT
+                    apply a few updates to the server on --port, wait until
+                    the replica on PORT reports the server's epoch, and
+                    require the two raw `solution` lines to match byte for
+                    byte
+    --shutdown      shut the server down
 
     --solution-line FILE
                     with --drive: save the raw `solution` reply line of the
@@ -243,12 +251,44 @@ def verify_restart(client: Client, epoch: int, size: int, solution_path) -> None
     sys.stderr.write(f"restart ok: epoch={epoch} |S|={size} reproduced{same}\n")
 
 
+def replica_catchup(client: Client, replica_port: int, timeout: float = 60.0) -> None:
+    # Updates after the replica started: it must follow the live tail, not
+    # only its bootstrap fetch. Delete then re-insert, so the graph ends
+    # where it began.
+    edges = [(i, i + 1) for i in range(60, 80, 2)]
+    for op in ("delete", "insert"):
+        client.call_ok({"cmd": "update", "updates": [{"op": op, "u": u, "v": v} for u, v in edges]})
+    epoch = client.call_ok({"cmd": "query", "what": "stats"})["epoch"]
+    replica = Client(replica_port, client.replies.name)
+    deadline = time.time() + timeout
+    while True:
+        seen = replica.call_ok({"cmd": "query", "what": "stats"})["epoch"]
+        if seen == epoch:
+            break
+        if seen > epoch:
+            raise SystemExit(f"replica at epoch {seen} ran past the primary's {epoch}")
+        if time.time() > deadline:
+            raise SystemExit(f"replica stuck at epoch {seen}, primary at {epoch}")
+        time.sleep(0.1)
+    primary_line = client.solution_line(epoch)
+    replica_line = replica.solution_line(epoch)
+    if replica_line != primary_line:
+        raise SystemExit(
+            f"replica solution differs from the primary's at epoch {epoch}:\n"
+            f"  primary: {primary_line[:160]!r}\n  replica: {replica_line[:160]!r}"
+        )
+    replica.sock.close()
+    replica.replies.close()
+    sys.stderr.write(f"replica catch-up ok: epoch={epoch}, solution bytes identical\n")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser()
     parser.add_argument("--port", type=int, required=True)
     parser.add_argument("--replies", required=True)
     parser.add_argument("--drive", action="store_true")
     parser.add_argument("--verify-restart", nargs=2, type=int, metavar=("EPOCH", "SIZE"))
+    parser.add_argument("--replica-catchup", type=int, metavar="PORT")
     parser.add_argument("--shutdown", action="store_true")
     parser.add_argument("--solution-line", metavar="FILE")
     args = parser.parse_args()
@@ -257,10 +297,12 @@ def main() -> None:
         drive(client, args.solution_line)
     elif args.verify_restart:
         verify_restart(client, *args.verify_restart, args.solution_line)
+    elif args.replica_catchup:
+        replica_catchup(client, args.replica_catchup)
     elif args.shutdown:
         client.call_ok({"cmd": "shutdown"})
     else:
-        parser.error("pick --drive, --verify-restart or --shutdown")
+        parser.error("pick --drive, --verify-restart, --replica-catchup or --shutdown")
 
 
 if __name__ == "__main__":
