@@ -7,7 +7,7 @@
 //! | `listing_ns` | parallel k-clique listing into the flat arena | `kcliques` |
 //! | `list_peak_bytes` | peak heap of a sequential arena listing | |
 //! | `solve_alloc_count` | allocation calls inside a sequential LP solve | |
-//! | `lp_solve_ns` | [`Engine::solve`] with [`Algo::Lp`] | `lp_size`, `lp_heap_pops` |
+//! | `lp_solve_ns` | [`Engine::solve`] with [`Algo::Lp`] | `lp_size`, `lp_heap_pops`, `lp_clique_edges` |
 //! | `partition_ns` | [`Engine::partition_all`] | `partition_groups` |
 //! | `text_parse_ns` | edge-list parse of the suite graph | |
 //! | `snapshot_load_ns` | `.dkcsr` load of the same graph | `snapshot_bytes` |
@@ -178,19 +178,21 @@ pub fn run_suite(cfg: &SuiteConfig) -> Result<SuiteOutcome, SuiteError> {
     // 2. LP solve (the flagship solver) through the engine.
     let request = SolveRequest::new(Algo::Lp, cfg.k).with_par(cfg.par);
     let mut samples = Vec::with_capacity(reps);
-    let (mut lp_size, mut lp_heap_pops, mut lp_solution) = (0u64, 0u64, None);
+    let (mut lp_size, mut lp_stats, mut lp_solution) = (0u64, None, None);
     for _ in 0..reps {
         let t = Instant::now();
         let report = Engine::solve(&g, request).map_err(|e| fail("lp solve", e))?;
         samples.push(ns(t));
         lp_size = report.solution.len() as u64;
-        lp_heap_pops = report.lp_stats.map(|s| s.heap_pops).unwrap_or(0);
+        lp_stats = report.lp_stats;
         lp_solution = Some(report.solution);
     }
     push("lp_solve_ns", MetricValue::summarize(samples));
     let lp_solution = lp_solution.ok_or_else(|| fail("lp solve", "no repetition ran"))?;
+    let lp_stats = lp_stats.unwrap_or_default();
     push("lp_size", MetricValue::counter(lp_size));
-    push("lp_heap_pops", MetricValue::counter(lp_heap_pops));
+    push("lp_heap_pops", MetricValue::counter(lp_stats.heap_pops));
+    push("lp_clique_edges", MetricValue::counter(lp_stats.clique_edges));
 
     // 3. Full partition (the residual loop over shrinking k).
     let mut samples = Vec::with_capacity(reps);

@@ -114,6 +114,9 @@ pub(crate) struct DenseIndex {
     /// Stamped during build and cleared after, so it stays all-zero
     /// between roots without an `O(n)` reset.
     local_of: Vec<u32>,
+    /// Filled by [`DenseIndex::build_with_arcs`] only: the DAG arc position
+    /// of each set bit of `rows`, row by row in ascending column order.
+    arcs: Vec<usize>,
 }
 
 impl DenseIndex {
@@ -121,7 +124,16 @@ impl DenseIndex {
     pub(crate) fn build(&mut self, dag: &Dag, root: NodeId) -> usize {
         self.globals.clear();
         self.globals.extend_from_slice(dag.out_neighbors(root));
-        self.finish(dag)
+        self.finish(dag, false)
+    }
+
+    /// [`DenseIndex::build`] that also records, in the same scatter, the
+    /// DAG arc position of every matrix bit, so that
+    /// [`DenseIndex::for_each_arc_in`] can map local pairs back to arcs.
+    pub(crate) fn build_with_arcs(&mut self, dag: &Dag, root: NodeId) -> usize {
+        self.globals.clear();
+        self.globals.extend_from_slice(dag.out_neighbors(root));
+        self.finish(dag, true)
     }
 
     /// Builds the index over the `valid`-filtered out-neighbourhood of
@@ -130,10 +142,10 @@ impl DenseIndex {
     pub(crate) fn build_filtered(&mut self, dag: &Dag, root: NodeId, valid: &[bool]) -> usize {
         self.globals.clear();
         self.globals.extend(dag.out_neighbors(root).iter().copied().filter(|&v| valid[v as usize]));
-        self.finish(dag)
+        self.finish(dag, false)
     }
 
-    fn finish(&mut self, dag: &Dag) -> usize {
+    fn finish(&mut self, dag: &Dag, record_arcs: bool) -> usize {
         let d = self.globals.len();
         self.stride = d.div_ceil(64);
         self.rows.clear();
@@ -144,14 +156,18 @@ impl DenseIndex {
         for (i, &v) in self.globals.iter().enumerate() {
             self.local_of[v as usize] = i as u32 + 1;
         }
+        self.arcs.clear();
         for i in 0..d {
             let v = self.globals[i];
             let row = &mut self.rows[i * self.stride..(i + 1) * self.stride];
-            for &w in dag.out_neighbors(v) {
+            for (arc, &w) in (dag.arc_offset(v)..).zip(dag.out_neighbors(v)) {
                 let slot = self.local_of[w as usize];
                 if slot != 0 {
                     let j = (slot - 1) as usize;
                     row[j / 64] |= 1u64 << (j % 64);
+                    if record_arcs {
+                        self.arcs.push(arc);
+                    }
                 }
             }
         }
@@ -165,6 +181,32 @@ impl DenseIndex {
     #[inline]
     pub(crate) fn row(&self, i: usize) -> &[u64] {
         &self.rows[i * self.stride..(i + 1) * self.stride]
+    }
+
+    /// Calls `f` with the DAG arc position of every pair set in `pairs`, a
+    /// `d × stride` matrix shaped like the adjacency rows whose bits are a
+    /// subset of theirs. Needs the index built by
+    /// [`DenseIndex::build_with_arcs`]: the set bits of the rows, read in
+    /// order, are the recorded arcs in order, so a pair's arc is found by
+    /// counting the adjacency bits before it.
+    pub(crate) fn for_each_arc_in(&self, pairs: &[u64], mut f: impl FnMut(usize)) {
+        let mut below = 0;
+        for (&word, &adjacent) in pairs.iter().zip(&self.rows) {
+            debug_assert_eq!(word & !adjacent, 0, "pair outside the adjacency");
+            let run = adjacent.count_ones() as usize;
+            if word == adjacent {
+                // Every arc of the word: its whole run.
+                self.arcs[below..below + run].iter().for_each(|&arc| f(arc));
+            } else {
+                let mut picked = word;
+                while picked != 0 {
+                    let before = (1u64 << picked.trailing_zeros()) - 1;
+                    f(self.arcs[below + (adjacent & before).count_ones() as usize]);
+                    picked &= picked - 1;
+                }
+            }
+            below += run;
+        }
     }
 }
 

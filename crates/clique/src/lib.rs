@@ -17,6 +17,8 @@
 //!   score `s_n(u)` is the number of k-cliques containing `u`). The parallel
 //!   variants ([`count_kcliques_parallel`], [`node_scores_parallel`]) are
 //!   bit-identical to the sequential passes for any thread count.
+//!   [`node_scores_kernel`] also marks, as a [`ScorePass`], every arc that
+//!   lies in some k-clique — the only edges the rest of Algorithm 3 uses.
 //! * [`FirstFinder`] — the `FindOne` procedure of Algorithm 1: return the
 //!   first (k-1)-clique inside a root's out-neighbourhood, restricted to
 //!   still-valid nodes.
@@ -49,7 +51,7 @@ mod types;
 
 pub use count::{
     count_kcliques, count_kcliques_kernel, count_kcliques_parallel, node_scores,
-    node_scores_kernel, node_scores_parallel,
+    node_scores_kernel, node_scores_parallel, ScorePass,
 };
 pub use find::{FirstFinder, MinScoreFinder, ScoredClique};
 pub use kernel::{KernelMode, DENSE_MAX_DEGREE, DENSE_MIN_DEGREE};

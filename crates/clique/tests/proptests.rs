@@ -5,8 +5,9 @@ use std::collections::BTreeSet;
 
 use dkc_clique::{
     collect_kcliques, collect_kcliques_kernel, count_kcliques, count_kcliques_kernel,
-    count_kcliques_parallel, for_each_kclique_in_subset, for_each_kclique_kernel, node_scores,
-    node_scores_kernel, node_scores_parallel, Clique, FirstFinder, KernelMode, MinScoreFinder,
+    count_kcliques_parallel, for_each_kclique, for_each_kclique_in_subset, for_each_kclique_kernel,
+    node_scores, node_scores_kernel, node_scores_parallel, Clique, FirstFinder, KernelMode,
+    MinScoreFinder,
 };
 use dkc_graph::{CsrGraph, Dag, DynGraph, NodeId, NodeOrder, OrderingKind};
 use dkc_par::ParConfig;
@@ -65,8 +66,50 @@ fn model_rows(d: &Dag, k: usize) -> Vec<NodeId> {
     flat
 }
 
+/// The arcs of `d` whose edge lies in some k-clique that
+/// `for_each_kclique` enumerates, one bit per arc position.
+fn clique_arcs_by_enumeration(d: &Dag, k: usize) -> Vec<u64> {
+    let mut arcs = vec![0u64; d.num_arcs().div_ceil(64)];
+    for_each_kclique(d, k, |nodes| {
+        for &a in nodes {
+            for &b in nodes {
+                if let Ok(i) = d.out_neighbors(a).binary_search(&b) {
+                    let at = d.arc_offset(a) + i;
+                    arcs[at / 64] |= 1 << (at % 64);
+                }
+            }
+        }
+    });
+    arcs
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn score_pass_marks_exactly_the_clique_edges(
+        g in graph_strategy(24, 140),
+        k in 3usize..=5,
+    ) {
+        // The marks are a set: every kernel and executor shape must find
+        // the same one, the edges of the enumerated cliques, and leave the
+        // scores as the unmarked pass computes them.
+        for kind in [OrderingKind::DegreeDesc, OrderingKind::Degeneracy] {
+            let d = dag(&g, kind);
+            let expect = clique_arcs_by_enumeration(&d, k);
+            let scores = node_scores(&d, k);
+            for mode in [KernelMode::Slice, KernelMode::Bitset, KernelMode::Adaptive] {
+                for threads in [1usize, 2, 4] {
+                    let par = ParConfig::new(threads).with_chunk(3);
+                    let pass = node_scores_kernel(&d, k, par, mode);
+                    prop_assert_eq!(
+                        &pass.clique_arcs, &expect, "marks, {:?} {} threads {}", kind, mode, threads);
+                    prop_assert_eq!(
+                        &pass.scores, &scores, "scores, {:?} {} threads {}", kind, mode, threads);
+                }
+            }
+        }
+    }
 
     #[test]
     fn listing_matches_brute_force(g in graph_strategy(12, 50), k in 3usize..=5) {
@@ -221,7 +264,7 @@ proptest! {
                     count_kcliques_kernel(&d, k, par, mode), count,
                     "count, threads {} {}", threads, mode);
                 prop_assert_eq!(
-                    &node_scores_kernel(&d, k, par, mode), &scores,
+                    &node_scores_kernel(&d, k, par, mode).scores, &scores,
                     "scores, threads {} {}", threads, mode);
             }
         }

@@ -573,6 +573,7 @@ impl SolveReport {
                 ("reprobes".into(), Json::u64(s.reprobes)),
                 ("reprobe_hits".into(), Json::u64(s.reprobe_hits)),
                 ("cliques_added".into(), Json::u64(s.cliques_added)),
+                ("clique_edges".into(), Json::u64(s.clique_edges)),
             ]),
         };
         let opt = match &self.opt {
@@ -660,6 +661,11 @@ impl SolveReport {
                 cliques_added: field(s, "cliques_added")?
                     .as_u64()
                     .ok_or_else(|| bad_field("cliques_added"))?,
+                // Reports written before the counter existed lack it.
+                clique_edges: match s.get("clique_edges") {
+                    None => 0,
+                    Some(c) => c.as_u64().ok_or_else(|| bad_field("clique_edges"))?,
+                },
             }),
         };
         let opt = match field(&v, "opt")? {

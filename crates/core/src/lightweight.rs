@@ -1,6 +1,6 @@
 use crate::engine::PhaseTiming;
 use crate::{check_k, Solution, SolveError, Solver};
-use dkc_clique::{node_scores_parallel, CliqueStore, MinScoreFinder};
+use dkc_clique::{node_scores_kernel, CliqueStore, KernelMode, MinScoreFinder, ScorePass};
 use dkc_graph::{CsrGraph, Dag, NodeId, NodeOrder, OrderingKind};
 use dkc_par::{par_reduce, ParConfig};
 use std::time::Instant;
@@ -13,10 +13,14 @@ use std::time::Instant;
 /// 1. One parallel enumeration pass computes the node scores `s_n(u)`
 ///    (Definition 5) in `O(n + m)` memory (Line 2). A score counts the
 ///    k-cliques through a node under any orientation, so the pass orients
-///    by descending degree, which needs no serial degeneracy peel.
-/// 2. Nodes are totally ordered by ascending score and the graph oriented
-///    into a DAG, so every k-clique is owned by exactly one *root* — its
-///    highest-ordered member (Lines 3-4).
+///    by descending degree, which needs no serial degeneracy peel. The
+///    same pass marks every edge that lies in some k-clique.
+/// 2. Nodes are totally ordered by ascending score and the marked edges
+///    oriented into a DAG, so every k-clique is owned by exactly one
+///    *root* — its highest-ordered member (Lines 3-4). No later step can
+///    use an edge that lies in no k-clique, so dropping those edges keeps
+///    every clique, score, root and per-root visit order: the result is
+///    bit-identical to orienting all of `g`, with shorter out-lists.
 /// 3. `HeapInit`: for every root, `FindMin` locates the clique of locally
 ///    minimum clique score, in parallel across roots; the local minima
 ///    seed a global min-heap (Lines 10-14).
@@ -91,6 +95,9 @@ pub struct LpRunStats {
     pub reprobe_hits: u64,
     /// Cliques added to `S`.
     pub cliques_added: u64,
+    /// Edges that lie in some k-clique: the ones the score pass kept for
+    /// the score-ordered DAG.
+    pub clique_edges: u64,
 }
 
 impl Solver for LightweightSolver {
@@ -133,21 +140,25 @@ impl LightweightSolver {
             phases.push(PhaseTiming::new(name, now - last));
             last = now;
         };
-        // Line 2: node scores from one parallel enumeration pass.
+        // Line 2: node scores from one parallel enumeration pass, which
+        // also marks the arcs that lie in some k-clique.
         let score_dag = Dag::from_graph(g, NodeOrder::compute(g, OrderingKind::DegreeDesc));
         lap("score_order");
-        let scores = node_scores_parallel(&score_dag, k, self.par);
-        drop(score_dag);
+        let ScorePass { scores, clique_arcs } =
+            node_scores_kernel(&score_dag, k, self.par, KernelMode::default());
         lap("scores");
 
         // Lines 3-4: score-ascending total order; every clique is owned by
-        // its maximum-score member (ties by id).
+        // its maximum-score member (ties by id). Only the marked edges are
+        // oriented.
         let order = NodeOrder::from_scores_asc(&scores);
         lap("order");
-        let dag = Dag::from_graph(g, order);
+        let slots = score_dag.spread_arc_mask(g, &clique_arcs);
+        drop((score_dag, clique_arcs));
+        let dag = Dag::from_graph_masked(g, order, &slots);
         lap("dag");
 
-        let mut stats = LpRunStats::default();
+        let mut stats = LpRunStats { clique_edges: dag.num_arcs() as u64, ..LpRunStats::default() };
         let mut valid = vec![true; g.num_nodes()];
         let mut heap = self.heap_init(&dag, &scores, &valid, k);
         stats.initial_entries = heap.keys.len() as u64;

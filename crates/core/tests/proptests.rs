@@ -102,6 +102,60 @@ fn partition_by_always_inducing(g: &CsrGraph, req: SolveRequest) -> Vec<Vec<Node
     groups
 }
 
+/// `g` without the edges that lie in no k-clique, by brute force: an edge
+/// stays when its endpoints' common neighbourhood holds a (k-2)-clique.
+fn compacted(g: &CsrGraph, k: usize) -> CsrGraph {
+    fn has_clique(g: &CsrGraph, cand: &[NodeId], size: usize) -> bool {
+        size == 0
+            || cand.iter().enumerate().any(|(i, &v)| {
+                let rest: Vec<NodeId> =
+                    cand[i + 1..].iter().copied().filter(|&w| g.has_edge(v, w)).collect();
+                has_clique(g, &rest, size - 1)
+            })
+    }
+    let kept = g.iter_edges().filter(|&(u, v)| {
+        let common: Vec<NodeId> =
+            g.neighbors(u).iter().copied().filter(|&w| g.has_edge(v, w)).collect();
+        has_clique(g, &common, k - 2)
+    });
+    CsrGraph::from_edges(g.num_nodes(), kept).unwrap()
+}
+
+/// The residual loop with every LP phase solved on the brute-force
+/// compacted residual ([`compacted`] at that phase's clique size); the
+/// matching still sees every residual edge.
+fn partition_on_compacted_phases(g: &CsrGraph, req: SolveRequest) -> Vec<Vec<NodeId>> {
+    let n = g.num_nodes();
+    let mut covered = vec![false; n];
+    let mut groups = Vec::new();
+    for s in (3..=req.k).rev() {
+        let free: Vec<NodeId> = (0..n as NodeId).filter(|&u| !covered[u as usize]).collect();
+        if free.len() < s {
+            continue;
+        }
+        let sub = InducedSubgraph::of_csr(g, &free);
+        let residual = compacted(sub.graph(), s);
+        let report = Engine::solve(&residual, SolveRequest { k: s, ..req }).unwrap();
+        for c in report.solution.iter_members() {
+            let group: Vec<NodeId> = c.iter().map(|&l| sub.to_global(l)).collect();
+            group.iter().for_each(|&u| covered[u as usize] = true);
+            groups.push(group);
+        }
+    }
+    for u in 0..n as NodeId {
+        if covered[u as usize] {
+            continue;
+        }
+        if let Some(&v) = g.neighbors(u).iter().find(|&&v| !covered[v as usize]) {
+            covered[u as usize] = true;
+            covered[v as usize] = true;
+            groups.push(vec![u, v]);
+        }
+    }
+    groups.extend((0..n as NodeId).filter(|&u| !covered[u as usize]).map(|u| vec![u]));
+    groups
+}
+
 fn heuristics() -> Vec<Box<dyn Solver>> {
     vec![
         Box::new(HgSolver::default()),
@@ -258,6 +312,32 @@ proptest! {
                     prop_assert_eq!(stats, base_stats, "stats vary at threads={}", threads);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn lp_equals_lp_on_the_compacted_graph(g in graph_strategy(26, 160), k in 3usize..=5) {
+        // The score pass drops the edges that lie in no k-clique before
+        // orienting; solving a copy that never had them must give the same
+        // solution and run statistics, at every thread count, for L and LP,
+        // and the same partition groups phase by phase.
+        let small = compacted(&g, k);
+        for threads in [1usize, 2, 4] {
+            let par = ParConfig::new(threads).with_chunk(2);
+            for prune in [true, false] {
+                let solver = LightweightSolver { prune, par };
+                let full = solver.solve_with_stats(&g, k).unwrap();
+                let copy = solver.solve_with_stats(&small, k).unwrap();
+                prop_assert_eq!(&full, &copy, "threads={} prune={}", threads, prune);
+                prop_assert_eq!(full.1.clique_edges, small.num_edges() as u64);
+            }
+            let req = SolveRequest::new(Algo::Lp, k).with_par(par);
+            let report = Engine::partition_all(&g, req).unwrap();
+            prop_assert_eq!(
+                &report.partition.groups,
+                &partition_on_compacted_phases(&g, req),
+                "partition, threads={}", threads
+            );
         }
     }
 

@@ -90,4 +90,4 @@ mod server;
 pub use loadgen::{run_loadgen, LatencySummary, LoadgenConfig, LoadgenReport};
 pub use protocol::{Query, Request};
 pub use replica::{Replica, ReplicaConfig, ReplicaHandle};
-pub use server::{Server, ServerConfig, ServerHandle};
+pub use server::{Server, ServerConfig, ServerHandle, MAX_REQUEST_LINE_BYTES};

@@ -5,6 +5,8 @@
 //! the library error `Display` forms (`SolveError`'s OOM/OOT markers
 //! included). Node ids on the wire are the server's dense internal ids.
 //! A `solve` request's `threads` is capped at the server's own thread count.
+//! A request line longer than [`crate::MAX_REQUEST_LINE_BYTES`] gets an
+//! error reply and the connection is closed.
 //!
 //! Requests:
 //!
@@ -30,6 +32,7 @@
 //! group_of → {"ok":true,"epoch":E,"node":U,"group":G,"members":[..]}   (G/members null when free)
 //! solution → {"ok":true,"epoch":E,"k":K,"size":S,"covered_nodes":C,"cliques":[[..],..]}
 //! stats    → {"ok":true,"epoch":E,"k":K,"size":S,"num_nodes":N,"stats":{..update counters..}}
+//!            (a replica adds "primary_silent_ms":T, the time since its primary's last line)
 //! solve    → {"ok":true,"epoch":E,"report":{..SolveReport..}}
 //! improve  → {"ok":true,"epoch":E,"size":S,"stats":{..ImproveStats..}}
 //! snapshot → {"ok":true,"epoch":E,"durable":B,"path":P}

@@ -26,18 +26,21 @@
 //! The replica answers the normal query protocol read-only: `query` is
 //! served from its own published [`SolutionView`]; mutating commands get
 //! an error pointing at the primary; `shutdown` stops the replica alone.
+//! Its `stats` reply adds `primary_silent_ms`, the time since the last line
+//! from the primary (keepalives included): while the primary is gone the
+//! replica keeps serving its last epoch, and this value grows.
 
 use crate::protocol::{
     error_reply, group_of_reply, parse_request, render_command_request, render_tail_request,
     shutdown_reply, solution_line, stats_reply, Query, Request,
 };
 use crate::queue::{BoundedQueue, Pop};
-use crate::server::{read_line_patiently, send_line};
+use crate::server::{read_line_patiently, read_request, send_line, LineRead};
 use dkc_dynamic::{parse_records, LogRecord, ServingSolver, SharedView};
 use dkc_json::Json;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -66,6 +69,35 @@ pub struct Replica;
 /// this cell on every query.
 type ViewCell = Arc<RwLock<SharedView>>;
 
+/// When the replica last heard from its primary: a `fetch` reply or any
+/// `tail` line, keepalives included. A replica whose primary is gone keeps
+/// serving its last epoch; the growing silence in its `stats` reply is
+/// what says so.
+struct LastHeard {
+    start: Instant,
+    /// Milliseconds after `start`.
+    at_ms: AtomicU64,
+}
+
+impl LastHeard {
+    fn new() -> Self {
+        LastHeard { start: Instant::now(), at_ms: AtomicU64::new(0) }
+    }
+
+    fn elapsed_ms(&self) -> u64 {
+        u64::try_from(self.start.elapsed().as_millis()).unwrap_or(u64::MAX)
+    }
+
+    fn now(&self) {
+        self.at_ms.store(self.elapsed_ms(), Ordering::Relaxed);
+    }
+
+    /// Milliseconds since the primary was last heard.
+    fn silence_ms(&self) -> u64 {
+        self.elapsed_ms().saturating_sub(self.at_ms.load(Ordering::Relaxed))
+    }
+}
+
 /// Join/stop handle of a started replica.
 pub struct ReplicaHandle {
     local_addr: SocketAddr,
@@ -90,6 +122,7 @@ impl Replica {
         let shutdown = Arc::new(AtomicBool::new(false));
         let serving = fetch_state(primary_addr, config.bootstrap_timeout, &shutdown)?;
         let cell: ViewCell = Arc::new(RwLock::new(serving.reader()));
+        let heard = Arc::new(LastHeard::new());
 
         let local_addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
@@ -118,10 +151,13 @@ impl Replica {
                 let shutdown = Arc::clone(&shutdown);
                 let conn_queue = Arc::clone(&conn_queue);
                 let cell = Arc::clone(&cell);
+                let heard = Arc::clone(&heard);
                 let primary = primary_addr.to_string();
                 std::thread::spawn(move || loop {
                     match conn_queue.pop_timeout(Duration::from_millis(100)) {
-                        Pop::Item(stream) => serve_connection(stream, &cell, &shutdown, &primary),
+                        Pop::Item(stream) => {
+                            serve_connection(stream, &cell, &heard, &shutdown, &primary)
+                        }
                         Pop::Timeout => {}
                         Pop::Closed => break,
                     }
@@ -133,7 +169,9 @@ impl Replica {
             let cell = Arc::clone(&cell);
             let primary = primary_addr.to_string();
             let timeout = config.bootstrap_timeout;
-            std::thread::spawn(move || applier_loop(serving, &cell, &primary, timeout, &shutdown))
+            std::thread::spawn(move || {
+                applier_loop(serving, &cell, &heard, &primary, timeout, &shutdown)
+            })
         };
         Ok(ReplicaHandle { local_addr, shutdown, cell, acceptor, workers, applier })
     }
@@ -240,6 +278,7 @@ fn try_fetch(
 fn applier_loop(
     mut serving: ServingSolver,
     cell: &ViewCell,
+    heard: &LastHeard,
     primary: &str,
     bootstrap_timeout: Duration,
     shutdown: &AtomicBool,
@@ -265,14 +304,16 @@ fn applier_loop(
             continue;
         }
         let mut reader = BufReader::new(stream);
-        let mut line = String::new();
-        if read_line_patiently(&mut reader, &mut line, shutdown).is_none() {
+        let mut line = Vec::new();
+        if read_line_patiently(&mut reader, &mut line, shutdown, usize::MAX) != LineRead::Line {
             std::thread::sleep(backoff);
             continue;
         }
-        let ack_ok =
-            Json::parse(line.trim_end()).ok().and_then(|v| v.get("ok").and_then(Json::as_bool))
-                == Some(true);
+        heard.now();
+        let ack_ok = Json::parse(String::from_utf8_lossy(&line).trim_end())
+            .ok()
+            .and_then(|v| v.get("ok").and_then(Json::as_bool))
+            == Some(true);
         if !ack_ok {
             std::thread::sleep(backoff);
             backoff = (backoff * 2).min(Duration::from_secs(1));
@@ -286,8 +327,10 @@ fn applier_loop(
         // shutdown is checked per line, not only on a timeout.
         let mut record = String::new();
         while !shutdown.load(Ordering::SeqCst)
-            && read_line_patiently(&mut reader, &mut line, shutdown).is_some()
+            && read_line_patiently(&mut reader, &mut line, shutdown, usize::MAX) == LineRead::Line
         {
+            heard.now();
+            let line = String::from_utf8_lossy(&line);
             let trimmed = line.trim_end();
             if trimmed.is_empty() {
                 continue;
@@ -295,7 +338,7 @@ fn applier_loop(
             if let Some(comment) = trimmed.strip_prefix('#') {
                 if comment.trim_start().starts_with("stale") {
                     // Fell out of the primary's ring: full re-bootstrap.
-                    rebootstrap(&mut serving, cell, primary, bootstrap_timeout, shutdown);
+                    rebootstrap(&mut serving, cell, heard, primary, bootstrap_timeout, shutdown);
                     continue 'connect;
                 }
                 continue; // keepalive
@@ -306,7 +349,14 @@ fn applier_loop(
                 match parse_records(&record) {
                     Ok(records) => {
                         if !records.into_iter().all(|rec| apply_record(&mut serving, rec)) {
-                            rebootstrap(&mut serving, cell, primary, bootstrap_timeout, shutdown);
+                            rebootstrap(
+                                &mut serving,
+                                cell,
+                                heard,
+                                primary,
+                                bootstrap_timeout,
+                                shutdown,
+                            );
                             continue 'connect;
                         }
                     }
@@ -350,26 +400,35 @@ fn apply_record(serving: &mut ServingSolver, record: LogRecord) -> bool {
 fn rebootstrap(
     serving: &mut ServingSolver,
     cell: &ViewCell,
+    heard: &LastHeard,
     primary: &str,
     timeout: Duration,
     shutdown: &AtomicBool,
 ) {
     if let Ok(fresh) = fetch_state(primary, timeout, shutdown) {
+        heard.now();
         *cell.write().expect("view cell") = fresh.reader();
         *serving = fresh;
     }
 }
 
 /// Serves one client connection read-only.
-fn serve_connection(stream: TcpStream, cell: &ViewCell, shutdown: &AtomicBool, primary: &str) {
+fn serve_connection(
+    stream: TcpStream,
+    cell: &ViewCell,
+    heard: &LastHeard,
+    shutdown: &AtomicBool,
+    primary: &str,
+) {
     stream.set_read_timeout(Some(Duration::from_millis(200))).ok();
     let mut writer = match stream.try_clone() {
         Ok(w) => w,
         Err(_) => return,
     };
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    while read_line_patiently(&mut reader, &mut line, shutdown).is_some() {
+    let mut line = Vec::new();
+    while read_request(&mut reader, &mut line, &mut writer, shutdown).is_some() {
+        let line = String::from_utf8_lossy(&line);
         if line.trim().is_empty() {
             continue;
         }
@@ -386,7 +445,14 @@ fn serve_connection(stream: TcpStream, cell: &ViewCell, shutdown: &AtomicBool, p
                         }
                         continue;
                     }
-                    Query::Stats => stats_reply(&view).render(),
+                    Query::Stats => {
+                        let mut reply = stats_reply(&view);
+                        if let Json::Obj(members) = &mut reply {
+                            let silence = Json::u64(heard.silence_ms());
+                            members.push(("primary_silent_ms".into(), silence));
+                        }
+                        reply.render()
+                    }
                 }
             }
             Ok(Request::Shutdown) => {

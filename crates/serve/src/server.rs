@@ -35,7 +35,7 @@ use crate::queue::{BoundedQueue, Pop};
 use dkc_core::SolveRequest;
 use dkc_dynamic::{render_record, EdgeUpdate, FsyncPolicy, ServingSolver, SharedView};
 use dkc_json::Json;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
@@ -258,19 +258,45 @@ pub(crate) fn send_line(writer: &mut impl Write, mut line: String) -> std::io::R
     writer.write_all(line.as_bytes())
 }
 
-/// Reads one line, tolerating read timeouts (so idle connections observe
-/// shutdown). Returns `None` on EOF, connection error, or shutdown.
-/// Shared with the replica front end.
+/// Longest request line, in bytes, that either client-facing front end
+/// (the server's and a replica's) reads. A longer line gets an `ok:false`
+/// reply and the connection is closed: without a cap, a client that never
+/// sends `\n` grows the reader's buffer without bound. 1 MiB is five times
+/// the longest line any client in this repository sends (the 200 KB
+/// nesting probe of `tools/serve_smoke.py`; a full batch of
+/// [`ServerConfig::batch_max_updates`] updates is about 150 KB). The
+/// replication reads (`fetch` replies, the `tail` stream) are not capped.
+pub const MAX_REQUEST_LINE_BYTES: usize = 1 << 20;
+
+/// What [`read_line_patiently`] got.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum LineRead {
+    /// A line (with its `\n`, unless the peer closed right after it).
+    Line,
+    /// More than the limit's bytes arrived without a `\n`.
+    TooLong,
+    /// EOF, a connection error, or shutdown.
+    Closed,
+}
+
+/// Reads one line of at most `limit` bytes plus its `\n` into `buf`,
+/// tolerating read timeouts (so idle connections observe shutdown). Bytes
+/// are read as they come; callers decode the whole line. Shared with the
+/// replica front end and its tail reader.
 pub(crate) fn read_line_patiently(
     reader: &mut BufReader<TcpStream>,
-    buf: &mut String,
+    buf: &mut Vec<u8>,
     shutdown: &AtomicBool,
-) -> Option<()> {
+    limit: usize,
+) -> LineRead {
     buf.clear();
     loop {
-        match reader.read_line(buf) {
-            Ok(0) => return None, // EOF
-            Ok(_) => return Some(()),
+        // One byte past the limit is enough to tell a line that is too long.
+        let room = limit.saturating_add(1).saturating_sub(buf.len());
+        match reader.by_ref().take(room as u64).read_until(b'\n', buf) {
+            Ok(0) => return LineRead::Closed, // EOF
+            Ok(_) if buf.len() > limit && !buf.ends_with(b"\n") => return LineRead::TooLong,
+            Ok(_) => return LineRead::Line,
             Err(e)
                 if matches!(
                     e.kind(),
@@ -280,11 +306,34 @@ pub(crate) fn read_line_patiently(
                 // Partial bytes (if any) are already in `buf`; keep going
                 // unless the server is shutting down.
                 if shutdown.load(Ordering::SeqCst) {
-                    return None;
+                    return LineRead::Closed;
                 }
             }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => return None,
+            Err(_) => return LineRead::Closed,
+        }
+    }
+}
+
+/// Reads the next request line of a client connection, capped at
+/// [`MAX_REQUEST_LINE_BYTES`]. Returns `None` when the connection is to be
+/// closed: on EOF, error or shutdown, and after answering an over-long
+/// line with an `ok:false` reply. Shared with the replica front end.
+pub(crate) fn read_request(
+    reader: &mut BufReader<TcpStream>,
+    buf: &mut Vec<u8>,
+    writer: &mut TcpStream,
+    shutdown: &AtomicBool,
+) -> Option<()> {
+    match read_line_patiently(reader, buf, shutdown, MAX_REQUEST_LINE_BYTES) {
+        LineRead::Line => Some(()),
+        LineRead::Closed => None,
+        LineRead::TooLong => {
+            let message = format!(
+                "request line longer than {MAX_REQUEST_LINE_BYTES} bytes; closing the connection"
+            );
+            let _ = send_line(writer, error_reply(message).render());
+            None
         }
     }
 }
@@ -304,12 +353,14 @@ fn handle_connection(
         Err(_) => return,
     };
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut line = Vec::new();
     // One write buffer per connection, cleared and refilled per reply —
     // the steady-state read path allocates nothing beyond what a reply
     // itself requires (and nothing at all on a cache hit).
     let mut out = String::new();
-    while read_line_patiently(&mut reader, &mut line, shutdown).is_some() {
+    while read_request(&mut reader, &mut line, &mut writer, shutdown).is_some() {
+        // Borrowed unless the line is not UTF-8, which then fails to parse.
+        let line = String::from_utf8_lossy(&line);
         if line.trim().is_empty() {
             continue;
         }

@@ -11,6 +11,7 @@ use dkc_dynamic::{EdgeUpdate, ServingSolver};
 use dkc_json::Json;
 use dkc_serve::{
     run_loadgen, LoadgenConfig, Replica, ReplicaConfig, ReplicaHandle, Server, ServerConfig,
+    MAX_REQUEST_LINE_BYTES,
 };
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
@@ -511,6 +512,104 @@ fn replica_catches_up_and_serves_reads() {
     }
     client.call_ok(r#"{"cmd":"shutdown"}"#);
     primary.join();
+}
+
+const STATS: &str = r#"{"cmd":"query","what":"stats"}"#;
+
+/// Sends twice [`MAX_REQUEST_LINE_BYTES`] with no newline on a fresh
+/// connection to `addr`: the reply must be an error and the connection
+/// must close, while a connection opened before, and one opened after,
+/// are served.
+fn overlong_line_is_refused_and_closed(addr: std::net::SocketAddr) {
+    let mut before = Client::connect(addr);
+    before.call_ok(STATS);
+    let stream = TcpStream::connect(addr).expect("connect");
+    // Without the cap the server would wait for the newline forever.
+    stream.set_read_timeout(Some(Duration::from_secs(20))).ok();
+    let mut writer = stream.try_clone().expect("clone");
+    let sender = std::thread::spawn(move || {
+        let chunk = vec![b'x'; 64 * 1024];
+        for _ in 0..2 * MAX_REQUEST_LINE_BYTES / chunk.len() {
+            // The server closes mid-stream; a failed write ends the flood.
+            if writer.write_all(&chunk).is_err() {
+                break;
+            }
+        }
+    });
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("a reply before the close");
+    let v = Json::parse(line.trim_end()).unwrap_or_else(|e| panic!("bad reply {line:?}: {e}"));
+    assert_eq!(v.get("ok").and_then(Json::as_bool), Some(false), "{}", v.render());
+    assert!(v.get("error").and_then(Json::as_str).unwrap().contains("longer than"));
+    let mut rest = String::new();
+    // EOF, or a reset for the bytes the server never read.
+    if let Ok(n) = reader.read_line(&mut rest) {
+        assert_eq!(n, 0, "connection still open after an over-long line: {rest:?}");
+    }
+    sender.join().unwrap();
+    before.call_ok(STATS);
+    Client::connect(addr).call_ok(STATS);
+}
+
+#[test]
+fn overlong_request_lines_are_refused_on_primary_and_replica() {
+    let serving =
+        ServingSolver::in_memory(&registry_graph(), SolveRequest::new(Algo::Lp, 3)).unwrap();
+    let primary =
+        Server::start(TcpListener::bind("127.0.0.1:0").unwrap(), serving, ServerConfig::default())
+            .unwrap();
+    let replica = Replica::start(
+        &primary.local_addr().to_string(),
+        TcpListener::bind("127.0.0.1:0").unwrap(),
+        ReplicaConfig::default(),
+    )
+    .unwrap();
+    overlong_line_is_refused_and_closed(primary.local_addr());
+    overlong_line_is_refused_and_closed(replica.local_addr());
+    replica.stop();
+    replica.join();
+    Client::connect(primary.local_addr()).call_ok(r#"{"cmd":"shutdown"}"#);
+    primary.join();
+}
+
+#[test]
+fn replica_stats_say_how_long_the_primary_has_been_silent() {
+    // The primary's tail sends a keepalive after 200 ms without records.
+    let keepalive_ms = 200;
+    let serving =
+        ServingSolver::in_memory(&registry_graph(), SolveRequest::new(Algo::Lp, 3)).unwrap();
+    let primary =
+        Server::start(TcpListener::bind("127.0.0.1:0").unwrap(), serving, ServerConfig::default())
+            .unwrap();
+    let replica = Replica::start(
+        &primary.local_addr().to_string(),
+        TcpListener::bind("127.0.0.1:0").unwrap(),
+        ReplicaConfig::default(),
+    )
+    .unwrap();
+    let mut reader = Client::connect(replica.local_addr());
+    let silent_ms = |client: &mut Client| {
+        client.call_ok(STATS).get("primary_silent_ms").and_then(Json::as_u64).expect("member")
+    };
+    // While the primary lives, its keepalives keep the silence short, even
+    // long after the bootstrap.
+    std::thread::sleep(Duration::from_millis(5 * keepalive_ms));
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while silent_ms(&mut reader) >= 2 * keepalive_ms {
+        assert!(Instant::now() < deadline, "keepalives do not count as lines");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    Client::connect(primary.local_addr()).call_ok(r#"{"cmd":"shutdown"}"#);
+    primary.join();
+    // The replica keeps serving its last epoch; its silence grows.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while silent_ms(&mut reader) <= 3 * keepalive_ms {
+        assert!(Instant::now() < deadline, "silence stuck at {} ms", silent_ms(&mut reader));
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    replica.stop();
+    replica.join();
 }
 
 #[test]

@@ -44,6 +44,7 @@ const PINNED: [Pinned; 2] = [
             reprobes: 24441,
             reprobe_hits: 16197,
             cliques_added: 7991,
+            clique_edges: 139039,
         },
     },
     Pinned {
@@ -57,6 +58,7 @@ const PINNED: [Pinned; 2] = [
             reprobes: 11837,
             reprobe_hits: 6682,
             cliques_added: 5270,
+            clique_edges: 124764,
         },
     },
 ];
