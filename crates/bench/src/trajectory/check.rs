@@ -88,6 +88,8 @@ pub fn gates() -> &'static [GateSpec] {
         GateSpec { metric: "serve_p99_us", kind: TAIL },
         GateSpec { metric: "serve_errors", kind: EXACT },
         GateSpec { metric: "serve_cached_read_p99_us", kind: TAIL },
+        // HG's `|S|`: the only gate on `FindOne` (Algorithm 1).
+        GateSpec { metric: "hg_size", kind: EXACT },
         GateSpec { metric: "improve_step_us", kind: STEP },
         GateSpec { metric: "improve_uplift", kind: EXACT },
         GateSpec { metric: "improve_moves_applied", kind: EXACT },

@@ -16,7 +16,7 @@
 //! | `index_live_bytes` | live heap of a sequential candidate-index build over the LP solution | |
 //! | `serve_p{50,95,99}_us` | in-process `dkc-serve` + seeded loadgen | `serve_errors` |
 //! | `serve_cached_read_p99_us` | read-only loadgen (reply-cache hits) | |
-//! | `improve_step_us` | per-step cost of the `dkc-improve` pass over HG | `improve_uplift`, `improve_moves_applied` |
+//! | `improve_step_us` | per-step cost of the `dkc-improve` pass over HG | `hg_size`, `improve_uplift`, `improve_moves_applied` |
 //!
 //! Timings aggregate to `{median, min}` over [`SuiteConfig::reps`];
 //! counters are deterministic for a pinned configuration (and
@@ -349,13 +349,16 @@ pub fn run_suite(cfg: &SuiteConfig) -> Result<SuiteOutcome, SuiteError> {
     //    near-optimal at this scale). Step budget and seed are pinned, so
     //    the uplift and applied-move counts are deterministic and gate
     //    exactly; the timing is recorded as per-tried-move cost in µs.
+    //    `hg_size`, the `|S|` of that HG solve, is the one counter that
+    //    pins `FindOne` (Algorithm 1) at this scale.
     const IMPROVE_STEPS: u64 = 512;
     const IMPROVE_SEED: u64 = 42;
     let hg_request = SolveRequest::new(Algo::Hg, cfg.k).with_par(cfg.par);
     let mut samples = Vec::with_capacity(reps);
-    let (mut uplift, mut moves_applied) = (0u64, 0u64);
+    let (mut hg_size, mut uplift, mut moves_applied) = (0u64, 0u64, 0u64);
     for _ in 0..reps {
         let report = Engine::solve(&g, hg_request).map_err(|e| fail("hg solve", e))?;
+        hg_size = report.solution.len() as u64;
         let dg = DynGraph::from_csr(&g);
         let icfg = ImproveConfig::new(IMPROVE_STEPS, IMPROVE_SEED).with_par(cfg.par);
         let t = Instant::now();
@@ -365,6 +368,7 @@ pub fn run_suite(cfg: &SuiteConfig) -> Result<SuiteOutcome, SuiteError> {
         uplift = out.stats.uplift;
         moves_applied = out.stats.moves_applied;
     }
+    push("hg_size", MetricValue::counter(hg_size));
     push("improve_step_us", MetricValue::summarize(samples));
     push("improve_uplift", MetricValue::counter(uplift));
     push("improve_moves_applied", MetricValue::counter(moves_applied));

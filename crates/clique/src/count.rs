@@ -305,7 +305,7 @@ impl<'a> CountCtx<'a> {
             self.pairs.resize(d * self.dense.stride, 0);
             d
         } else {
-            self.dense.build(self.dag, u)
+            self.dense.build(self.dag, u, None)
         };
         self.stack.clear();
         self.stack.push(u);

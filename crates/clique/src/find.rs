@@ -1,5 +1,5 @@
-use crate::kernel::{self, DenseIndex, KernelMode};
-use crate::list::intersect_sorted;
+use crate::kernel::KernelMode;
+use crate::list::{ListCtx, Visit};
 use crate::types::Clique;
 use dkc_graph::{Dag, NodeId};
 
@@ -14,19 +14,13 @@ pub struct ScoredClique {
 
 /// `FindOne` of Algorithm 1: finds the *first* k-clique rooted at a node.
 ///
-/// Given a root `u`, searches for any (k-1)-clique inside the still-valid
-/// part of `N⁺(u)` and returns `{u} ∪ clique`. The search visits candidates
-/// in ascending node id — in both kernels — so results are deterministic.
+/// Given a root `u`, walks the (k-1)-cliques inside the still-valid part of
+/// `N⁺(u)` — the listing recursion, visiting candidates in ascending node id
+/// in every kernel — and stops at the first, returning `{u} ∪ clique`.
 /// Recursion buffers are reused across calls — create one finder per solve,
 /// then call [`FirstFinder::find`] for every processed node.
 pub struct FirstFinder<'a> {
-    dag: &'a Dag,
-    k: usize,
-    mode: KernelMode,
-    stack: Vec<NodeId>,
-    bufs: Vec<Vec<NodeId>>,
-    levels: Vec<Vec<u64>>,
-    dense: DenseIndex,
+    walk: ListCtx<'a>,
 }
 
 impl<'a> FirstFinder<'a> {
@@ -39,102 +33,17 @@ impl<'a> FirstFinder<'a> {
     /// mode finds the identical clique.
     pub fn with_kernel(dag: &'a Dag, k: usize, mode: KernelMode) -> Self {
         assert!(k >= 2, "FirstFinder requires k >= 2");
-        FirstFinder {
-            dag,
-            k,
-            mode,
-            stack: Vec::with_capacity(k),
-            bufs: vec![Vec::new(); k],
-            levels: vec![Vec::new(); k],
-            dense: DenseIndex::default(),
-        }
+        FirstFinder { walk: ListCtx::with_kernel(dag, k, mode) }
     }
 
     /// Returns the first k-clique rooted at `root` whose members are all
     /// `valid`, or `None` when no such clique exists.
     pub fn find(&mut self, root: NodeId, valid: &[bool]) -> Option<Clique> {
-        if !valid[root as usize] {
-            return None;
-        }
-        self.stack.clear();
-        self.stack.push(root);
-        let found = if self.mode.dense_for(self.k, self.dag.out_degree(root)) {
-            let d = self.dense.build_filtered(self.dag, root, valid);
-            let mut cand = std::mem::take(&mut self.levels[0]);
-            kernel::fill_full(&mut cand, d);
-            let found = self.recurse_dense(self.k - 1, &cand);
-            self.levels[0] = cand;
-            found
-        } else {
-            let mut cand = std::mem::take(&mut self.bufs[0]);
-            cand.clear();
-            cand.extend(
-                self.dag.out_neighbors(root).iter().copied().filter(|&v| valid[v as usize]),
-            );
-            let found = self.recurse(self.k - 1, &cand);
-            self.bufs[0] = cand;
-            found
-        };
-        if found {
-            Some(Clique::new(&self.stack))
-        } else {
-            None
-        }
-    }
-
-    fn recurse(&mut self, l: usize, cand: &[NodeId]) -> bool {
-        if cand.len() < l {
-            return false;
-        }
-        if l == 1 {
-            self.stack.push(cand[0]);
-            return true;
-        }
-        let depth = self.k - l;
-        let mut sub = std::mem::take(&mut self.bufs[depth]);
-        let mut found = false;
-        for &v in cand {
-            // cand is already valid-filtered, so the intersection is too.
-            intersect_sorted(cand, self.dag.out_neighbors(v), &mut sub);
-            if sub.len() >= l - 1 {
-                self.stack.push(v);
-                if self.recurse(l - 1, &sub) {
-                    found = true;
-                    break;
-                }
-                self.stack.pop();
-            }
-        }
-        self.bufs[depth] = sub;
-        found
-    }
-
-    /// Bitset-kernel mirror of [`FirstFinder::recurse`]: local ids ascend
-    /// with global ids, so the first clique found is the same one.
-    fn recurse_dense(&mut self, l: usize, cand: &[u64]) -> bool {
-        if kernel::count_ones(cand) < l {
-            return false;
-        }
-        if l == 1 {
-            let first = kernel::ones(cand).next().expect("count checked above");
-            self.stack.push(self.dense.globals[first]);
-            return true;
-        }
-        let depth = self.k - l;
-        let mut sub = std::mem::take(&mut self.levels[depth]);
-        let mut found = false;
-        for i in kernel::ones(cand) {
-            kernel::and_into(&mut sub, cand, self.dense.row(i));
-            if kernel::count_ones(&sub) >= l - 1 {
-                self.stack.push(self.dense.globals[i]);
-                if self.recurse_dense(l - 1, &sub) {
-                    found = true;
-                    break;
-                }
-                self.stack.pop();
-            }
-        }
-        self.levels[depth] = sub;
+        let mut found = None;
+        self.walk.run_root(root, Some(valid), (), &mut |nodes: &[NodeId]| {
+            found = Some(Clique::new(nodes));
+            false
+        });
         found
     }
 }
@@ -149,17 +58,44 @@ impl<'a> FirstFinder<'a> {
 /// completion through the pruned branch would score at least as much as the
 /// incumbent, and ties keep the first-encountered clique either way.
 /// `prune = false` gives the exhaustive variant (the paper's competitor L).
+/// Either way the search is the listing recursion, with the partial score
+/// carried down the member stack.
 pub struct MinScoreFinder<'a> {
-    dag: &'a Dag,
+    walk: ListCtx<'a>,
+    min: MinScore<'a>,
+}
+
+/// The `FindMin` visitor: carries the partial score, cuts a branch that
+/// cannot beat the incumbent, and keeps the strict minimum.
+struct MinScore<'a> {
     scores: &'a [u64],
-    k: usize,
     prune: bool,
-    mode: KernelMode,
-    stack: Vec<NodeId>,
-    bufs: Vec<Vec<NodeId>>,
-    levels: Vec<Vec<u64>>,
-    dense: DenseIndex,
     best: Option<ScoredClique>,
+}
+
+impl Visit for MinScore<'_> {
+    type Acc = u64;
+
+    #[inline]
+    fn admit(&mut self, sum: u64, v: NodeId) -> Option<u64> {
+        let s = sum + self.scores[v as usize];
+        if self.prune && self.best.is_some_and(|best| s >= best.score) {
+            None // score-driven pruning: no completion through `v` scores less
+        } else {
+            Some(s)
+        }
+    }
+
+    #[inline]
+    fn leaf(&mut self, sum: u64, stack: &mut Vec<NodeId>, v: NodeId) -> bool {
+        let total = sum + self.scores[v as usize];
+        if self.best.is_none_or(|best| total < best.score) {
+            stack.push(v);
+            self.best = Some(ScoredClique { clique: Clique::new(stack), score: total });
+            stack.pop();
+        }
+        true
+    }
 }
 
 impl<'a> MinScoreFinder<'a> {
@@ -182,16 +118,8 @@ impl<'a> MinScoreFinder<'a> {
         assert!(k >= 2, "MinScoreFinder requires k >= 2");
         assert_eq!(scores.len(), dag.num_nodes(), "one score per node required");
         MinScoreFinder {
-            dag,
-            scores,
-            k,
-            prune,
-            mode,
-            stack: Vec::with_capacity(k),
-            bufs: vec![Vec::new(); k],
-            levels: vec![Vec::new(); k],
-            dense: DenseIndex::default(),
-            best: None,
+            walk: ListCtx::with_kernel(dag, k, mode),
+            min: MinScore { scores, prune, best: None },
         }
     }
 
@@ -200,104 +128,9 @@ impl<'a> MinScoreFinder<'a> {
     /// ascending-id recursion order wins (the tie rule the paper's
     /// implementation adopts for efficiency).
     pub fn find(&mut self, root: NodeId, valid: &[bool]) -> Option<ScoredClique> {
-        if !valid[root as usize] {
-            return None;
-        }
-        self.best = None;
-        self.stack.clear();
-        self.stack.push(root);
-        if self.mode.dense_for(self.k, self.dag.out_degree(root)) {
-            let d = self.dense.build_filtered(self.dag, root, valid);
-            let mut cand = std::mem::take(&mut self.levels[0]);
-            kernel::fill_full(&mut cand, d);
-            self.recurse_dense(self.k - 1, &cand, self.scores[root as usize]);
-            self.levels[0] = cand;
-        } else {
-            let mut cand = std::mem::take(&mut self.bufs[0]);
-            cand.clear();
-            cand.extend(
-                self.dag.out_neighbors(root).iter().copied().filter(|&v| valid[v as usize]),
-            );
-            self.recurse(self.k - 1, &cand, self.scores[root as usize]);
-            self.bufs[0] = cand;
-        }
-        self.best.take()
-    }
-
-    fn recurse(&mut self, l: usize, cand: &[NodeId], cur_sum: u64) {
-        if cand.len() < l {
-            return;
-        }
-        if l == 1 {
-            for &v in cand {
-                let total = cur_sum + self.scores[v as usize];
-                if self.best.is_none_or(|b| total < b.score) {
-                    self.stack.push(v);
-                    self.best =
-                        Some(ScoredClique { clique: Clique::new(&self.stack), score: total });
-                    self.stack.pop();
-                }
-            }
-            return;
-        }
-        let depth = self.k - l;
-        let mut sub = std::mem::take(&mut self.bufs[depth]);
-        for &v in cand {
-            let s = cur_sum + self.scores[v as usize];
-            if self.prune {
-                if let Some(best) = self.best {
-                    if s >= best.score {
-                        continue; // score-driven pruning
-                    }
-                }
-            }
-            intersect_sorted(cand, self.dag.out_neighbors(v), &mut sub);
-            if sub.len() >= l - 1 {
-                self.stack.push(v);
-                self.recurse(l - 1, &sub, s);
-                self.stack.pop();
-            }
-        }
-        self.bufs[depth] = sub;
-    }
-
-    /// Bitset-kernel mirror of [`MinScoreFinder::recurse`].
-    fn recurse_dense(&mut self, l: usize, cand: &[u64], cur_sum: u64) {
-        if kernel::count_ones(cand) < l {
-            return;
-        }
-        if l == 1 {
-            for i in kernel::ones(cand) {
-                let total = cur_sum + self.scores[self.dense.globals[i] as usize];
-                if self.best.is_none_or(|b| total < b.score) {
-                    self.stack.push(self.dense.globals[i]);
-                    self.best =
-                        Some(ScoredClique { clique: Clique::new(&self.stack), score: total });
-                    self.stack.pop();
-                }
-            }
-            return;
-        }
-        let depth = self.k - l;
-        let mut sub = std::mem::take(&mut self.levels[depth]);
-        for i in kernel::ones(cand) {
-            let v = self.dense.globals[i];
-            let s = cur_sum + self.scores[v as usize];
-            if self.prune {
-                if let Some(best) = self.best {
-                    if s >= best.score {
-                        continue; // score-driven pruning
-                    }
-                }
-            }
-            kernel::and_into(&mut sub, cand, self.dense.row(i));
-            if kernel::count_ones(&sub) >= l - 1 {
-                self.stack.push(v);
-                self.recurse_dense(l - 1, &sub, s);
-                self.stack.pop();
-            }
-        }
-        self.levels[depth] = sub;
+        self.min.best = None;
+        self.walk.run_root(root, Some(valid), 0, &mut self.min);
+        self.min.best.take()
     }
 }
 

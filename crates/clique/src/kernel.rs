@@ -120,29 +120,20 @@ pub(crate) struct DenseIndex {
 }
 
 impl DenseIndex {
-    /// Builds the index for `root`; returns `d = |N⁺(root)|`.
-    pub(crate) fn build(&mut self, dag: &Dag, root: NodeId) -> usize {
-        self.globals.clear();
-        self.globals.extend_from_slice(dag.out_neighbors(root));
+    /// Builds the index over the `valid` out-neighbours of `root` (all of
+    /// them when `None`), so invalid nodes never enter the matrix; returns
+    /// their number `d`.
+    pub(crate) fn build(&mut self, dag: &Dag, root: NodeId, valid: Option<&[bool]>) -> usize {
+        out_neighbors_in(dag, root, valid, &mut self.globals);
         self.finish(dag, false)
     }
 
-    /// [`DenseIndex::build`] that also records, in the same scatter, the
-    /// DAG arc position of every matrix bit, so that
+    /// [`DenseIndex::build`] over all of `N⁺(root)` that also records, in
+    /// the same scatter, the DAG arc position of every matrix bit, so that
     /// [`DenseIndex::for_each_arc_in`] can map local pairs back to arcs.
     pub(crate) fn build_with_arcs(&mut self, dag: &Dag, root: NodeId) -> usize {
-        self.globals.clear();
-        self.globals.extend_from_slice(dag.out_neighbors(root));
+        out_neighbors_in(dag, root, None, &mut self.globals);
         self.finish(dag, true)
-    }
-
-    /// Builds the index over the `valid`-filtered out-neighbourhood of
-    /// `root` — the finders' working set, so invalid nodes never enter the
-    /// matrix. Returns the filtered `d`.
-    pub(crate) fn build_filtered(&mut self, dag: &Dag, root: NodeId, valid: &[bool]) -> usize {
-        self.globals.clear();
-        self.globals.extend(dag.out_neighbors(root).iter().copied().filter(|&v| valid[v as usize]));
-        self.finish(dag, false)
     }
 
     fn finish(&mut self, dag: &Dag, record_arcs: bool) -> usize {
@@ -207,6 +198,23 @@ impl DenseIndex {
             }
             below += run;
         }
+    }
+}
+
+/// Fills `out` with the `valid` out-neighbours of `u` (all of them when
+/// `None`), ascending.
+pub(crate) fn out_neighbors_in(
+    dag: &Dag,
+    u: NodeId,
+    valid: Option<&[bool]>,
+    out: &mut Vec<NodeId>,
+) {
+    out.clear();
+    match valid {
+        Some(valid) => {
+            out.extend(dag.out_neighbors(u).iter().copied().filter(|&v| valid[v as usize]))
+        }
+        None => out.extend_from_slice(dag.out_neighbors(u)),
     }
 }
 
@@ -320,7 +328,7 @@ mod tests {
         let mut idx = DenseIndex::default();
         // Find a root with out-degree >= 2 and check rows against has_arc.
         for root in 0..6u32 {
-            let d = idx.build(&dag, root);
+            let d = idx.build(&dag, root, None);
             assert_eq!(d, dag.out_degree(root));
             for i in 0..d {
                 for j in 0..d {
@@ -337,10 +345,10 @@ mod tests {
         let g = CsrGraph::from_edges(4, vec![(0, 1), (0, 2), (1, 2), (2, 3)]).unwrap();
         let dag = Dag::from_graph(&g, NodeOrder::compute(&g, OrderingKind::Identity));
         let mut idx = DenseIndex::default();
-        idx.build(&dag, 0);
+        idx.build(&dag, 0, None);
         let first = idx.globals.clone();
-        idx.build(&dag, 2);
-        idx.build(&dag, 0);
+        idx.build(&dag, 2, None);
+        idx.build(&dag, 0, None);
         assert_eq!(idx.globals, first, "rebuild after reuse is identical");
         assert!(idx.local_of.iter().all(|&s| s == 0), "scatter map cleared between roots");
     }

@@ -25,6 +25,10 @@
 //! * [`MinScoreFinder`] — the `FindMin` procedure of Algorithm 3: return the
 //!   clique of minimum *clique score* (Definition 6) rooted at a node,
 //!   optionally applying the paper's score-driven pruning rule.
+//!
+//!   Both finders run the listing recursion of [`for_each_kclique`] over
+//!   one root, restricted to `valid` nodes, so they visit candidates in
+//!   listing order; each differs from listing only in a small visitor.
 //! * [`for_each_kclique_in_subset`] — bitset-based enumeration inside an
 //!   arbitrary node subset of a dynamic graph, used by the candidate-clique
 //!   index of Section V (Algorithm 5) and the improvement layer.
@@ -34,9 +38,11 @@
 //! * [`KernelMode`] — per-root choice between the sorted-slice merge kernel
 //!   and a dense bit-matrix kernel (Rossi et al., "A Fast Parallel Maximum
 //!   Clique Algorithm for Large Sparse Graphs"). Every `*_kernel` variant
-//!   accepts a mode; the default [`KernelMode::Adaptive`] densifies roots
-//!   whose out-degree lands in `DENSE_MIN_DEGREE..=DENSE_MAX_DEGREE`, and
-//!   every mode emits bit-identical cliques in the identical order.
+//!   and the finders' `with_kernel` accept a mode; the default
+//!   [`KernelMode::Adaptive`] densifies roots whose out-degree lands in
+//!   `DENSE_MIN_DEGREE..=DENSE_MAX_DEGREE`, and every mode emits
+//!   bit-identical cliques in the identical order. Two walks make that
+//!   choice: the counting pass and the listing recursion.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

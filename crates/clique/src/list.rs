@@ -28,16 +28,61 @@ where
 {
     let mut ctx = ListCtx::with_kernel(dag, k, mode);
     for u in 0..dag.num_nodes() as NodeId {
-        ctx.run_root(u, &mut |nodes| {
+        ctx.run_root(u, None, (), &mut |nodes: &[NodeId]| {
             cb(nodes);
             true
         });
     }
 }
 
-/// Reusable recursion state: one candidate buffer per depth plus the member
-/// stack, so enumeration performs no per-clique allocation. Holds both
-/// kernels' scratch; [`KernelMode`] picks per root.
+/// What a rooted walk ([`ListCtx::run_root`]) does besides descending.
+///
+/// Listing, `FindOne` and `FindMin` share the recursion and differ only
+/// here: in a value carried down the member stack, in a bound that cuts a
+/// branch before its intersection, and in what a completed clique does.
+/// Any `FnMut(&[NodeId]) -> bool` is the listing visitor: it sees every
+/// clique, root first, and returns `false` to stop the walk.
+pub(crate) trait Visit {
+    /// The value carried down the member stack (a partial score, or `()`).
+    type Acc: Copy;
+
+    /// Asked before `v` joins a stack that carries `acc` — the root
+    /// included — and before any intersection through `v`. Returns what the
+    /// stack carries with `v` on it, or `None` to cut every branch
+    /// through `v`.
+    fn admit(&mut self, acc: Self::Acc, v: NodeId) -> Option<Self::Acc>;
+
+    /// `v` completes a k-clique with `stack`, which carries `acc`. Pushes
+    /// `v` (and pops it again) only when it keeps the clique. Returns
+    /// `false` to stop the walk.
+    fn leaf(&mut self, acc: Self::Acc, stack: &mut Vec<NodeId>, v: NodeId) -> bool;
+}
+
+impl<F: FnMut(&[NodeId]) -> bool> Visit for F {
+    type Acc = ();
+
+    #[inline]
+    fn admit(&mut self, _: (), _: NodeId) -> Option<()> {
+        Some(())
+    }
+
+    #[inline]
+    fn leaf(&mut self, _: (), stack: &mut Vec<NodeId>, v: NodeId) -> bool {
+        stack.push(v);
+        let keep_going = self(stack);
+        stack.pop();
+        keep_going
+    }
+}
+
+/// The one rooted k-clique walk: one candidate buffer per depth plus the
+/// member stack, so a walk performs no per-clique allocation. Holds both
+/// kernels' scratch; [`KernelMode`] picks per root. A [`Visit`] decides
+/// what the walk keeps, so listing, [`FirstFinder`] and
+/// [`MinScoreFinder`] all run it.
+///
+/// [`FirstFinder`]: crate::FirstFinder
+/// [`MinScoreFinder`]: crate::MinScoreFinder
 pub(crate) struct ListCtx<'a> {
     dag: &'a Dag,
     k: usize,
@@ -64,46 +109,59 @@ impl<'a> ListCtx<'a> {
         }
     }
 
-    /// Runs the recursion for one root. The callback returns `false` to
-    /// stop; the return value propagates that request outward.
-    pub(crate) fn run_root<F: FnMut(&[NodeId]) -> bool>(&mut self, u: NodeId, cb: &mut F) -> bool {
+    /// Walks the k-cliques rooted at `u` whose members are all `valid`
+    /// (every node when `None`), in ascending member id. `acc` is what the
+    /// empty stack carries; the root is admitted like any other member.
+    /// Returns `false` when the visitor stopped the walk.
+    pub(crate) fn run_root<V: Visit>(
+        &mut self,
+        u: NodeId,
+        valid: Option<&[bool]>,
+        acc: V::Acc,
+        visit: &mut V,
+    ) -> bool {
+        self.stack.clear();
+        if valid.is_some_and(|valid| !valid[u as usize]) {
+            return true;
+        }
         if self.k == 1 {
-            return cb(&[u]);
+            return visit.leaf(acc, &mut self.stack, u);
         }
         let d = self.dag.out_degree(u);
         if d < self.k - 1 {
             return true;
         }
-        if self.mode.dense_for(self.k, d) {
-            return self.run_root_dense(u, cb);
-        }
-        self.stack.clear();
+        let Some(acc) = visit.admit(acc, u) else {
+            return true;
+        };
         self.stack.push(u);
-        let mut first = std::mem::take(&mut self.bufs[0]);
-        first.clear();
-        first.extend_from_slice(self.dag.out_neighbors(u));
-        let keep_going = self.recurse(self.k - 1, &first, cb);
-        self.bufs[0] = first;
-        keep_going
+        if self.mode.dense_for(self.k, d) {
+            // Local ids ascend with global ids, so the bitset kernel visits
+            // (and completes) cliques in exactly the slice kernel's order.
+            let d = self.dense.build(self.dag, u, valid);
+            let mut first = std::mem::take(&mut self.levels[0]);
+            kernel::fill_full(&mut first, d);
+            let keep_going = self.recurse_dense(self.k - 1, &first, acc, visit);
+            self.levels[0] = first;
+            keep_going
+        } else {
+            let mut first = std::mem::take(&mut self.bufs[0]);
+            kernel::out_neighbors_in(self.dag, u, valid, &mut first);
+            let keep_going = self.recurse(self.k - 1, &first, acc, visit);
+            self.bufs[0] = first;
+            keep_going
+        }
     }
 
     /// Extends the member stack with `l` more nodes drawn from `cand`.
-    /// Returns `false` when the callback requested a stop.
-    fn recurse<F: FnMut(&[NodeId]) -> bool>(
-        &mut self,
-        l: usize,
-        cand: &[NodeId],
-        cb: &mut F,
-    ) -> bool {
+    /// Returns `false` when the visitor stopped the walk.
+    fn recurse<V: Visit>(&mut self, l: usize, cand: &[NodeId], acc: V::Acc, visit: &mut V) -> bool {
         if cand.len() < l {
             return true;
         }
         if l == 1 {
             for &v in cand {
-                self.stack.push(v);
-                let keep_going = cb(&self.stack);
-                self.stack.pop();
-                if !keep_going {
+                if !visit.leaf(acc, &mut self.stack, v) {
                     return false;
                 }
             }
@@ -113,12 +171,13 @@ impl<'a> ListCtx<'a> {
         let mut sub = std::mem::take(&mut self.bufs[depth]);
         let mut keep_going = true;
         for &v in cand {
+            let Some(next) = visit.admit(acc, v) else { continue };
             // Only descend through v's out-neighbours: this de-duplicates
             // member selection the same way the DAG de-duplicates roots.
-            crate::list::intersect_sorted(cand, self.dag.out_neighbors(v), &mut sub);
+            intersect_sorted(cand, self.dag.out_neighbors(v), &mut sub);
             if sub.len() >= l - 1 {
                 self.stack.push(v);
-                keep_going = self.recurse(l - 1, &sub, cb);
+                keep_going = self.recurse(l - 1, &sub, next, visit);
                 self.stack.pop();
                 if !keep_going {
                     break;
@@ -129,35 +188,21 @@ impl<'a> ListCtx<'a> {
         keep_going
     }
 
-    /// Bitset-kernel root: densify `N⁺(u)` once, then recurse on words.
-    /// Local ids ascend with global ids, so the visit (and therefore
-    /// emission) order is exactly the slice kernel's.
-    fn run_root_dense<F: FnMut(&[NodeId]) -> bool>(&mut self, u: NodeId, cb: &mut F) -> bool {
-        let d = self.dense.build(self.dag, u);
-        self.stack.clear();
-        self.stack.push(u);
-        let mut first = std::mem::take(&mut self.levels[0]);
-        kernel::fill_full(&mut first, d);
-        let keep_going = self.recurse_dense(self.k - 1, &first, cb);
-        self.levels[0] = first;
-        keep_going
-    }
-
-    fn recurse_dense<F: FnMut(&[NodeId]) -> bool>(
+    /// Bitset-kernel mirror of [`ListCtx::recurse`] over the root's
+    /// [`DenseIndex`].
+    fn recurse_dense<V: Visit>(
         &mut self,
         l: usize,
         cand: &[u64],
-        cb: &mut F,
+        acc: V::Acc,
+        visit: &mut V,
     ) -> bool {
         if kernel::count_ones(cand) < l {
             return true;
         }
         if l == 1 {
             for i in kernel::ones(cand) {
-                self.stack.push(self.dense.globals[i]);
-                let keep_going = cb(&self.stack);
-                self.stack.pop();
-                if !keep_going {
+                if !visit.leaf(acc, &mut self.stack, self.dense.globals[i]) {
                     return false;
                 }
             }
@@ -167,10 +212,12 @@ impl<'a> ListCtx<'a> {
         let mut sub = std::mem::take(&mut self.levels[depth]);
         let mut keep_going = true;
         for i in kernel::ones(cand) {
+            let v = self.dense.globals[i];
+            let Some(next) = visit.admit(acc, v) else { continue };
             kernel::and_into(&mut sub, cand, self.dense.row(i));
             if kernel::count_ones(&sub) >= l - 1 {
-                self.stack.push(self.dense.globals[i]);
-                keep_going = self.recurse_dense(l - 1, &sub, cb);
+                self.stack.push(v);
+                keep_going = self.recurse_dense(l - 1, &sub, next, visit);
                 self.stack.pop();
                 if !keep_going {
                     break;
@@ -215,7 +262,7 @@ pub(crate) mod tests {
         F: FnMut(&[NodeId]),
     {
         let mut ctx = ListCtx::with_kernel(dag, k, KernelMode::default());
-        ctx.run_root(root, &mut |nodes| {
+        ctx.run_root(root, None, (), &mut |nodes: &[NodeId]| {
             cb(nodes);
             true
         });
@@ -433,7 +480,7 @@ pub(crate) mod tests {
             let mut ctx = ListCtx::with_kernel(&dag, 3, mode);
             let mut seen = 0;
             for u in 0..dag.num_nodes() as NodeId {
-                if !ctx.run_root(u, &mut |_| {
+                if !ctx.run_root(u, None, (), &mut |_: &[NodeId]| {
                     seen += 1;
                     seen < 3
                 }) {

@@ -269,7 +269,7 @@ pub fn collect_kcliques_kernel(
         |ctx, range, out: &mut Vec<NodeId>| {
             for u in range {
                 let mut over = false;
-                ctx.run_root(u as NodeId, &mut |nodes| {
+                ctx.run_root(u as NodeId, None, (), &mut |nodes: &[NodeId]| {
                     if budget.as_ref().is_some_and(|b| !b.charge(1)) {
                         over = true;
                         return false;

@@ -50,6 +50,28 @@ fn brute_force_cliques(g: &CsrGraph, k: usize) -> BTreeSet<Vec<NodeId>> {
     out
 }
 
+/// A validity mask over `g`'s nodes: a node is valid unless its `mask`
+/// entry is 0 (so about three in four are).
+fn valid_from(g: &CsrGraph, mask: &[u8]) -> Vec<bool> {
+    (0..g.num_nodes()).map(|u| mask[u] != 0).collect()
+}
+
+/// The brute-force k-cliques of `g` whose members are all `valid`.
+fn valid_cliques(g: &CsrGraph, k: usize, valid: &[bool]) -> BTreeSet<Vec<NodeId>> {
+    let mut all = brute_force_cliques(g, k);
+    all.retain(|c| c.iter().all(|&v| valid[v as usize]));
+    all
+}
+
+/// The cliques of `all` rooted at `u`: `u` is their highest-ranked member.
+fn rooted_at<'s>(
+    all: &'s BTreeSet<Vec<NodeId>>,
+    d: &'s Dag,
+    u: NodeId,
+) -> impl Iterator<Item = &'s Vec<NodeId>> {
+    all.iter().filter(move |c| c.contains(&u) && c.iter().all(|&v| d.rank(v) <= d.rank(u)))
+}
+
 fn dag(g: &CsrGraph, kind: OrderingKind) -> Dag {
     Dag::from_graph(g, NodeOrder::compute(g, kind))
 }
@@ -165,22 +187,40 @@ proptest! {
     fn first_finder_finds_iff_a_rooted_clique_exists(
         g in graph_strategy(12, 60),
         k in 3usize..=4,
+        mask in proptest::collection::vec(0u8..4, 12),
     ) {
+        // The oracle is brute force over the valid nodes only: a clique is
+        // rooted at `u` when `u` is its highest-ranked member.
         let d = dag(&g, OrderingKind::Degeneracy);
-        let valid = vec![true; g.num_nodes()];
-        let mut finder = FirstFinder::new(&d, k);
-        let all = brute_force_cliques(&g, k);
-        for u in 0..g.num_nodes() as NodeId {
-            let rooted_exists = all.iter().any(|c| {
-                c.contains(&u) && c.iter().all(|&v| d.rank(v) <= d.rank(u))
-            });
-            match finder.find(u, &valid) {
-                Some(c) => {
-                    prop_assert!(rooted_exists, "found {:?} though none expected", c);
-                    prop_assert!(c.contains(u));
-                    prop_assert!(all.contains(c.as_slice()));
+        let valid = valid_from(&g, &mask);
+        let all = valid_cliques(&g, k, &valid);
+        let mut reference = Vec::new();
+        for mode in [KernelMode::Slice, KernelMode::Bitset, KernelMode::Adaptive] {
+            let mut finder = FirstFinder::with_kernel(&d, k, mode);
+            let found: Vec<Option<Clique>> =
+                (0..g.num_nodes() as NodeId).map(|u| finder.find(u, &valid)).collect();
+            for (u, got) in (0..).zip(&found) {
+                let rooted_exists = rooted_at(&all, &d, u).next().is_some();
+                match got {
+                    Some(c) => {
+                        prop_assert!(rooted_exists, "found {:?} though none expected ({})", c, mode);
+                        prop_assert!(
+                            rooted_at(&all, &d, u).any(|r| r.as_slice() == c.as_slice()),
+                            "{:?} is not a valid clique rooted at {}", c, u
+                        );
+                    }
+                    None => prop_assert!(!rooted_exists, "missed a clique rooted at {} ({})", u, mode),
                 }
-                None => prop_assert!(!rooted_exists, "missed a clique rooted at {}", u),
+                if !valid[u as usize] {
+                    prop_assert!(got.is_none(), "invalid root {} returned a clique ({})", u, mode);
+                }
+            }
+            // Every kernel walks candidates in the same order, so each
+            // stops at the same first clique.
+            if mode == KernelMode::Slice {
+                reference = found;
+            } else {
+                prop_assert_eq!(&found, &reference, "{} differs from slice", mode);
             }
         }
     }
@@ -189,25 +229,43 @@ proptest! {
     fn min_finder_is_optimal_and_prune_invariant(
         g in graph_strategy(12, 60),
         k in 3usize..=4,
+        mask in proptest::collection::vec(0u8..4, 12),
     ) {
         let d = dag(&g, OrderingKind::Degeneracy);
         let scores = node_scores(&d, k);
-        let valid = vec![true; g.num_nodes()];
-        let mut pruned = MinScoreFinder::new(&d, &scores, k, true);
-        let mut exhaustive = MinScoreFinder::new(&d, &scores, k, false);
-        let all = brute_force_cliques(&g, k);
-        for u in 0..g.num_nodes() as NodeId {
-            let a = pruned.find(u, &valid);
-            let b = exhaustive.find(u, &valid);
-            prop_assert_eq!(a, b, "prune changed the result at root {}", u);
-            if let Some(sc) = a {
-                // No rooted clique may score lower.
-                let min_rooted = all
-                    .iter()
-                    .filter(|c| c.contains(&u) && c.iter().all(|&v| d.rank(v) <= d.rank(u)))
+        let valid = valid_from(&g, &mask);
+        let all = valid_cliques(&g, k, &valid);
+        let mut reference = Vec::new();
+        for mode in [KernelMode::Slice, KernelMode::Bitset, KernelMode::Adaptive] {
+            let mut pruned = MinScoreFinder::with_kernel(&d, &scores, k, true, mode);
+            let mut exhaustive = MinScoreFinder::with_kernel(&d, &scores, k, false, mode);
+            let mut found = Vec::new();
+            for u in 0..g.num_nodes() as NodeId {
+                let a = pruned.find(u, &valid);
+                let b = exhaustive.find(u, &valid);
+                prop_assert_eq!(a, b, "prune changed the result at root {} ({})", u, mode);
+                if !valid[u as usize] {
+                    prop_assert!(a.is_none(), "invalid root {} returned a clique ({})", u, mode);
+                }
+                // No valid rooted clique may score lower, and one exists
+                // exactly when the finder returns one.
+                let min_rooted = rooted_at(&all, &d, u)
                     .map(|c| c.iter().map(|&v| scores[v as usize]).sum::<u64>())
                     .min();
-                prop_assert_eq!(Some(sc.score), min_rooted);
+                prop_assert_eq!(a.map(|sc| sc.score), min_rooted, "root {} ({})", u, mode);
+                if let Some(sc) = a {
+                    prop_assert!(
+                        rooted_at(&all, &d, u).any(|r| r.as_slice() == sc.clique.as_slice()),
+                        "{:?} is not a valid clique rooted at {}", sc, u
+                    );
+                    prop_assert_eq!(sc.score, sc.clique.score(&scores));
+                }
+                found.push(a);
+            }
+            if mode == KernelMode::Slice {
+                reference = found;
+            } else {
+                prop_assert_eq!(&found, &reference, "{} differs from slice", mode);
             }
         }
     }

@@ -66,7 +66,7 @@ use crate::log::{FsyncPolicy, LogError, LogRecord, UpdateLog};
 use crate::solver::{BatchOutcome, DynamicSolver, EdgeUpdate, UpdateStats};
 use crate::view::{SharedView, SolutionView};
 use dkc_clique::{Clique, MAX_K};
-use dkc_core::{Engine, Solution, SolveError, SolveReport, SolveRequest, MIN_K};
+use dkc_core::{Solution, SolveError, SolveRequest, MIN_K};
 use dkc_graph::io::{read_snapshot_path, write_csr_snapshot_path};
 use dkc_graph::{CsrGraph, GraphError, NodeId};
 use dkc_improve::ImproveStats;
@@ -425,25 +425,6 @@ impl ServingSolver {
             store.log.sync()?;
         }
         Ok(())
-    }
-
-    /// Runs a full from-scratch engine solve on the *current* graph —
-    /// the serving `solve` command. Without `request` it replays the
-    /// solver's own request; a given request's thread count is capped at
-    /// the solver's own, so a client cannot make the server start more
-    /// workers than it was configured with.
-    pub fn solve_fresh(&self, request: Option<SolveRequest>) -> Result<SolveReport, SolveError> {
-        let csr = self.solver.graph().to_csr();
-        Engine::solve(&csr, self.solve_request(request))
-    }
-
-    /// The request [`ServingSolver::solve_fresh`] runs.
-    fn solve_request(&self, request: Option<SolveRequest>) -> SolveRequest {
-        let own = self.solver.request();
-        match request {
-            Some(req) => req.with_threads(req.par.threads.min(own.par.threads)),
-            None => own,
-        }
     }
 
     /// Serialises the full serving state — graph edges, request, `S`,
@@ -937,18 +918,6 @@ mod tests {
     }
 
     #[test]
-    fn solve_fresh_runs_on_the_current_graph() {
-        let g = demo_graph();
-        let mut s = ServingSolver::in_memory(&g, SolveRequest::new(Algo::Lp, 3)).unwrap();
-        s.apply_batch(&[EdgeUpdate::Delete(0, 1)]).unwrap();
-        let report = s.solve_fresh(None).unwrap();
-        assert_eq!(report.algo, Algo::Lp);
-        assert_eq!(report.solution.len(), 1);
-        let report = s.solve_fresh(Some(SolveRequest::new(Algo::Hg, 3))).unwrap();
-        assert_eq!(report.algo, Algo::Hg);
-    }
-
-    #[test]
     fn export_import_resumes_in_lockstep() {
         let g = demo_graph();
         let mut primary = ServingSolver::in_memory(&g, SolveRequest::new(Algo::Lp, 3)).unwrap();
@@ -1186,18 +1155,6 @@ mod tests {
         let m = meta_error(ServingSolver::restore(&dir));
         std::fs::remove_dir_all(&dir).ok();
         assert!(m.contains("request k = 2 is outside"), "{m}");
-    }
-
-    #[test]
-    fn solve_request_caps_wire_threads_at_the_servers_own() {
-        let own = SolveRequest::new(Algo::Lp, 3).with_threads(2);
-        let s = ServingSolver::in_memory(&demo_graph(), own).unwrap();
-        let wire = SolveRequest::new(Algo::Hg, 3).with_threads(100_000_000);
-        let capped = s.solve_request(Some(wire));
-        assert_eq!(capped.par.threads, 2);
-        assert_eq!(capped.algo, Algo::Hg);
-        assert_eq!(s.solve_request(Some(wire.with_threads(1))).par.threads, 1);
-        assert_eq!(s.solve_request(None), s.solver().request());
     }
 
     #[test]

@@ -28,7 +28,6 @@
 #![warn(missing_docs)]
 
 mod builder;
-mod components;
 mod csr;
 mod dag;
 mod dynamic;
@@ -39,7 +38,6 @@ mod stats;
 mod subgraph;
 
 pub use builder::GraphBuilder;
-pub use components::{connected_components, Components};
 pub use csr::CsrGraph;
 pub use dag::Dag;
 pub use dynamic::DynGraph;

@@ -9,8 +9,7 @@
 //! writes the exact same bytes in one `write`. The writer thread calls
 //! [`ReplyCache::invalidate`] after every publication (update batches and
 //! applied improve slices), so a cached body can never outlive the epoch
-//! it renders. A `solve` publishes nothing: it reports on the current
-//! graph and leaves the served solution and its cached bodies alone.
+//! it renders.
 //!
 //! `stats` replies are *not* cached: they are tiny and they carry the
 //! live hit/miss counters themselves (rendered under `"reply_cache"` on the

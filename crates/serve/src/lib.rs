@@ -22,11 +22,14 @@
 //! |---|---|
 //! | `update` | insert/delete edge batch → journaled, applied, new epoch |
 //! | `query group_of` / `solution` / `stats` | read at one consistent epoch |
-//! | `solve` | full from-scratch [`dkc_core::Engine`] run on the current graph |
 //! | `improve` | one bounded local-search slice → journaled, new epoch if it applied moves |
 //! | `snapshot` | persist state (`.dkcsr` + meta, new generation) and start a fresh log |
 //! | `shutdown` | graceful stop (journal synced) |
 //! | `fetch` / `tail` | replication: full state export / committed-journal stream |
+//!
+//! There is no `solve` command: a from-scratch solve would hold every
+//! queued update behind it on the writer, and `dkc solve` does that job
+//! offline.
 //!
 //! Update commands are bounded: node ids beyond the server's growth cap
 //! ([`ServerConfig::max_node`], derived from the served graph by default)

@@ -2,9 +2,10 @@
 //!
 //! One request per line, one reply line per request, in order. Every reply
 //! carries `"ok"`; failures render as `{"ok":false,"error":"…"}` reusing
-//! the library error `Display` forms (`SolveError`'s OOM/OOT markers
-//! included). Node ids on the wire are the server's dense internal ids.
-//! A `solve` request's `threads` is capped at the server's own thread count.
+//! the library error `Display` forms. Node ids on the wire are the
+//! server's dense internal ids. There is no `solve` command: a
+//! from-scratch solve on the writer would hold every queued update behind
+//! it, so run `dkc solve` on the graph offline instead.
 //! A request line longer than [`crate::MAX_REQUEST_LINE_BYTES`] gets an
 //! error reply and the connection is closed.
 //!
@@ -15,8 +16,6 @@
 //! {"cmd":"query","what":"group_of","node":5}
 //! {"cmd":"query","what":"solution"}
 //! {"cmd":"query","what":"stats"}
-//! {"cmd":"solve"}                      — replay the server's bootstrap request
-//! {"cmd":"solve","request":{"algo":"hg","k":3}}  — no "budget": the CLI's default for the algo
 //! {"cmd":"improve","steps":256}        — run one bounded local-search slice
 //! {"cmd":"improve","steps":256,"seed":7}
 //! {"cmd":"snapshot"}                   — persist state + truncate the log
@@ -33,7 +32,6 @@
 //! solution → {"ok":true,"epoch":E,"k":K,"size":S,"covered_nodes":C,"cliques":[[..],..]}
 //! stats    → {"ok":true,"epoch":E,"k":K,"size":S,"num_nodes":N,"stats":{..update counters..}}
 //!            (a replica adds "primary_silent_ms":T, the time since its primary's last line)
-//! solve    → {"ok":true,"epoch":E,"report":{..SolveReport..}}
 //! improve  → {"ok":true,"epoch":E,"size":S,"stats":{..ImproveStats..}}
 //! snapshot → {"ok":true,"epoch":E,"durable":B,"path":P}
 //! fetch    → {"ok":true,"epoch":E,"state":{..export_state doc..}}
@@ -41,7 +39,7 @@
 //! shutdown → {"ok":true,"epoch":E,"shutdown":true}
 //! ```
 
-use dkc_core::{ImproveStats, SolveReport, SolveRequest};
+use dkc_core::ImproveStats;
 use dkc_dynamic::{stats_to_json, BatchOutcome, EdgeUpdate, SolutionView};
 use dkc_graph::NodeId;
 use dkc_json::Json;
@@ -53,9 +51,6 @@ pub enum Request {
     Update(Vec<EdgeUpdate>),
     /// Read from the latest published view.
     Query(Query),
-    /// Run a full from-scratch engine solve on the current graph.
-    /// `None` replays the server's bootstrap request.
-    Solve(Option<SolveRequest>),
     /// Run one bounded improvement slice over the served solution.
     Improve {
         /// Local-search step budget for this slice.
@@ -125,12 +120,6 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 other => Err(format!("unknown query {other:?} (try group_of|solution|stats)")),
             }
         }
-        "solve" => match v.get("request") {
-            None | Some(Json::Null) => Ok(Request::Solve(None)),
-            Some(req) => Ok(Request::Solve(Some(
-                SolveRequest::from_json_value(req).map_err(|e| e.to_string())?,
-            ))),
-        },
         "improve" => {
             let steps = v
                 .get("steps")
@@ -156,7 +145,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         "shutdown" => Ok(Request::Shutdown),
         other => Err(format!(
             "unknown command {other:?} \
-             (try update|query|solve|improve|snapshot|fetch|tail|shutdown)"
+             (try update|query|improve|snapshot|fetch|tail|shutdown)"
         )),
     }
 }
@@ -211,7 +200,7 @@ pub fn render_query_request(query: Query) -> String {
     Json::Obj(members).render()
 }
 
-/// Renders a bare command (`solve` / `snapshot` / `fetch` / `shutdown`)
+/// Renders a bare command (`snapshot` / `fetch` / `shutdown`)
 /// request line.
 pub fn render_command_request(cmd: &str) -> String {
     Json::Obj(vec![("cmd".into(), Json::str(cmd))]).render()
@@ -324,13 +313,6 @@ pub fn stats_reply(view: &SolutionView) -> Json {
     Json::Obj(m)
 }
 
-/// The `solve` reply (embeds the full [`SolveReport`] rendering).
-pub fn solve_reply(epoch: u64, report: &SolveReport) -> Json {
-    let mut m = ok_members(epoch);
-    m.push(("report".into(), report.to_json_value()));
-    Json::Obj(m)
-}
-
 /// The `improve` reply: the slice's [`ImproveStats`] plus the resulting
 /// epoch and `|S|` (epoch unchanged when the slice applied no move).
 pub fn improve_reply(epoch: u64, stats: &ImproveStats, size: usize) -> Json {
@@ -374,8 +356,7 @@ pub fn tail_ack(epoch: u64, from: u64) -> Json {
 }
 
 /// A structured error reply. `message` is typically a library error's
-/// `Display` rendering ([`dkc_core::SolveError`]'s OOM/OOT markers pass
-/// through verbatim).
+/// `Display` rendering.
 pub fn error_reply(message: impl Into<String>) -> Json {
     Json::Obj(vec![("ok".into(), Json::Bool(false)), ("error".into(), Json::str(message))])
 }
@@ -383,7 +364,6 @@ pub fn error_reply(message: impl Into<String>) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dkc_core::Algo;
 
     #[test]
     fn update_request_roundtrips() {
@@ -401,15 +381,15 @@ mod tests {
     }
 
     #[test]
-    fn solve_request_parses_with_and_without_override() {
-        assert_eq!(parse_request(r#"{"cmd":"solve"}"#).unwrap(), Request::Solve(None));
-        let with = parse_request(r#"{"cmd":"solve","request":{"algo":"hg","k":4}}"#).unwrap();
-        match with {
-            Request::Solve(Some(req)) => {
-                assert_eq!(req.algo, Algo::Hg);
-                assert_eq!(req.k, 4);
-            }
-            other => panic!("unexpected {other:?}"),
+    fn solve_is_an_unknown_command() {
+        // Primary and replica both answer a parse error with its
+        // `error_reply`, so this is the reply either one sends.
+        for line in [r#"{"cmd":"solve"}"#, r#"{"cmd":"solve","request":{"algo":"hg","k":4}}"#] {
+            let reply = error_reply(parse_request(line).unwrap_err()).render();
+            assert!(
+                reply.starts_with(r#"{"ok":false,"error":"unknown command \"solve\""#),
+                "{reply}"
+            );
         }
     }
 
@@ -452,7 +432,6 @@ mod tests {
             r#"{"cmd":"update","updates":[{"op":"insert","u":1}]}"#,
             r#"{"cmd":"query","what":"zz"}"#,
             r#"{"cmd":"query","what":"group_of"}"#,
-            r#"{"cmd":"solve","request":{"algo":"zz","k":3}}"#,
         ] {
             let err = parse_request(bad).unwrap_err();
             let reply = error_reply(err).render();

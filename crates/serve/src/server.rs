@@ -9,7 +9,7 @@
 //!   from the latest published [`SolutionView`] — no writer involvement,
 //!   so reads stay parallel while a batch is applying;
 //! * the single **writer** owns the [`ServingSolver`]. Mutating commands
-//!   (`update`, `solve`, `snapshot`) travel through a *bounded* queue
+//!   (`update`, `improve`, `snapshot`, `fetch`) travel through a *bounded* queue
 //!   (backpressure instead of unbounded growth). The writer applies
 //!   updates in *rounds* (group commit without a timer): after popping an
 //!   update request it takes every update request already queued behind
@@ -28,11 +28,9 @@ use crate::cache::{Body, ReplyCache};
 use crate::hub::{ReplicationHub, TailGap};
 use crate::protocol::{
     error_reply, fetch_reply, group_of_reply, improve_reply, parse_request, shutdown_reply,
-    snapshot_reply, solution_line_into, solve_reply, stats_reply, tail_ack, update_reply, Query,
-    Request,
+    snapshot_reply, solution_line_into, stats_reply, tail_ack, update_reply, Query, Request,
 };
 use crate::queue::{BoundedQueue, Pop};
-use dkc_core::SolveRequest;
 use dkc_dynamic::{render_record, EdgeUpdate, FsyncPolicy, ServingSolver, SharedView};
 use dkc_json::Json;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -95,7 +93,6 @@ const TAIL_RING_CAPACITY: usize = 4096;
 
 enum WriterOp {
     Batch { updates: Vec<EdgeUpdate>, reply: mpsc::Sender<String> },
-    Solve { request: Option<SolveRequest>, reply: mpsc::Sender<String> },
     Improve { steps: u64, seed: Option<u64>, reply: mpsc::Sender<String> },
     Snapshot { reply: mpsc::Sender<String> },
     Fetch { reply: mpsc::Sender<String> },
@@ -424,9 +421,6 @@ fn handle_connection(
                     })),
                 }
             }
-            Ok(Request::Solve(request)) => {
-                out.push_str(&round_trip(writer_queue, |reply| WriterOp::Solve { request, reply }))
-            }
             Ok(Request::Improve { steps, seed }) => {
                 out.push_str(&round_trip(writer_queue, |reply| WriterOp::Improve {
                     steps,
@@ -673,13 +667,6 @@ fn run_writer_op(
 ) {
     match op {
         WriterOp::Batch { .. } => unreachable!("batches go through apply_round"),
-        WriterOp::Solve { request, reply } => {
-            let line = match serving.solve_fresh(request) {
-                Ok(report) => solve_reply(serving.epoch(), &report).render(),
-                Err(e) => error_reply(e.to_string()).render(),
-            };
-            let _ = reply.send(line);
-        }
         WriterOp::Improve { steps, seed, reply } => {
             let seed = seed.unwrap_or_else(|| driver.next_seed(config.improve_seed));
             let _ = reply.send(driver.run(serving, hub, cache, steps, seed));
@@ -706,7 +693,7 @@ fn run_writer_op(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dkc_core::Algo;
+    use dkc_core::{Algo, SolveRequest};
     use dkc_dynamic::{parse_records, LogRecord};
     use dkc_graph::CsrGraph;
     use std::path::{Path, PathBuf};

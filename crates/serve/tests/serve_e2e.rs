@@ -243,23 +243,6 @@ fn reply_cache_serves_byte_identical_bodies_across_epochs() {
     assert_eq!(cached, fresh, "post-bump hit must match the post-bump render");
     assert_ne!(fresh, miss, "epoch member alone must distinguish the bodies");
 
-    // A `solve` publishes nothing: the next `solution` at the same epoch
-    // is still a cache hit.
-    let counters = |client: &mut Client| {
-        let stats = client.call_ok(r#"{"cmd":"query","what":"stats"}"#);
-        let c = stats.get("reply_cache").expect("reply_cache counters");
-        (
-            c.get("hits").and_then(Json::as_u64).unwrap(),
-            c.get("misses").and_then(Json::as_u64).unwrap(),
-        )
-    };
-    let (hits, misses) = counters(&mut client);
-    let v = client.call_ok(r#"{"cmd":"solve"}"#);
-    assert_eq!(v.get("epoch").and_then(Json::as_u64), Some(bumped), "solve costs no epoch");
-    let after_solve = client.call_ok(r#"{"cmd":"query","what":"solution"}"#).render();
-    assert_eq!(after_solve, fresh, "solve leaves the served solution alone");
-    assert_eq!(counters(&mut client), (hits + 1, misses), "solution after solve must hit");
-
     client.call_ok(r#"{"cmd":"shutdown"}"#);
     handle.join();
 
@@ -277,31 +260,21 @@ fn reply_cache_serves_byte_identical_bodies_across_epochs() {
 }
 
 #[test]
-fn solve_passthrough_and_errors_are_structured() {
+fn malformed_and_unknown_requests_get_structured_errors() {
     let g = registry_graph();
     let serving = ServingSolver::in_memory(&g, SolveRequest::new(Algo::Lp, 3)).unwrap();
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let handle = Server::start(listener, serving, ServerConfig::default()).unwrap();
     let mut client = Client::connect(handle.local_addr());
 
-    // Full engine pass-through with a request override.
-    let v = client.call_ok(r#"{"cmd":"solve","request":{"algo":"hg","k":3}}"#);
-    let report = v.get("report").expect("report");
-    assert_eq!(report.get("algo").and_then(Json::as_str), Some("hg"));
-    assert!(report.get("size").and_then(Json::as_usize).unwrap() > 0);
-
-    // A budget trip surfaces the SolveError rendering, not a dropped
-    // connection.
-    let v = client.call(
-        r#"{"cmd":"solve","request":{"algo":"gc","k":3,"budget":{"max_cliques":1,"max_conflicts":null,"mis_node_limit":null,"mis_time_limit_ns":null}}}"#,
-    );
-    assert_eq!(v.get("ok").and_then(Json::as_bool), Some(false));
-    assert!(v.get("error").and_then(Json::as_str).unwrap().contains("OOM"));
-
-    // Malformed requests get structured errors too, and the connection
-    // keeps serving afterwards.
+    // Malformed requests and unknown commands (`solve` among them: the
+    // server runs no from-scratch solve) get structured errors, and the
+    // connection keeps serving afterwards.
     let v = client.call("this is not json");
     assert_eq!(v.get("ok").and_then(Json::as_bool), Some(false));
+    let v = client.call(r#"{"cmd":"solve"}"#);
+    assert_eq!(v.get("ok").and_then(Json::as_bool), Some(false));
+    assert!(v.get("error").and_then(Json::as_str).unwrap().contains("unknown command"));
     let v = client.call_ok(r#"{"cmd":"query","what":"stats"}"#);
     assert!(v.get("epoch").and_then(Json::as_u64).is_some());
 
@@ -312,33 +285,6 @@ fn solve_passthrough_and_errors_are_structured() {
     assert!(v.get("error").and_then(Json::as_str).unwrap().contains("limit"), "{}", v.render());
     let v = client.call_ok(r#"{"cmd":"query","what":"stats"}"#);
     assert_eq!(v.get("stats").and_then(|s| s.get("insertions")).and_then(Json::as_u64), Some(0));
-
-    client.call_ok(r#"{"cmd":"shutdown"}"#);
-    handle.join();
-}
-
-#[test]
-fn solve_verb_budgets_opt_like_the_cli() {
-    // K20: 1,140 triangles whose exact MIS search runs for hours unbudgeted.
-    // A wire request that names no budget gets OPT's standard one, so the
-    // writer answers with the CLI's OOT error and goes back to updates.
-    let edges: Vec<_> = (0..20u32).flat_map(|a| (a + 1..20).map(move |b| (a, b))).collect();
-    let g = dkc_graph::CsrGraph::from_edges(20, edges).unwrap();
-    let serving = ServingSolver::in_memory(&g, SolveRequest::new(Algo::Lp, 3)).unwrap();
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let handle = Server::start(listener, serving, ServerConfig::default()).unwrap();
-    let mut client = Client::connect(handle.local_addr());
-    // A hang fails the test instead of stalling the suite.
-    client.reader.get_ref().set_read_timeout(Some(Duration::from_secs(120))).unwrap();
-
-    let v = client.call(r#"{"cmd":"solve","request":{"algo":"opt","k":3}}"#);
-    assert_eq!(v.get("ok").and_then(Json::as_bool), Some(false), "{}", v.render());
-    assert!(v.get("error").and_then(Json::as_str).unwrap().contains("OOT"), "{}", v.render());
-
-    let mut other = Client::connect(handle.local_addr());
-    other.reader.get_ref().set_read_timeout(Some(Duration::from_secs(120))).unwrap();
-    let v = other.call_ok(r#"{"cmd":"update","updates":[{"op":"delete","u":0,"v":1}]}"#);
-    assert_eq!(v.get("epoch").and_then(Json::as_u64), Some(1), "{}", v.render());
 
     client.call_ok(r#"{"cmd":"shutdown"}"#);
     handle.join();
@@ -490,6 +436,9 @@ fn replica_catches_up_and_serves_reads() {
     assert_eq!(v.get("ok").and_then(Json::as_bool), Some(false));
     assert!(v.get("error").and_then(Json::as_str).unwrap().contains("read-only"));
     assert_eq!(first.epoch(), epoch, "a refused mutation costs no epoch");
+    // `solve` is no command at all, on a replica as on the primary.
+    let v = first_client.call(r#"{"cmd":"solve"}"#);
+    assert!(v.get("error").and_then(Json::as_str).unwrap().contains("unknown command"));
 
     // A second replica started after the primary advanced bootstraps at
     // the newer epoch; both then follow further updates.

@@ -3,8 +3,7 @@
 
 Drives a freshly started server through the full protocol surface
 (updates -> queries -> error replies, a hostile deeply nested line
-included -> solve -> snapshot -> improve -> concurrent writers ->
-shutdown), validates every reply as JSON, writes all reply lines to a
+included -> snapshot -> improve -> concurrent writers -> shutdown), validates every reply as JSON, writes all reply lines to a
 file for external `python3 -m json.tool` validation, and — on a second
 invocation with ``--verify-restart`` — asserts that a restarted server
 reproduced the pre-shutdown epoch and |S| via snapshot + log replay, and
@@ -16,7 +15,7 @@ Usage:
     serve_smoke.py --port P --replies OUT.jsonl [phase flags]
 
 Phases:
-    --drive         run the update/query/solve/snapshot sequence and print
+    --drive         run the update/query/snapshot/improve sequence and print
                     "EPOCH <e> SIZE <s>" (captured by the CI script)
     --verify-restart EPOCH SIZE
                     after a restart: assert stats report exactly this
@@ -134,15 +133,11 @@ def drive(client: Client, solution_path) -> None:
         g = client.call_ok({"cmd": "query", "what": "group_of", "node": member})
         assert g["members"] is not None and member in g["members"], g
 
-    # 4. Full engine pass-through.
-    solve = client.call_ok({"cmd": "solve", "request": {"algo": "hg", "k": k}})
-    assert solve["report"]["algo"] == "hg", solve
-
-    # 5. Error paths are structured replies, not dropped connections.
+    # 4. Error paths are structured replies, not dropped connections.
     bad = client.call({"cmd": "update", "updates": [{"op": "warp", "u": 1, "v": 2}]})
     assert bad.get("ok") is False and "error" in bad, bad
 
-    # 5b. So is a hostile line nested far past the parser's depth cap: the
+    # 4b. So is a hostile line nested far past the parser's depth cap: the
     #     server answers it and keeps serving, on this connection and new ones.
     _, deep = client.send_line("[" * 200_000)
     assert deep.get("ok") is False and "nesting" in deep.get("error", ""), deep
@@ -152,15 +147,15 @@ def drive(client: Client, solution_path) -> None:
     fresh.sock.close()
     fresh.replies.close()
 
-    # 6. Snapshot persists and truncates the log.
+    # 5. Snapshot persists and truncates the log.
     snap = client.call_ok({"cmd": "snapshot"})
     assert snap["durable"] is True, f"snapshot must be durable with --state-dir: {snap}"
 
-    # 7. A post-snapshot tail that only the update log will carry.
+    # 6. A post-snapshot tail that only the update log will carry.
     tail = [{"op": "delete", "u": 1, "v": 2}, {"op": "insert", "u": 1, "v": 2}]
     client.call_ok({"cmd": "update", "updates": tail})
 
-    # 8. Improvement verb: a bounded local-search slice. |S| never drops;
+    # 7. Improvement verb: a bounded local-search slice. |S| never drops;
     #    a slice that applied moves bumps the epoch and journals itself,
     #    so the restart verification below covers its replay too.
     pre = client.call_ok({"cmd": "query", "what": "stats"})
@@ -169,7 +164,7 @@ def drive(client: Client, solution_path) -> None:
     assert imp["epoch"] >= pre["epoch"], (pre, imp)
     assert imp["stats"]["uplift"] == imp["size"] - pre["size"], (pre, imp)
 
-    # 9. Concurrent writers: requests queued while the writer applies a
+    # 8. Concurrent writers: requests queued while the writer applies a
     #    round merge into the next one (one epoch, one journal record),
     #    while every client still gets its own outcome. The restart check
     #    then replays whatever merged rounds formed.
