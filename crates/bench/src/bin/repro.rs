@@ -1,26 +1,15 @@
-//! `repro` — regenerates every table and figure of the paper's evaluation.
+//! `repro` — regenerates every table and figure of the paper's evaluation:
+//! `cargo run --release -p dkc-bench --bin repro -- <experiment> [flags]`.
 //!
-//! ```text
-//! cargo run --release -p dkc-bench --bin repro -- <experiment> [flags]
-//!
-//! experiments:
-//!   table1 | table2 | table3 | table4 | table5 | table6 | table7 | table8
-//!   fig6 | fig7 | ablation | improve | all
-//!
-//! flags:
-//!   --scale X          dataset scale, 1.0 = paper size       (default 0.01)
-//!   --seed N           generator seed                        (default 42)
-//!   --kmin N --kmax N  k sweep bounds                        (default 3..6)
-//!   --datasets A,B     restrict to named datasets (e.g. FTB,HST)
-//!   --updates N        updates per dynamic workload          (default 2000)
-//!   --opt-timeout-ms N exact-search budget before OOT        (default 10000)
-//!   --max-cliques N    stored-clique budget before OOM       (default 2e7)
-//!   --data-dir D       dataset directory: stand-ins are cached there as
-//!                      .dkcsr snapshots and real edge lists dropped into D
-//!                      are picked up instead of synthetics (default: none,
-//!                      regenerate in memory every run)
-//! ```
+//! Run `repro` without arguments for the usage text, which lists every
+//! experiment and flag. Each flag sets the [`ReproConfig`] field of the
+//! same meaning (`--kmin`/`--kmax` bound its k sweep, 3..=6 by default);
+//! `--data-dir` caches stand-ins there as `.dkcsr` snapshots and picks up
+//! real edge lists dropped into it.
 
+#![warn(clippy::exit)]
+
+use dkc_bench::cli::{self, Cli, CliError, Command, Flag};
 use dkc_bench::config::ReproConfig;
 use dkc_bench::experiments::{
     ablation, dynamic_sweep, improve, static_sweep, synthetic, table1, table4, table7,
@@ -30,93 +19,108 @@ use std::time::Duration;
 #[global_allocator]
 static ALLOC: dkc_bench::mem::TrackingAllocator = dkc_bench::mem::TrackingAllocator;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: repro <table1|table2|table3|table4|table5|table6|table7|table8|fig6|fig7|ablation|improve|all> \
-         [--scale X] [--seed N] [--kmin N] [--kmax N] [--datasets A,B] \
-         [--updates N] [--opt-timeout-ms N] [--max-cliques N] [--data-dir D]"
-    );
-    std::process::exit(2);
+/// The experiment configuration and the bounds of its k sweep.
+#[derive(Default)]
+struct Opts {
+    cfg: ReproConfig,
+    kmin: usize,
+    kmax: usize,
 }
 
-fn parse_args() -> (String, ReproConfig) {
-    let mut args = std::env::args().skip(1);
-    let Some(experiment) = args.next() else { usage() };
-    let mut cfg = ReproConfig::default();
-    let mut kmin = 3usize;
-    let mut kmax = 6usize;
-    while let Some(flag) = args.next() {
-        let mut value = || args.next().unwrap_or_else(|| usage());
-        match flag.as_str() {
-            "--scale" => cfg.scale = value().parse().unwrap_or_else(|_| usage()),
-            "--seed" => cfg.seed = value().parse().unwrap_or_else(|_| usage()),
-            "--kmin" => kmin = value().parse().unwrap_or_else(|_| usage()),
-            "--kmax" => kmax = value().parse().unwrap_or_else(|_| usage()),
-            "--datasets" => {
-                cfg.datasets = Some(ReproConfig::parse_datasets(&value()).unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                }))
-            }
-            "--updates" => cfg.updates = value().parse().unwrap_or_else(|_| usage()),
-            "--opt-timeout-ms" => {
-                cfg.opt_time_limit =
-                    Duration::from_millis(value().parse().unwrap_or_else(|_| usage()))
-            }
-            "--max-cliques" => cfg.max_stored_cliques = value().parse().unwrap_or_else(|_| usage()),
-            "--data-dir" => cfg.data_dir = Some(value().into()),
-            _ => usage(),
+type F = Flag<Opts>;
+const SCALE: F = F::new("--scale", "X", |o, v| v.scale().map(|x| o.cfg.scale = x));
+const SEED: F = F::new("--seed", "N", |o, v| v.num().map(|n| o.cfg.seed = n));
+const KMIN: F = F::new("--kmin", "N", |o, v| v.k().map(|k| o.kmin = k)).or("3");
+const KMAX: F = F::new("--kmax", "N", |o, v| v.k().map(|k| o.kmax = k)).or("6");
+const DATASETS: F = F::new("--datasets", "A,B", |o, v| {
+    v.text().and_then(|s| ReproConfig::parse_datasets(&s)).map(|d| o.cfg.datasets = Some(d))
+});
+const UPDATES: F = F::new("--updates", "N", |o, v| v.num().map(|n| o.cfg.updates = n));
+const OPT_TIMEOUT_MS: F = F::new("--opt-timeout-ms", "N", |o, v| {
+    v.num().map(|ms| o.cfg.opt_time_limit = Duration::from_millis(ms))
+});
+const MAX_CLIQUES: F =
+    F::new("--max-cliques", "N", |o, v| v.num().map(|n| o.cfg.max_stored_cliques = n));
+const DATA_DIR: F =
+    F::new("--data-dir", "D", |o, v| v.text().map(|d| o.cfg.data_dir = Some(d.into())));
+
+/// Every experiment takes the same flags.
+const FLAGS: &[&F] =
+    &[&SCALE, &SEED, &KMIN, &KMAX, &DATASETS, &UPDATES, &OPT_TIMEOUT_MS, &MAX_CLIQUES, &DATA_DIR];
+
+/// One experiment row: its name and the body that prints its output.
+macro_rules! experiment {
+    ($name:literal, $body:expr) => {
+        Command {
+            name: $name,
+            args: &[],
+            required: &[],
+            flags: FLAGS,
+            run: |o, _| run_experiment(o, $name, $body),
         }
-    }
-    if kmin < 3 || kmax < kmin {
-        eprintln!("need 3 <= kmin <= kmax");
-        std::process::exit(2);
-    }
-    cfg.ks = (kmin..=kmax).collect();
-    (experiment, cfg)
+    };
 }
+
+#[rustfmt::skip]
+const REPRO: Cli<Opts> = Cli {
+    program: "repro",
+    commands: &[
+        experiment!("table1", |c| print!("{}", table1::run(c))),
+        experiment!("table2", |c| print!("{}", static_sweep::render_table2(&static_sweep::run_sweep(c)))),
+        experiment!("table3", |c| print!("{}", static_sweep::render_table3(&static_sweep::run_sweep(c)))),
+        experiment!("table4", |c| print!("{}", table4::run(c))),
+        experiment!("table5", |c| print!("{}", synthetic::render_table5(&synthetic::run_sweep(c)))),
+        experiment!("table6", |c| print!("{}", synthetic::render_table6(&synthetic::run_sweep(c)))),
+        experiment!("table7", |c| print!("{}", table7::run(c))),
+        experiment!("table8", |c| print!("{}", dynamic_sweep::render_table8(&dynamic_sweep::run_sweep(c)))),
+        experiment!("fig6", |c| print!("{}", static_sweep::render_fig6(&static_sweep::run_sweep(c)))),
+        experiment!("fig7", |c| print!("{}", dynamic_sweep::render_fig7(&dynamic_sweep::run_sweep(c)))),
+        experiment!("ablation", |c| {
+            print!("{}\n{}", ablation::run_ordering(c), ablation::run_pruning_and_scores(c))
+        }),
+        experiment!("improve", |c| print!("{}", improve::run(c))),
+        experiment!("all", all),
+    ],
+    notes: "",
+};
 
 fn main() {
-    let (experiment, cfg) = parse_args();
+    cli::run(&REPRO)
+}
+
+/// Checks the k sweep, prints the run's header and runs `body`.
+fn run_experiment(opts: &Opts, experiment: &str, body: fn(&ReproConfig)) -> Result<(), CliError> {
+    if opts.kmin > opts.kmax {
+        return Err(CliError::Usage(format!(
+            "need kmin <= kmax, got {} > {}",
+            opts.kmin, opts.kmax
+        )));
+    }
+    let cfg = ReproConfig { ks: (opts.kmin..=opts.kmax).collect(), ..opts.cfg.clone() };
     eprintln!(
         "# repro {experiment}: scale={} seed={} k={:?} updates={} (paper-shaped stand-ins; see DESIGN.md §4)",
         cfg.scale, cfg.seed, cfg.ks, cfg.updates
     );
-    match experiment.as_str() {
-        "table1" => print!("{}", table1::run(&cfg)),
-        "fig6" => print!("{}", static_sweep::render_fig6(&static_sweep::run_sweep(&cfg))),
-        "table2" => print!("{}", static_sweep::render_table2(&static_sweep::run_sweep(&cfg))),
-        "table3" => print!("{}", static_sweep::render_table3(&static_sweep::run_sweep(&cfg))),
-        "table4" => print!("{}", table4::run(&cfg)),
-        "table5" => print!("{}", synthetic::render_table5(&synthetic::run_sweep(&cfg))),
-        "table6" => print!("{}", synthetic::render_table6(&synthetic::run_sweep(&cfg))),
-        "table7" => print!("{}", table7::run(&cfg)),
-        "fig7" => print!("{}", dynamic_sweep::render_fig7(&dynamic_sweep::run_sweep(&cfg))),
-        "table8" => print!("{}", dynamic_sweep::render_table8(&dynamic_sweep::run_sweep(&cfg))),
-        "ablation" => {
-            print!("{}", ablation::run_ordering(&cfg));
-            println!();
-            print!("{}", ablation::run_pruning_and_scores(&cfg));
-        }
-        "improve" => print!("{}", improve::run(&cfg)),
-        "all" => {
-            println!("{}", table1::run(&cfg));
-            let sweep = static_sweep::run_sweep(&cfg);
-            println!("{}", static_sweep::render_fig6(&sweep));
-            println!("{}", static_sweep::render_table2(&sweep));
-            println!("{}", static_sweep::render_table3(&sweep));
-            println!("{}", table4::run(&cfg));
-            let syn = synthetic::run_sweep(&cfg);
-            println!("{}", synthetic::render_table5(&syn));
-            println!("{}", synthetic::render_table6(&syn));
-            println!("{}", table7::run(&cfg));
-            let dy = dynamic_sweep::run_sweep(&cfg);
-            println!("{}", dynamic_sweep::render_fig7(&dy));
-            println!("{}", dynamic_sweep::render_table8(&dy));
-            println!("{}", ablation::run_ordering(&cfg));
-            println!("{}", ablation::run_pruning_and_scores(&cfg));
-            print!("{}", improve::run(&cfg));
-        }
-        _ => usage(),
-    }
+    body(&cfg);
+    Ok(())
+}
+
+/// Every experiment in turn, each printed as soon as it is done.
+fn all(cfg: &ReproConfig) {
+    println!("{}", table1::run(cfg));
+    let sweep = static_sweep::run_sweep(cfg);
+    println!("{}", static_sweep::render_fig6(&sweep));
+    println!("{}", static_sweep::render_table2(&sweep));
+    println!("{}", static_sweep::render_table3(&sweep));
+    println!("{}", table4::run(cfg));
+    let syn = synthetic::run_sweep(cfg);
+    println!("{}", synthetic::render_table5(&syn));
+    println!("{}", synthetic::render_table6(&syn));
+    println!("{}", table7::run(cfg));
+    let dy = dynamic_sweep::run_sweep(cfg);
+    println!("{}", dynamic_sweep::render_fig7(&dy));
+    println!("{}", dynamic_sweep::render_table8(&dy));
+    println!("{}", ablation::run_ordering(cfg));
+    println!("{}", ablation::run_pruning_and_scores(cfg));
+    print!("{}", improve::run(cfg));
 }

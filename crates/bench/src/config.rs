@@ -93,15 +93,7 @@ impl ReproConfig {
 
     /// Parses a comma-separated dataset filter (`"FTB,HST"`).
     pub fn parse_datasets(spec: &str) -> Result<Vec<DatasetId>, String> {
-        spec.split(',')
-            .map(|tok| {
-                let tok = tok.trim().to_ascii_uppercase();
-                DatasetId::ALL
-                    .into_iter()
-                    .find(|d| d.name() == tok)
-                    .ok_or_else(|| format!("unknown dataset {tok:?}"))
-            })
-            .collect()
+        spec.split(',').map(str::parse).collect()
     }
 }
 

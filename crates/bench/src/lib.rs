@@ -24,6 +24,7 @@
 
 #![deny(unsafe_code)]
 
+pub mod cli;
 pub mod config;
 pub mod experiments;
 pub mod mem;

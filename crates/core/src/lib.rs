@@ -45,7 +45,6 @@ mod engine;
 mod error;
 mod gc;
 mod lightweight;
-pub mod matching;
 mod opt;
 mod residual;
 mod solution;

@@ -127,6 +127,19 @@ impl DatasetId {
     }
 }
 
+impl std::str::FromStr for DatasetId {
+    type Err = String;
+
+    /// Parses the paper's abbreviation (`FTB`, `ds`, …), ignoring case.
+    fn from_str(s: &str) -> Result<Self, String> {
+        let token = s.trim().to_ascii_uppercase();
+        DatasetId::ALL.into_iter().find(|d| d.name() == token).ok_or_else(|| {
+            let names: Vec<&str> = DatasetId::ALL.iter().map(|d| d.name()).collect();
+            format!("unknown dataset {s:?} (try {})", names.join("|"))
+        })
+    }
+}
+
 /// The six small graphs of Table IV (exact-solution comparison).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TinyDatasetId {
@@ -289,6 +302,15 @@ mod tests {
     use super::*;
     use dkc_clique::count_kcliques;
     use dkc_graph::{Dag, GraphStats, NodeOrder, OrderingKind};
+
+    #[test]
+    fn dataset_ids_parse_from_their_abbreviation_in_any_case() {
+        for id in DatasetId::ALL {
+            assert_eq!(id.name().to_ascii_lowercase().parse(), Ok(id));
+        }
+        let err = "NOPE".parse::<DatasetId>().unwrap_err();
+        assert!(err.contains("unknown dataset \"NOPE\"") && err.contains("FTB|HST|"), "{err}");
+    }
 
     #[test]
     fn standin_matches_requested_shape() {

@@ -1,84 +1,62 @@
-//! `dkc` — command-line front end for the disjoint k-clique toolkit.
+//! `dkc` — command-line front end for the disjoint k-clique toolkit. Run
+//! it without arguments for the usage text, generated from the command
+//! table below, where each flag is declared once.
 //!
-//! ```text
-//! dkc stats     <graph> [--kmax K] [common flags]            graph statistics + k-clique counts
-//! dkc solve     <graph> --k K [common flags] [--json]        maximal disjoint k-clique set
-//! dkc partition <graph> --k K [common flags] [--json]        assign EVERY node to a group (≤ K)
-//! dkc serve     <dataset|graph> --k K [--port P] [--state-dir D]   dynamic serving over TCP
-//!               [--fsync POLICY]
-//! dkc replica   <primary-addr> [--port P] [--readers N]        read replica tailing a primary
-//! dkc loadgen   <host:port> [--conns N] [--ops N] [--update-pct P] [--improve-pct P]   drive a server, report latency
-//! dkc bench     [--reps N] [--check BASELINE] [--out FILE]   pinned perf suite → one JSON line
-//! dkc bench     summary [FILES...] [--json] [--plot]         fold trajectory files into a table
-//! dkc convert   <in> <out> [--threads N]                     text ⇄ binary .dkcsr snapshot
-//! dkc gen       <dataset> <out> [--scale X] [--seed N]       write a stand-in as an edge list
-//! dkc cache     <dataset> --data-dir D [--scale X] [--seed N] [--json]   warm the snapshot cache
-//! dkc cache     evict --data-dir D [--dataset NAME] [--scale X] [--seed N]   GC cache entries
-//! ```
+//! The solving subcommands share `--algo`, `--ordering` (HG only),
+//! `--threads` and the budget knobs, which apply to whichever algorithm
+//! can trip on them, not just `opt`; `--improve-steps`/`--improve-seed`
+//! run the `dkc-improve` local-search pass over the constructed solution.
 //!
-//! Common flags (accepted uniformly by every solving subcommand):
-//! `--algo hg|gc|l|lp|opt|greedy-cg`, `--ordering <kind>` (HG only),
-//! `--threads N`, and the budget knobs `--max-cliques N`,
-//! `--max-conflicts N`, `--mis-nodes N` — which apply to whichever
-//! algorithm can trip on them, not just `opt` — plus the improvement
-//! knobs `--improve-steps N` / `--improve-seed N`, which run the
-//! `dkc-improve` local-search pass over the constructed solution.
+//! `<graph>` is a KONECT-style text edge list (`u v` per line, `%`/`#`
+//! comments, arbitrary integer labels) or a binary `.dkcsr` snapshot,
+//! detected by content, not extension. `convert` writes a snapshot when
+//! `<out>` ends in `.dkcsr` and a labelled edge list otherwise, so both
+//! directions round-trip. Every parallel phase, text parsing included, is
+//! deterministic, so the output is identical for any `--threads` (default:
+//! the available parallelism, or `DKC_THREADS` when set). Output uses the
+//! input's original labels; `--json` swaps the human output for the
+//! engine's `SolveReport`/`PartitionReport` JSON rendering.
 //!
-//! `<graph>` accepts either format — KONECT-style text edge lists (`u v`
-//! per line, `%`/`#` comments, arbitrary integer labels) or binary
-//! `.dkcsr` snapshots — detected by content, not extension. `convert`
-//! writes a snapshot when `<out>` ends in `.dkcsr` and a labelled edge
-//! list otherwise, so both directions round-trip. `--threads` defaults to
-//! the available parallelism (or the `DKC_THREADS` environment variable
-//! when set); every parallel phase, text parsing included, is
-//! deterministic, so the output is identical for any thread count. Output
-//! uses the input file's original labels; `--json` swaps the human output
-//! for the engine's `SolveReport`/`PartitionReport` JSON rendering.
+//! `bench` runs the pinned performance suite of `dkc_bench::trajectory`
+//! (k-clique listing, LP solve, full partition, text-parse vs
+//! snapshot-load ingestion, dynamic `apply_batch` throughput and serve
+//! latency through an in-process server + loadgen, on a registry stand-in
+//! at a fixed scale and seed) and appends exactly one JSON line to
+//! `BENCH_<host>.json` (or `--out`). `--check <baseline.json>` compares the
+//! run with the baseline's last line and exits nonzero when any gated
+//! metric regresses beyond its tolerance; the CI `perf-gate` job is
+//! exactly this invocation. `bench summary` runs nothing: every line of
+//! each trajectory file given (default: this host's) folds into a
+//! per-metric `{median, min}` table across runs, or JSON with `--json`.
 //!
-//! `bench` runs the pinned performance suite (see
-//! `dkc_bench::trajectory`): k-clique listing, LP solve, full partition,
-//! text-parse vs snapshot-load ingestion, dynamic `apply_batch`
-//! throughput, and serve latency percentiles via an in-process server +
-//! loadgen — on a registry-resolved stand-in at a fixed scale/seed — and
-//! appends exactly one JSON line to `BENCH_<host>.json` (or `--out`).
-//! With `--check <baseline.json>` the fresh run is additionally compared
-//! against the committed baseline's last line and the exit status is
-//! nonzero when any gated metric regresses beyond its tolerance — the CI
-//! `perf-gate` job is exactly this invocation. `bench summary` reads the
-//! accumulated trajectory files instead of running anything: every line
-//! of each `BENCH_<host>.json` given (default: this host's file) folds
-//! into a per-metric `{median, min}` table across runs, or the matching
-//! JSON document with `--json`.
-//!
-//! `serve` starts the dynamic serving layer (see the `dkc-serve` crate
-//! docs for the newline-delimited JSON protocol): `<dataset|graph>` is a
+//! `serve` starts the dynamic serving layer (the `dkc-serve` crate docs
+//! describe its newline-delimited JSON protocol) on a graph file or a
 //! Table I dataset name (resolved through the registry, honouring
-//! `--data-dir`/`--scale`/`--seed`) or a graph file path. With
-//! `--state-dir` the server is durable — it journals updates, `snapshot`
-//! persists, and a restart resumes at the exact epoch via log replay; an
-//! existing state directory wins over `<dataset>`. `--fsync` picks the
-//! journal durability point (`per-commit`, `per-batch` (default), or
-//! `snapshot`). A state directory that holds a `plan.json` is refused
-//! with exit 1: it is the state of a sharded deployment, which this
-//! server cannot resume. `replica` bootstraps a read replica from a
-//! primary (`fetch` + journal tail) and serves read queries on `--port`,
-//! bit-identical to the primary at every epoch it has caught up to.
-//! `loadgen` drives a running server with a seeded update/query mix and
-//! prints throughput and latency percentiles; `--improve-pct` mixes in
-//! `improve` verbs (`--improve-steps` per call). On the serve
-//! side `--improve-slice N` turns on background improvement: whenever
-//! the writer is idle it runs an N-step improvement slice, journals any
-//! slice that applied moves, and publishes the improved view as a new
-//! epoch — replicas and restarts replay the exact same slices.
+//! `--data-dir`/`--scale`/`--seed`). With `--state-dir` the server is
+//! durable: it journals updates, `snapshot` persists, and a restart
+//! resumes at the exact epoch via log replay; an existing state directory
+//! wins over the dataset. `--fsync` picks the journal durability point
+//! (`per-commit`, `per-batch` (default) or `snapshot`). A state directory
+//! holding a sharded deployment's `plan.json` is refused with exit 1.
+//! `replica` bootstraps from a primary (`fetch` + journal tail) and serves
+//! reads on `--port`, bit-identical to the primary at every epoch it has
+//! caught up to. `loadgen` drives a server with a seeded update/query mix
+//! and prints throughput and latency percentiles; `--improve-pct` mixes in
+//! `improve` verbs of `--improve-steps` each. `serve --improve-slice N`
+//! runs an N-step improvement slice whenever the writer is idle, journals
+//! any slice that applied moves and publishes the improved view as a new
+//! epoch; replicas and restarts replay the exact same slices.
 
+#![warn(clippy::exit)]
+
+use disjoint_kcliques::bench::cli::{self, failed, Cli, CliError, Command, Flag};
 use disjoint_kcliques::clique::count_kcliques_parallel;
 use disjoint_kcliques::core::{Algo, Budget, Engine, SolveRequest};
 use disjoint_kcliques::datagen::registry::DatasetId;
 use disjoint_kcliques::datagen::{DatasetRegistry, EvictFilter};
 use disjoint_kcliques::dynamic::{FsyncPolicy, ServeStateError, ServingSolver};
 use disjoint_kcliques::graph::io::{
-    load_graph, write_edge_list_labeled, write_edge_list_path, write_snapshot_path, LoadReport,
-    LoadedGraph,
+    load_graph, write_edge_list_labeled, write_edge_list_path, write_snapshot_path, LoadedGraph,
 };
 use disjoint_kcliques::graph::{Dag, NodeOrder};
 use disjoint_kcliques::json::Json;
@@ -87,6 +65,8 @@ use disjoint_kcliques::prelude::*;
 use disjoint_kcliques::serve::{
     run_loadgen, LoadgenConfig, Replica, ReplicaConfig, Server, ServerConfig,
 };
+use std::net::TcpListener;
+use std::path::Path;
 use std::time::{Duration, Instant};
 
 /// `print!` for everything the CLI streams to stdout. A reader that closes
@@ -106,6 +86,7 @@ macro_rules! outln {
     };
 }
 
+#[allow(clippy::exit)]
 fn write_stdout(args: std::fmt::Arguments) {
     use std::io::Write;
     if let Err(e) = std::io::stdout().write_fmt(args) {
@@ -124,53 +105,37 @@ fn write_stdout(args: std::fmt::Arguments) {
 static ALLOC: disjoint_kcliques::bench::mem::TrackingAllocator =
     disjoint_kcliques::bench::mem::TrackingAllocator;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage:\n  dkc stats <graph> [--kmax K] [common flags]\n  dkc solve <graph> --k K [common flags] [--json]\n  dkc partition <graph> --k K [common flags] [--json]\n  dkc serve <dataset|graph> --k K [--port P] [--state-dir D] [--data-dir D]\n            [--scale X] [--seed N] [--readers N] [--batch-max N]\n            [--max-node N] [--improve-slice N]\n            [--fsync per-commit|per-batch|snapshot] [common flags]\n  dkc replica <primary-addr> [--port P] [--readers N]\n  dkc loadgen <host:port> [--conns N] [--ops N] [--warmup N] [--update-pct P]\n            [--improve-pct P] [--improve-steps N] [--batch N] [--nodes N]\n            [--seed N] [--json]\n  dkc bench [--dataset NAME] [--scale X] [--seed N] [--k K] [--reps N]\n            [--threads N] [--out FILE] [--check BASELINE.json] [--stamp DATE]\n            [--host NAME] [--git-rev SHA] [--data-dir D] [--scratch D]\n            [--conns N] [--ops N] [--warmup N] [--batches N] [--batch-size N]\n  dkc bench summary [FILES...] [--json] [--plot]\n  dkc convert <in> <out> [--threads N]\n  dkc gen <dataset> <out> [--scale X] [--seed N]\n  dkc cache <dataset> --data-dir D [--scale X] [--seed N] [--threads N] [--json]\n  dkc cache evict --data-dir D [--dataset NAME] [--scale X] [--seed N]\n\ncommon flags: --algo hg|gc|l|lp|opt|greedy-cg   --threads N\n              --ordering identity|degree-asc|degree-desc|degeneracy|color\n              --max-cliques N --max-conflicts N --mis-nodes N\n              --improve-steps N --improve-seed N\n\n<graph> is a KONECT-style edge list or a binary .dkcsr snapshot (detected\nby content). --threads defaults to the available parallelism (env\nDKC_THREADS overrides); results are identical for any thread count.\n--algo opt defaults to the standard deterministic OOM/OOT budgets; the\nbudget flags override them for any algorithm. --json prints the engine\nreport as JSON on stdout. serve speaks newline-delimited JSON (see the\ndkc-serve crate docs); with --state-dir it journals updates and restarts\nresume at the exact epoch via snapshot + log replay. bench appends one\nJSON line per run to BENCH_<host>.json and, with --check, exits nonzero\nwhen a gated metric regresses past the committed baseline's tolerance.\nbench summary folds every line of the given trajectory files (default:\nthis host's file) into a per-metric median/min table across runs;\n--plot appends per-metric ASCII sparklines in run order."
-    );
-    std::process::exit(2);
-}
-
+/// Every flag's value; a command reads the ones its row accepts.
+#[derive(Default)]
 struct Args {
-    command: String,
-    path: String,
-    out: Option<String>,
-    /// Trailing positional file list (`bench summary` only).
-    files: Vec<String>,
+    /// 0 until `--k` is given (`bench` then keeps its pinned k).
     k: usize,
     kmax: usize,
-    algo: Algo,
+    algo: Option<Algo>,
     ordering: Option<OrderingKind>,
-    max_cliques: Option<usize>,
-    max_conflicts: Option<usize>,
-    mis_nodes: Option<u64>,
+    /// Explicit budget flags, over the algorithm's default budget.
+    budget: Budget,
     json: bool,
     scale: Option<f64>,
     seed: Option<u64>,
-    dataset: Option<String>,
+    dataset: Option<DatasetId>,
     data_dir: Option<String>,
     par: ParConfig,
-    // serve flags
     port: u16,
     state_dir: Option<String>,
     readers: usize,
     batch_max: usize,
     max_node: Option<u32>,
     fsync: FsyncPolicy,
-    // loadgen flags (conns/ops default differently for loadgen and bench)
+    // `loadgen` and `bench` default these differently.
     conns: Option<usize>,
     ops: Option<usize>,
     warmup: Option<usize>,
     update_pct: f64,
     batch: usize,
     nodes: Option<u32>,
-    // improvement flags (budget on solving subcommands, slice size on
-    // serve, op mix on loadgen)
-    improve_steps: Option<u64>,
-    improve_seed: Option<u64>,
     improve_slice: u64,
     improve_pct: f64,
-    // bench flags
     reps: usize,
     bench_out: Option<String>,
     check: Option<String>,
@@ -183,202 +148,123 @@ struct Args {
     plot: bool,
 }
 
-fn parse_args() -> Args {
-    let mut it = std::env::args().skip(1).peekable();
-    let Some(command) = it.next() else { usage() };
-    // `bench` runs the suite with no positional argument; its `summary`
-    // form consumes the keyword and then any number of trajectory files.
-    let path = if command == "bench" {
-        if it.peek().map(String::as_str) == Some("summary") {
-            it.next().unwrap()
-        } else {
-            String::new()
-        }
-    } else {
-        let Some(path) = it.next() else { usage() };
-        path
-    };
-    let mut args = Args {
-        command,
-        path,
-        out: None,
-        files: Vec::new(),
-        k: 0,
-        kmax: 6,
-        algo: Algo::Lp,
-        ordering: None,
-        max_cliques: None,
-        max_conflicts: None,
-        mis_nodes: None,
-        json: false,
-        scale: None,
-        seed: None,
-        dataset: None,
-        data_dir: None,
-        par: ParConfig::default(),
-        port: 7911,
-        state_dir: None,
-        readers: 4,
-        batch_max: 4096,
-        max_node: None,
-        fsync: FsyncPolicy::default(),
-        conns: None,
-        ops: None,
-        warmup: None,
-        update_pct: 30.0,
-        batch: 8,
-        nodes: None,
-        improve_steps: None,
-        improve_seed: None,
-        improve_slice: 0,
-        improve_pct: 0.0,
-        reps: 3,
-        bench_out: None,
-        check: None,
-        stamp: None,
-        host: None,
-        git_rev: None,
-        scratch: None,
-        batches: 32,
-        batch_size: 16,
-        plot: false,
-    };
-    // `convert` and `gen` take a second positional argument; `bench
-    // summary` takes any number of trajectory file positionals.
-    let takes_out = matches!(args.command.as_str(), "convert" | "gen");
-    let takes_files = args.command == "bench" && args.path == "summary";
-    let mut positional_out = None;
-    while let Some(flag) = it.next() {
-        if !flag.starts_with("--") && takes_files {
-            args.files.push(flag);
-            continue;
-        }
-        if !flag.starts_with("--") && takes_out && positional_out.is_none() {
-            positional_out = Some(flag);
-            continue;
-        }
-        let mut value = || it.next().unwrap_or_else(|| usage());
-        match flag.as_str() {
-            "--k" => args.k = value().parse().unwrap_or_else(|_| usage()),
-            "--kmax" => args.kmax = value().parse().unwrap_or_else(|_| usage()),
-            "--algo" => {
-                args.algo = value().parse().unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                })
-            }
-            "--ordering" => {
-                args.ordering = Some(value().parse().unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                }))
-            }
-            "--max-cliques" => args.max_cliques = Some(value().parse().unwrap_or_else(|_| usage())),
-            "--max-conflicts" => {
-                args.max_conflicts = Some(value().parse().unwrap_or_else(|_| usage()))
-            }
-            "--mis-nodes" => args.mis_nodes = Some(value().parse().unwrap_or_else(|_| usage())),
-            "--json" => args.json = true,
-            "--scale" => {
-                // Stand-ins are subsampled, never blown up: reject anything
-                // outside (0, 1] here instead of tripping the generator's
-                // assertion.
-                let scale: f64 = value().parse().unwrap_or_else(|_| usage());
-                if !(scale.is_finite() && scale > 0.0 && scale <= 1.0) {
-                    eprintln!("--scale must be a number in (0, 1], got {scale}");
-                    usage();
-                }
-                args.scale = Some(scale);
-            }
-            "--seed" => args.seed = Some(value().parse().unwrap_or_else(|_| usage())),
-            "--dataset" => args.dataset = Some(value()),
-            "--data-dir" => args.data_dir = Some(value()),
-            "--threads" => {
-                let threads: usize = value().parse().unwrap_or_else(|_| usage());
-                if threads == 0 {
-                    usage();
-                }
-                args.par = args.par.with_threads(threads);
-            }
-            "--port" => args.port = value().parse().unwrap_or_else(|_| usage()),
-            "--state-dir" => args.state_dir = Some(value()),
-            "--readers" => args.readers = value().parse().unwrap_or_else(|_| usage()),
-            "--batch-max" => args.batch_max = value().parse().unwrap_or_else(|_| usage()),
-            "--max-node" => args.max_node = Some(value().parse().unwrap_or_else(|_| usage())),
-            "--fsync" => {
-                args.fsync = value().parse().unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                })
-            }
-            "--conns" => args.conns = Some(value().parse().unwrap_or_else(|_| usage())),
-            "--ops" => args.ops = Some(value().parse().unwrap_or_else(|_| usage())),
-            "--warmup" => args.warmup = Some(value().parse().unwrap_or_else(|_| usage())),
-            "--update-pct" => {
-                let pct: f64 = value().parse().unwrap_or_else(|_| usage());
-                if !(0.0..=100.0).contains(&pct) {
-                    usage();
-                }
-                args.update_pct = pct;
-            }
-            "--batch" => args.batch = value().parse().unwrap_or_else(|_| usage()),
-            "--nodes" => args.nodes = Some(value().parse().unwrap_or_else(|_| usage())),
-            "--improve-steps" => {
-                args.improve_steps = Some(value().parse().unwrap_or_else(|_| usage()))
-            }
-            "--improve-seed" => {
-                args.improve_seed = Some(value().parse().unwrap_or_else(|_| usage()))
-            }
-            "--improve-slice" => args.improve_slice = value().parse().unwrap_or_else(|_| usage()),
-            "--improve-pct" => {
-                let pct: f64 = value().parse().unwrap_or_else(|_| usage());
-                if !(0.0..=100.0).contains(&pct) {
-                    usage();
-                }
-                args.improve_pct = pct;
-            }
-            "--plot" => args.plot = true,
-            "--reps" => {
-                args.reps = value().parse().unwrap_or_else(|_| usage());
-                if args.reps == 0 {
-                    usage();
-                }
-            }
-            "--out" => args.bench_out = Some(value()),
-            "--check" => args.check = Some(value()),
-            "--stamp" => args.stamp = Some(value()),
-            "--host" => args.host = Some(value()),
-            "--git-rev" => args.git_rev = Some(value()),
-            "--scratch" => args.scratch = Some(value()),
-            "--batches" => args.batches = value().parse().unwrap_or_else(|_| usage()),
-            "--batch-size" => args.batch_size = value().parse().unwrap_or_else(|_| usage()),
-            _ => usage(),
-        }
-    }
-    args.out = positional_out;
-    args
+type F = Flag<Args>;
+const K: F = F::new("--k", "K", |a, v| v.k().map(|k| a.k = k));
+const KMAX: F = F::new("--kmax", "K", |a, v| v.k().map(|k| a.kmax = k)).or("6");
+const ALGO: F =
+    F::new("--algo", "hg|gc|l|lp|opt|greedy-cg", |a, v| v.parse().map(|x| a.algo = Some(x)));
+const ORDERING: F =
+    F::new("--ordering", "identity|degree-asc|degree-desc|degeneracy|color", |a, v| {
+        v.parse().map(|o| a.ordering = Some(o))
+    });
+const THREADS: F =
+    F::new("--threads", "N", |a, v| v.count().map(|n| a.par = a.par.with_threads(n)));
+const MAX_CLIQUES: F =
+    F::new("--max-cliques", "N", |a, v| v.num().map(|n| a.budget.max_cliques = Some(n)));
+const MAX_CONFLICTS: F =
+    F::new("--max-conflicts", "N", |a, v| v.num().map(|n| a.budget.max_conflicts = Some(n)));
+const MIS_NODES: F =
+    F::new("--mis-nodes", "N", |a, v| v.num().map(|n| a.budget.mis_node_limit = Some(n)));
+const IMPROVE_STEPS: F =
+    F::new("--improve-steps", "N", |a, v| v.num().map(|n| a.budget.improve_steps = Some(n)));
+const IMPROVE_SEED: F =
+    F::new("--improve-seed", "N", |a, v| v.num().map(|n| a.budget.improve_seed = Some(n)));
+const JSON: F = F::new("--json", "", |a, v| v.switch().map(|on| a.json = on));
+const SCALE: F = F::new("--scale", "X", |a, v| v.scale().map(|x| a.scale = Some(x)));
+const SEED: F = F::new("--seed", "N", |a, v| v.num().map(|n| a.seed = Some(n)));
+const DATASET: F = F::new("--dataset", "NAME", |a, v| v.parse().map(|d| a.dataset = Some(d)));
+const DATA_DIR: F = F::new("--data-dir", "D", |a, v| v.text().map(|d| a.data_dir = Some(d)));
+const PORT: F = F::new("--port", "P", |a, v| v.num().map(|p| a.port = p)).or("7911");
+const STATE_DIR: F = F::new("--state-dir", "D", |a, v| v.text().map(|d| a.state_dir = Some(d)));
+const READERS: F = F::new("--readers", "N", |a, v| v.count().map(|n| a.readers = n)).or("4");
+const BATCH_MAX: F =
+    F::new("--batch-max", "N", |a, v| v.count().map(|n| a.batch_max = n)).or("4096");
+const MAX_NODE: F = F::new("--max-node", "N", |a, v| v.num().map(|n| a.max_node = Some(n)));
+const IMPROVE_SLICE: F =
+    F::new("--improve-slice", "N", |a, v| v.num().map(|n| a.improve_slice = n));
+const FSYNC: F =
+    F::new("--fsync", "per-commit|per-batch|snapshot", |a, v| v.parse().map(|p| a.fsync = p));
+const CONNS: F = F::new("--conns", "N", |a, v| v.count().map(|n| a.conns = Some(n)));
+const OPS: F = F::new("--ops", "N", |a, v| v.count().map(|n| a.ops = Some(n)));
+const WARMUP: F = F::new("--warmup", "N", |a, v| v.num().map(|n| a.warmup = Some(n)));
+const UPDATE_PCT: F =
+    F::new("--update-pct", "P", |a, v| v.pct().map(|p| a.update_pct = p)).or("30");
+const IMPROVE_PCT: F = F::new("--improve-pct", "P", |a, v| v.pct().map(|p| a.improve_pct = p));
+const BATCH: F = F::new("--batch", "N", |a, v| v.count().map(|n| a.batch = n)).or("8");
+const NODES: F = F::new("--nodes", "N", |a, v| v.num().map(|n| a.nodes = Some(n)));
+const REPS: F = F::new("--reps", "N", |a, v| v.count().map(|n| a.reps = n)).or("3");
+const OUT: F = F::new("--out", "FILE", |a, v| v.text().map(|f| a.bench_out = Some(f)));
+const CHECK: F = F::new("--check", "BASELINE.json", |a, v| v.text().map(|f| a.check = Some(f)));
+const STAMP: F = F::new("--stamp", "DATE", |a, v| v.text().map(|s| a.stamp = Some(s)));
+const HOST: F = F::new("--host", "NAME", |a, v| v.text().map(|h| a.host = Some(h)));
+const GIT_REV: F = F::new("--git-rev", "SHA", |a, v| v.text().map(|r| a.git_rev = Some(r)));
+const SCRATCH: F = F::new("--scratch", "D", |a, v| v.text().map(|d| a.scratch = Some(d)));
+const BATCHES: F = F::new("--batches", "N", |a, v| v.count().map(|n| a.batches = n)).or("32");
+const BATCH_SIZE: F =
+    F::new("--batch-size", "N", |a, v| v.count().map(|n| a.batch_size = n)).or("16");
+const PLOT: F = F::new("--plot", "", |a, v| v.switch().map(|on| a.plot = on));
+
+/// The command table: each row accepts exactly the flags it lists.
+#[rustfmt::skip]
+const DKC: Cli<Args> = Cli {
+    program: "dkc",
+    commands: &[
+        Command { name: "stats", args: &["<graph>"], required: &[], run: cmd_stats,
+            flags: &[&KMAX, &ALGO, &ORDERING, &THREADS, &MAX_CLIQUES, &MAX_CONFLICTS, &MIS_NODES,
+                     &IMPROVE_STEPS, &IMPROVE_SEED] },
+        Command { name: "solve", args: &["<graph>"], required: &[&K], run: cmd_solve,
+            flags: &[&ALGO, &ORDERING, &THREADS, &MAX_CLIQUES, &MAX_CONFLICTS, &MIS_NODES,
+                     &IMPROVE_STEPS, &IMPROVE_SEED, &JSON] },
+        Command { name: "partition", args: &["<graph>"], required: &[&K], run: cmd_partition,
+            flags: &[&ALGO, &ORDERING, &THREADS, &MAX_CLIQUES, &MAX_CONFLICTS, &MIS_NODES,
+                     &IMPROVE_STEPS, &IMPROVE_SEED, &JSON] },
+        Command { name: "serve", args: &["<dataset|graph>"], required: &[&K], run: cmd_serve,
+            flags: &[&PORT, &STATE_DIR, &DATA_DIR, &SCALE, &SEED, &READERS, &BATCH_MAX, &MAX_NODE,
+                     &IMPROVE_SLICE, &FSYNC, &ALGO, &ORDERING, &THREADS, &MAX_CLIQUES,
+                     &MAX_CONFLICTS, &MIS_NODES, &IMPROVE_STEPS, &IMPROVE_SEED] },
+        Command { name: "replica", args: &["<primary-addr>"], required: &[], run: cmd_replica,
+            flags: &[&PORT, &READERS] },
+        Command { name: "loadgen", args: &["<host:port>"], required: &[], run: cmd_loadgen,
+            flags: &[&CONNS, &OPS, &WARMUP, &UPDATE_PCT, &IMPROVE_PCT, &IMPROVE_STEPS, &BATCH,
+                     &NODES, &SEED, &JSON] },
+        Command { name: "bench", args: &[], required: &[], run: cmd_bench,
+            flags: &[&DATASET, &SCALE, &SEED, &K, &REPS, &THREADS, &OUT, &CHECK, &STAMP, &HOST,
+                     &GIT_REV, &DATA_DIR, &SCRATCH, &CONNS, &OPS, &WARMUP, &BATCHES, &BATCH_SIZE] },
+        Command { name: "bench summary", args: &["[FILES...]"], required: &[], run: cmd_bench_summary,
+            flags: &[&JSON, &PLOT, &HOST] },
+        Command { name: "convert", args: &["<in>", "<out>"], required: &[], run: cmd_convert,
+            flags: &[&THREADS] },
+        Command { name: "gen", args: &["<dataset>", "<out>"], required: &[], run: cmd_gen,
+            flags: &[&SCALE, &SEED] },
+        Command { name: "cache", args: &["<dataset>"], required: &[&DATA_DIR], run: cmd_cache,
+            flags: &[&SCALE, &SEED, &THREADS, &JSON] },
+        Command { name: "cache evict", args: &[], required: &[&DATA_DIR], run: cmd_cache_evict,
+            flags: &[&DATASET, &SCALE, &SEED] },
+    ],
+    notes: "<graph> is a KONECT-style edge list or a binary .dkcsr snapshot (detected\n\
+            by content). --threads defaults to the available parallelism (env\n\
+            DKC_THREADS overrides); results are identical for any thread count.\n\
+            --algo opt defaults to the standard deterministic OOM/OOT budgets; the\n\
+            budget flags override them for any algorithm. --json prints the engine\n\
+            report as JSON on stdout. README.md describes every subcommand.",
+};
+
+fn main() {
+    cli::run(&DKC)
 }
 
-fn load(path: &str, par: ParConfig) -> (LoadedGraph, LoadReport) {
-    match load_graph(path, par) {
-        Ok(l) => l,
-        Err(e) => {
-            eprintln!("failed to load {path}: {e}");
-            std::process::exit(1);
-        }
-    }
+/// Loads the input graph and prints the shared load-path provenance line
+/// (to stderr, so `--json`/label output on stdout stays machine-clean).
+fn load(path: &str, par: ParConfig) -> Result<LoadedGraph, CliError> {
+    let (loaded, report) =
+        load_graph(path, par).map_err(failed(format!("failed to load {path}")))?;
+    eprintln!("# load: {report}");
+    Ok(loaded)
 }
 
-fn dataset_for(name: &str) -> DatasetId {
-    let upper = name.to_ascii_uppercase();
-    match DatasetId::ALL.into_iter().find(|d| d.name() == upper) {
-        Some(id) => id,
-        None => {
-            let names: Vec<&str> = DatasetId::ALL.iter().map(|d| d.name()).collect();
-            eprintln!("unknown dataset {name:?} (try one of {})", names.join("|"));
-            std::process::exit(2);
-        }
-    }
+fn bind(port: u16) -> Result<TcpListener, CliError> {
+    TcpListener::bind(("127.0.0.1", port))
+        .map_err(failed(format!("failed to bind 127.0.0.1:{port}")))
 }
 
 /// The single Engine-backed construction point the solving subcommands
@@ -387,65 +273,30 @@ fn dataset_for(name: &str) -> DatasetId {
 /// (degrade to a structured OOM/OOT error instead of hanging past exact
 /// scale); every algorithm honours explicit budget overrides.
 fn request_from_args(args: &Args) -> SolveRequest {
-    let mut budget = Budget::default_for(args.algo);
-    if let Some(n) = args.max_cliques {
-        budget = budget.with_max_cliques(n);
-    }
-    if let Some(n) = args.max_conflicts {
-        budget = budget.with_max_conflicts(n);
-    }
-    if let Some(n) = args.mis_nodes {
-        budget = budget.with_mis_node_limit(n);
-    }
-    if let Some(steps) = args.improve_steps {
-        budget = budget.with_improve_steps(steps);
-    }
-    if let Some(seed) = args.improve_seed {
-        budget = budget.with_improve_seed(seed);
-    }
-    let mut req = SolveRequest::new(args.algo, args.k).with_budget(budget).with_par(args.par);
-    if let Some(ordering) = args.ordering {
-        req = req.with_ordering(ordering);
-    }
-    req
+    let algo = args.algo.unwrap_or(Algo::Lp);
+    let (set, base) = (args.budget, Budget::default_for(algo));
+    let budget = Budget {
+        max_cliques: set.max_cliques.or(base.max_cliques),
+        max_conflicts: set.max_conflicts.or(base.max_conflicts),
+        mis_node_limit: set.mis_node_limit.or(base.mis_node_limit),
+        ..set
+    };
+    let req = SolveRequest::new(algo, args.k).with_budget(budget).with_par(args.par);
+    args.ordering.map_or(req, |ordering| req.with_ordering(ordering))
 }
 
-/// Loads the input graph and prints the shared load-path provenance line
-/// (to stderr, so `--json`/label output on stdout stays machine-clean).
-fn load_with_provenance(args: &Args) -> LoadedGraph {
-    let (loaded, report) = load(&args.path, args.par);
-    eprintln!("# load: {report}");
-    loaded
-}
-
-fn main() {
-    let args = parse_args();
-    match args.command.as_str() {
-        "stats" => cmd_stats(&args),
-        "solve" => cmd_solve(&args),
-        "partition" => cmd_partition(&args),
-        "serve" => cmd_serve(&args),
-        "replica" => cmd_replica(&args),
-        "loadgen" => cmd_loadgen(&args),
-        "bench" if args.path == "summary" => cmd_bench_summary(&args),
-        "bench" => cmd_bench(&args),
-        "convert" => cmd_convert(&args),
-        "gen" => cmd_gen(&args),
-        "cache" if args.path == "evict" => cmd_cache_evict(&args),
-        "cache" => cmd_cache(&args),
-        _ => usage(),
-    }
-}
-
-/// Bootstraps the serve graph: an existing file path wins, then a Table I
-/// dataset name through the registry (snapshot-cached under `--data-dir`).
-fn serve_bootstrap(args: &Args) -> Result<CsrGraph, ServeStateError> {
-    if std::path::Path::new(&args.path).is_file() {
-        let (loaded, report) = load_graph(&args.path, args.par).map_err(ServeStateError::Graph)?;
+/// Bootstraps the serve graph: the graph file, else the Table I dataset
+/// through the registry (snapshot-cached under `--data-dir`).
+fn serve_bootstrap(
+    args: &Args,
+    path: &str,
+    dataset: Option<DatasetId>,
+) -> Result<CsrGraph, ServeStateError> {
+    let Some(id) = dataset else {
+        let (loaded, report) = load_graph(path, args.par).map_err(ServeStateError::Graph)?;
         eprintln!("# load: {report}");
         return Ok(loaded.graph);
-    }
-    let id = dataset_for(&args.path);
+    };
     let registry = match &args.data_dir {
         Some(dir) => DatasetRegistry::new(dir),
         None => DatasetRegistry::in_memory(),
@@ -464,62 +315,45 @@ fn serve_bootstrap(args: &Args) -> Result<CsrGraph, ServeStateError> {
     Ok(resolved.loaded.graph)
 }
 
-fn cmd_serve(args: &Args) {
-    if args.k == 0 {
-        usage();
-    }
+fn cmd_serve(args: &Args, pos: &[String]) -> Result<(), CliError> {
+    // An existing file path wins over a dataset name.
+    let path = &pos[0];
+    let dataset = (!Path::new(path).is_file()).then(|| path.parse()).transpose();
+    let dataset = dataset.map_err(CliError::Usage)?;
     if let Some(dir) = &args.state_dir {
         // A sharded deployment kept `plan.json` plus one state dir per
         // shard here. Creating a fresh state next to them would silently
         // drop every update the shards acknowledged.
-        let plan = std::path::Path::new(dir).join("plan.json");
+        let plan = Path::new(dir).join("plan.json");
         if plan.exists() {
-            eprintln!(
+            return Err(CliError::Failed(format!(
                 "{} is the state of a sharded deployment (plan.json, shard<i>/); \
                  dkc serve resumes only a single-server state dir",
                 plan.display()
-            );
-            std::process::exit(1);
+            )));
         }
     }
     let request = request_from_args(args);
-    let built = match &args.state_dir {
-        Some(dir) => ServingSolver::open(dir, request, || serve_bootstrap(args)),
-        None => serve_bootstrap(args)
+    let bootstrap = || serve_bootstrap(args, path, dataset);
+    let (serving, restored) = match &args.state_dir {
+        Some(dir) => ServingSolver::open(dir, request, bootstrap),
+        None => bootstrap()
             .and_then(|g| ServingSolver::in_memory(&g, request).map_err(Into::into))
             .map(|s| (s, false)),
-    };
-    let (serving, restored) = match built {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("serve bootstrap failed: {e}");
-            std::process::exit(1);
-        }
-    };
+    }
+    .map_err(failed("serve bootstrap failed"))?;
     let view = serving.view();
-    let listener = match std::net::TcpListener::bind(("127.0.0.1", args.port)) {
-        Ok(l) => l,
-        Err(e) => {
-            eprintln!("failed to bind 127.0.0.1:{}: {e}", args.port);
-            std::process::exit(1);
-        }
-    };
     let config = ServerConfig {
-        readers: args.readers.max(1),
+        readers: args.readers,
         queue_capacity: 128,
-        batch_max_updates: args.batch_max.max(1),
+        batch_max_updates: args.batch_max,
         max_node: args.max_node,
         fsync: args.fsync,
         improve_slice: args.improve_slice,
-        improve_seed: args.improve_seed.unwrap_or(0),
+        improve_seed: args.budget.improve_seed.unwrap_or(0),
     };
-    let handle = match Server::start(listener, serving, config) {
-        Ok(h) => h,
-        Err(e) => {
-            eprintln!("failed to start server: {e}");
-            std::process::exit(1);
-        }
-    };
+    let handle = Server::start(bind(args.port)?, serving, config)
+        .map_err(failed("failed to start server"))?;
     eprintln!(
         "# serving on {} — k={} algo={} epoch={} |S|={}{}{}",
         handle.local_addr(),
@@ -535,95 +369,79 @@ fn cmd_serve(args: &Args) {
     );
     handle.join();
     eprintln!("# server stopped");
+    Ok(())
 }
 
 /// `dkc replica <primary-addr>`: bootstrap from the primary (`fetch`),
 /// tail its journal, serve read queries.
-fn cmd_replica(args: &Args) {
-    let listener = match std::net::TcpListener::bind(("127.0.0.1", args.port)) {
-        Ok(l) => l,
-        Err(e) => {
-            eprintln!("failed to bind 127.0.0.1:{}: {e}", args.port);
-            std::process::exit(1);
-        }
-    };
-    let config = ReplicaConfig { readers: args.readers.max(1), ..ReplicaConfig::default() };
-    let handle = match Replica::start(&args.path, listener, config) {
-        Ok(h) => h,
-        Err(e) => {
-            eprintln!("replica bootstrap from {} failed: {e}", args.path);
-            std::process::exit(1);
-        }
-    };
+fn cmd_replica(args: &Args, pos: &[String]) -> Result<(), CliError> {
+    let primary = &pos[0];
+    let config = ReplicaConfig { readers: args.readers, ..ReplicaConfig::default() };
+    let handle = Replica::start(primary, bind(args.port)?, config)
+        .map_err(failed(format!("replica bootstrap from {primary} failed")))?;
     eprintln!(
-        "# replica on {} — tailing {} from epoch {}",
+        "# replica on {} — tailing {primary} from epoch {}",
         handle.local_addr(),
-        args.path,
         handle.epoch()
     );
     handle.join();
     eprintln!("# replica stopped");
+    Ok(())
 }
 
-fn cmd_loadgen(args: &Args) {
+fn cmd_loadgen(args: &Args, pos: &[String]) -> Result<(), CliError> {
     let cfg = LoadgenConfig {
-        addr: args.path.clone(),
-        connections: args.conns.unwrap_or(4).max(1),
-        ops_per_connection: args.ops.unwrap_or(200).max(1),
+        addr: pos[0].clone(),
+        connections: args.conns.unwrap_or(4),
+        ops_per_connection: args.ops.unwrap_or(200),
         warmup_ops: args.warmup.unwrap_or(0),
         update_fraction: args.update_pct / 100.0,
         improve_fraction: args.improve_pct / 100.0,
-        improve_steps: args.improve_steps.unwrap_or(64),
-        batch: args.batch.max(1),
+        improve_steps: args.budget.improve_steps.unwrap_or(64),
+        batch: args.batch,
         nodes: args.nodes.unwrap_or(1000),
         seed: args.seed.unwrap_or(42),
     };
-    match run_loadgen(&cfg) {
-        Ok(report) => {
-            if args.json {
-                let us = |d: Duration| Json::u64(d.as_micros() as u64);
-                let summary = |s: &disjoint_kcliques::serve::LatencySummary| {
-                    Json::Obj(vec![
-                        ("count".into(), Json::usize(s.count)),
-                        ("p50_us".into(), us(s.p50)),
-                        ("p95_us".into(), us(s.p95)),
-                        ("p99_us".into(), us(s.p99)),
-                        ("max_us".into(), us(s.max)),
-                    ])
-                };
-                let doc = Json::Obj(vec![
-                    ("total_ops".into(), Json::usize(report.total_ops)),
-                    ("errors".into(), Json::usize(report.errors)),
-                    ("elapsed_us".into(), us(report.elapsed)),
-                    ("ops_per_sec".into(), Json::u64(report.throughput() as u64)),
-                    ("updates".into(), summary(&report.updates)),
-                    ("improves".into(), summary(&report.improves)),
-                    ("queries".into(), summary(&report.queries)),
-                    ("final_epoch".into(), Json::u64(report.final_epoch)),
-                    ("final_size".into(), Json::usize(report.final_size)),
-                ]);
-                outln!("{}", doc.render());
-            } else {
-                outln!("{report}");
-            }
-            if report.errors > 0 {
-                std::process::exit(1);
-            }
-        }
-        Err(e) => {
-            eprintln!("loadgen failed: {e}");
-            std::process::exit(1);
-        }
+    let report = run_loadgen(&cfg).map_err(failed("loadgen failed"))?;
+    if args.json {
+        let us = |d: Duration| Json::u64(d.as_micros() as u64);
+        let summary = |s: &disjoint_kcliques::serve::LatencySummary| {
+            Json::Obj(vec![
+                ("count".into(), Json::usize(s.count)),
+                ("p50_us".into(), us(s.p50)),
+                ("p95_us".into(), us(s.p95)),
+                ("p99_us".into(), us(s.p99)),
+                ("max_us".into(), us(s.max)),
+            ])
+        };
+        let doc = Json::Obj(vec![
+            ("total_ops".into(), Json::usize(report.total_ops)),
+            ("errors".into(), Json::usize(report.errors)),
+            ("elapsed_us".into(), us(report.elapsed)),
+            ("ops_per_sec".into(), Json::u64(report.throughput() as u64)),
+            ("updates".into(), summary(&report.updates)),
+            ("improves".into(), summary(&report.improves)),
+            ("queries".into(), summary(&report.queries)),
+            ("final_epoch".into(), Json::u64(report.final_epoch)),
+            ("final_size".into(), Json::usize(report.final_size)),
+        ]);
+        outln!("{}", doc.render());
+    } else {
+        outln!("{report}");
+    }
+    match report.errors {
+        0 => Ok(()),
+        n => Err(CliError::Failed(format!("loadgen: {n} operations failed"))),
     }
 }
 
 /// Runs the pinned perf suite, appends one JSON line to the trajectory
 /// file, and (with `--check`) gates against the committed baseline.
-fn cmd_bench(args: &Args) {
+fn cmd_bench(args: &Args, _: &[String]) -> Result<(), CliError> {
     use disjoint_kcliques::bench::trajectory::{
         check_line, gates, run_suite, BenchLine, SuiteConfig, SCHEMA_VERSION,
     };
-    let dataset = dataset_for(args.dataset.as_deref().unwrap_or("HST"));
+    let dataset = args.dataset.unwrap_or(DatasetId::Hst);
     let mut cfg = SuiteConfig::pinned(
         args.scratch
             .clone()
@@ -643,17 +461,11 @@ fn cmd_bench(args: &Args) {
     // Warmup is defaulted ON here (unlike `dkc loadgen`) so the serve
     // percentiles aren't dominated by first-connection noise.
     cfg.serve_warmup = args.warmup.unwrap_or(cfg.serve_warmup);
-    cfg.apply_batches = args.batches.max(1);
-    cfg.apply_batch_size = args.batch_size.max(1);
+    cfg.apply_batches = args.batches;
+    cfg.apply_batch_size = args.batch_size;
 
     let host = bench_host(args);
-    let outcome = match run_suite(&cfg) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(1);
-        }
-    };
+    let outcome = run_suite(&cfg).map_err(|e| CliError::Failed(e.to_string()))?;
     let line = BenchLine {
         schema: SCHEMA_VERSION,
         host: host.clone(),
@@ -669,14 +481,12 @@ fn cmd_bench(args: &Args) {
     };
     let rendered = line.render();
     let out_path = args.bench_out.clone().unwrap_or_else(|| format!("BENCH_{host}.json"));
-    let append =
-        std::fs::OpenOptions::new().create(true).append(true).open(&out_path).and_then(|mut f| {
-            std::io::Write::write_all(&mut f, format!("{rendered}\n").as_bytes())
-        });
-    if let Err(e) = append {
-        eprintln!("failed to append to {out_path}: {e}");
-        std::process::exit(1);
-    }
+    std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(&out_path)
+        .and_then(|mut f| std::io::Write::write_all(&mut f, format!("{rendered}\n").as_bytes()))
+        .map_err(failed(format!("failed to append to {out_path}")))?;
     eprintln!(
         "# bench: {} scale {} seed {} ({} nodes, {} edges), k={} reps={} threads={} → {}",
         line.dataset,
@@ -691,63 +501,41 @@ fn cmd_bench(args: &Args) {
     );
     outln!("{rendered}");
 
-    if let Some(baseline_path) = &args.check {
-        let baseline = std::fs::read_to_string(baseline_path)
-            .map_err(|e| e.to_string())
-            .and_then(|text| BenchLine::parse_last(&text).map_err(|e| e.to_string()));
-        let baseline = match baseline {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("failed to read baseline {baseline_path}: {e}");
-                std::process::exit(1);
-            }
-        };
-        let violations = check_line(&line, &baseline);
-        if violations.is_empty() {
-            eprintln!(
-                "# perf gate PASSED against {baseline_path} ({} gated metrics)",
-                gates().len()
-            );
-        } else {
-            eprintln!("# perf gate FAILED against {baseline_path}:");
-            for v in &violations {
-                eprintln!("#   {v}");
-            }
-            std::process::exit(1);
-        }
+    let Some(baseline_path) = &args.check else { return Ok(()) };
+    let baseline = std::fs::read_to_string(baseline_path)
+        .map_err(|e| e.to_string())
+        .and_then(|text| BenchLine::parse_last(&text).map_err(|e| e.to_string()))
+        .map_err(failed(format!("failed to read baseline {baseline_path}")))?;
+    let violations = check_line(&line, &baseline);
+    if !violations.is_empty() {
+        let lines: Vec<String> = violations.iter().map(|v| format!("#   {v}")).collect();
+        return Err(CliError::Failed(format!(
+            "# perf gate FAILED against {baseline_path}:\n{}",
+            lines.join("\n")
+        )));
     }
+    eprintln!("# perf gate PASSED against {baseline_path} ({} gated metrics)", gates().len());
+    Ok(())
 }
 
 /// Folds every line of the given trajectory files (default: this host's
 /// `BENCH_<host>.json`) into a per-metric `{median, min}` table.
-fn cmd_bench_summary(args: &Args) {
+fn cmd_bench_summary(args: &Args, files: &[String]) -> Result<(), CliError> {
     use disjoint_kcliques::bench::trajectory::{parse_trajectory, summarize, BenchLine};
-    let files = if args.files.is_empty() {
-        vec![format!("BENCH_{}.json", bench_host(args))]
-    } else {
-        args.files.clone()
+    let files = match files {
+        [] => vec![format!("BENCH_{}.json", bench_host(args))],
+        files => files.to_vec(),
     };
     let mut lines: Vec<BenchLine> = Vec::new();
     for path in &files {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("failed to read {path}: {e}");
-                std::process::exit(1);
-            }
-        };
-        match parse_trajectory(&text) {
-            Ok(parsed) => lines.extend(parsed),
-            Err(e) => {
-                eprintln!("failed to parse {path}: {e}");
-                std::process::exit(1);
-            }
-        }
+        let text =
+            std::fs::read_to_string(path).map_err(failed(format!("failed to read {path}")))?;
+        lines.extend(parse_trajectory(&text).map_err(failed(format!("failed to parse {path}")))?);
     }
     let summary = summarize(&lines);
     if args.json {
         outln!("{}", summary.to_json_value().render());
-        return;
+        return Ok(());
     }
     let span = summary
         .span
@@ -766,6 +554,7 @@ fn cmd_bench_summary(args: &Args) {
     if args.plot {
         out!("{}", disjoint_kcliques::bench::trajectory::render_sparklines(&lines));
     }
+    Ok(())
 }
 
 /// `--host`, else `DKC_BENCH_HOST`, else `HOSTNAME`, else `unknown` —
@@ -786,38 +575,29 @@ fn bench_host(args: &Args) -> String {
 /// `--git-rev`, else `GITHUB_SHA`, else `git rev-parse HEAD`, else
 /// `unknown`.
 fn bench_git_rev(args: &Args) -> String {
-    if let Some(rev) = &args.git_rev {
-        return rev.clone();
-    }
-    if let Ok(sha) = std::env::var("GITHUB_SHA") {
-        if !sha.is_empty() {
-            return sha;
-        }
-    }
-    std::process::Command::new("git")
-        .args(["rev-parse", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
+    let git = || std::process::Command::new("git").args(["rev-parse", "HEAD"]).output().ok();
+    args.git_rev
+        .clone()
+        .or_else(|| std::env::var("GITHUB_SHA").ok().filter(|sha| !sha.is_empty()))
+        .or_else(|| {
+            let out = git().filter(|o| o.status.success())?;
+            Some(String::from_utf8(out.stdout).ok()?.trim().to_string()).filter(|s| !s.is_empty())
+        })
         .unwrap_or_else(|| "unknown".into())
 }
 
 /// `--stamp`, else seconds since the Unix epoch.
 fn bench_stamp(args: &Args) -> String {
-    if let Some(stamp) = &args.stamp {
-        return stamp.clone();
-    }
-    std::time::SystemTime::now()
-        .duration_since(std::time::SystemTime::UNIX_EPOCH)
-        .map(|d| format!("unix:{}", d.as_secs()))
-        .unwrap_or_else(|_| "unstamped".into())
+    args.stamp.clone().unwrap_or_else(|| {
+        std::time::SystemTime::now()
+            .duration_since(std::time::SystemTime::UNIX_EPOCH)
+            .map(|d| format!("unix:{}", d.as_secs()))
+            .unwrap_or_else(|_| "unstamped".into())
+    })
 }
 
-fn cmd_stats(args: &Args) {
-    let loaded = load_with_provenance(args);
+fn cmd_stats(args: &Args, pos: &[String]) -> Result<(), CliError> {
+    let loaded = load(&pos[0], args.par)?;
     let g = &loaded.graph;
     outln!("{}", GraphStats::of(g));
     let dag = Dag::from_graph(g, NodeOrder::compute(g, OrderingKind::Degeneracy));
@@ -826,195 +606,144 @@ fn cmd_stats(args: &Args) {
         let count = count_kcliques_parallel(&dag, k, args.par);
         outln!("{k}-cliques: {count} ({:.1} ms)", t.elapsed().as_secs_f64() * 1e3);
     }
+    Ok(())
 }
 
-fn cmd_solve(args: &Args) {
-    if args.k == 0 {
-        usage();
-    }
-    let loaded = load_with_provenance(args);
-    let req = request_from_args(args);
-    match Engine::solve(&loaded.graph, req) {
-        Ok(report) => {
-            report.solution.verify(&loaded.graph).expect("solver produced an invalid set");
-            eprintln!(
-                "# {}: |S| = {} ({} nodes covered, {:.1} ms, threads={})",
-                report.algo.paper_name(),
-                report.solution.len(),
-                report.solution.covered_nodes(),
-                report.elapsed.as_secs_f64() * 1e3,
-                report.threads,
-            );
-            if args.json {
-                outln!("{}", report.to_json_with_labels(&loaded.labels));
-            } else {
-                for c in report.solution.cliques() {
-                    let labels: Vec<String> =
-                        c.iter().map(|u| loaded.labels[u as usize].to_string()).collect();
-                    outln!("{}", labels.join(" "));
-                }
-            }
-        }
-        Err(e) => {
-            eprintln!("solve failed: {e}");
-            std::process::exit(1);
+fn cmd_solve(args: &Args, pos: &[String]) -> Result<(), CliError> {
+    let loaded = load(&pos[0], args.par)?;
+    let report =
+        Engine::solve(&loaded.graph, request_from_args(args)).map_err(failed("solve failed"))?;
+    report.solution.verify(&loaded.graph).expect("solver produced an invalid set");
+    eprintln!(
+        "# {}: |S| = {} ({} nodes covered, {:.1} ms, threads={})",
+        report.algo.paper_name(),
+        report.solution.len(),
+        report.solution.covered_nodes(),
+        report.elapsed.as_secs_f64() * 1e3,
+        report.threads,
+    );
+    if args.json {
+        outln!("{}", report.to_json_with_labels(&loaded.labels));
+    } else {
+        for c in report.solution.cliques() {
+            let labels: Vec<String> =
+                c.iter().map(|u| loaded.labels[u as usize].to_string()).collect();
+            outln!("{}", labels.join(" "));
         }
     }
+    Ok(())
 }
 
-fn cmd_partition(args: &Args) {
-    if args.k == 0 {
-        usage();
-    }
-    let loaded = load_with_provenance(args);
-    let req = request_from_args(args);
-    match Engine::partition_all(&loaded.graph, req) {
-        Ok(report) => {
-            eprintln!(
-                "# {}: {} groups in {:.1} ms — histogram {:?}",
-                report.algo.paper_name(),
-                report.partition.num_groups(),
-                report.elapsed.as_secs_f64() * 1e3,
-                report.partition.size_histogram()
-            );
-            if args.json {
-                outln!("{}", report.to_json_with_labels(&loaded.labels));
-            } else {
-                for group in &report.partition.groups {
-                    let labels: Vec<String> =
-                        group.iter().map(|&u| loaded.labels[u as usize].to_string()).collect();
-                    outln!("{}", labels.join(" "));
-                }
-            }
-        }
-        Err(e) => {
-            eprintln!("partition failed: {e}");
-            std::process::exit(1);
+fn cmd_partition(args: &Args, pos: &[String]) -> Result<(), CliError> {
+    let loaded = load(&pos[0], args.par)?;
+    let report = Engine::partition_all(&loaded.graph, request_from_args(args))
+        .map_err(failed("partition failed"))?;
+    eprintln!(
+        "# {}: {} groups in {:.1} ms — histogram {:?}",
+        report.algo.paper_name(),
+        report.partition.num_groups(),
+        report.elapsed.as_secs_f64() * 1e3,
+        report.partition.size_histogram()
+    );
+    if args.json {
+        outln!("{}", report.to_json_with_labels(&loaded.labels));
+    } else {
+        for group in &report.partition.groups {
+            let labels: Vec<String> =
+                group.iter().map(|&u| loaded.labels[u as usize].to_string()).collect();
+            outln!("{}", labels.join(" "));
         }
     }
+    Ok(())
 }
 
-fn cmd_convert(args: &Args) {
-    let Some(out) = &args.out else { usage() };
-    let loaded = load_with_provenance(args);
+fn cmd_convert(args: &Args, pos: &[String]) -> Result<(), CliError> {
+    let out = &pos[1];
+    let loaded = load(&pos[0], args.par)?;
     let t = Instant::now();
-    let result = if out.ends_with(".dkcsr") {
+    if out.ends_with(".dkcsr") {
         write_snapshot_path(&loaded, out)
     } else {
         std::fs::File::create(out)
             .map_err(Into::into)
             .and_then(|f| write_edge_list_labeled(&loaded, f))
-    };
-    match result {
-        Ok(()) => eprintln!(
-            "# wrote {out} ({} nodes, {} edges, {:.1} ms)",
-            loaded.graph.num_nodes(),
-            loaded.graph.num_edges(),
-            t.elapsed().as_secs_f64() * 1e3
-        ),
-        Err(e) => {
-            eprintln!("failed to write {out}: {e}");
-            std::process::exit(1);
-        }
     }
+    .map_err(failed(format!("failed to write {out}")))?;
+    eprintln!(
+        "# wrote {out} ({} nodes, {} edges, {:.1} ms)",
+        loaded.graph.num_nodes(),
+        loaded.graph.num_edges(),
+        t.elapsed().as_secs_f64() * 1e3
+    );
+    Ok(())
 }
 
-fn cmd_gen(args: &Args) {
-    let Some(out) = &args.out else { usage() };
-    let id = dataset_for(&args.path);
+fn cmd_gen(args: &Args, pos: &[String]) -> Result<(), CliError> {
+    let id: DatasetId = pos[0].parse().map_err(CliError::Usage)?;
+    let out = &pos[1];
     let (scale, seed) = (args.scale.unwrap_or(1.0), args.seed.unwrap_or(42));
     let g = id.standin(scale, seed);
-    match write_edge_list_path(&g, out) {
-        Ok(()) => eprintln!(
-            "# wrote {out}: {} stand-in at scale {} seed {} ({} nodes, {} edges)",
-            id.name(),
-            scale,
-            seed,
-            g.num_nodes(),
-            g.num_edges()
-        ),
-        Err(e) => {
-            eprintln!("failed to write {out}: {e}");
-            std::process::exit(1);
-        }
-    }
+    write_edge_list_path(&g, out).map_err(failed(format!("failed to write {out}")))?;
+    eprintln!(
+        "# wrote {out}: {} stand-in at scale {} seed {} ({} nodes, {} edges)",
+        id.name(),
+        scale,
+        seed,
+        g.num_nodes(),
+        g.num_edges()
+    );
+    Ok(())
 }
 
-fn cmd_cache(args: &Args) {
-    let Some(dir) = &args.data_dir else { usage() };
-    let id = dataset_for(&args.path);
+fn cmd_cache(args: &Args, pos: &[String]) -> Result<(), CliError> {
+    let id: DatasetId = pos[0].parse().map_err(CliError::Usage)?;
+    let dir = args.data_dir.as_deref().unwrap_or_default();
     let registry = DatasetRegistry::new(dir).with_par(args.par);
-    match registry.resolve_standin(id, args.scale.unwrap_or(1.0), args.seed.unwrap_or(42)) {
-        Ok(resolved) => {
-            if args.json {
-                // Machine form of the resolution + counters, rendered via
-                // the shared JSON module (the same layer behind the engine
-                // reports and the serve protocol).
-                let s = registry.stats();
-                let stats = Json::Obj(vec![
-                    ("snapshot_hits".into(), Json::u64(s.snapshot_hits)),
-                    ("text_loads".into(), Json::u64(s.text_loads)),
-                    ("synthetic_builds".into(), Json::u64(s.synthetic_builds)),
-                    ("cache_writes".into(), Json::u64(s.cache_writes)),
-                    ("cache_errors".into(), Json::u64(s.cache_errors)),
-                    ("evictions".into(), Json::u64(s.evictions)),
-                ]);
-                let doc = Json::Obj(vec![
-                    ("dataset".into(), Json::str(id.name())),
-                    ("from".into(), Json::str(resolved.from.to_string())),
-                    ("nodes".into(), Json::usize(resolved.loaded.graph.num_nodes())),
-                    ("edges".into(), Json::usize(resolved.loaded.graph.num_edges())),
-                    ("elapsed_us".into(), Json::u64(resolved.elapsed.as_micros() as u64)),
-                    ("cache_written".into(), Json::Bool(resolved.cache_written)),
-                    ("stats".into(), stats),
-                ]);
-                outln!("{}", doc.render());
-            } else {
-                eprintln!(
-                    "# {} resolved from {} in {:.1} ms ({} nodes, {} edges); {}",
-                    id.name(),
-                    resolved.from,
-                    resolved.elapsed.as_secs_f64() * 1e3,
-                    resolved.loaded.graph.num_nodes(),
-                    resolved.loaded.graph.num_edges(),
-                    registry.stats_line()
-                );
-            }
-        }
-        Err(e) => {
-            eprintln!("cache failed: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
-fn cmd_cache_evict(args: &Args) {
-    let Some(dir) = &args.data_dir else { usage() };
-    let registry = DatasetRegistry::new(dir);
-    let filter = EvictFilter {
-        dataset: args.dataset.as_deref().map(dataset_for),
-        scale: args.scale,
-        seed: args.seed,
-    };
-    match registry.evict_standins(&filter) {
-        Ok(removed) => {
-            eprintln!(
-                "# evicted {removed} cache entr{}; {}",
-                plural_y(removed),
-                registry.stats_line()
-            );
-        }
-        Err(e) => {
-            eprintln!("evict failed: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
-fn plural_y(n: usize) -> &'static str {
-    if n == 1 {
-        "y"
+    let resolved = registry
+        .resolve_standin(id, args.scale.unwrap_or(1.0), args.seed.unwrap_or(42))
+        .map_err(failed("cache failed"))?;
+    if args.json {
+        // Machine form of the resolution + counters, rendered via the
+        // shared JSON module (the same layer behind the engine reports and
+        // the serve protocol).
+        let s = registry.stats();
+        let stats = Json::Obj(vec![
+            ("snapshot_hits".into(), Json::u64(s.snapshot_hits)),
+            ("text_loads".into(), Json::u64(s.text_loads)),
+            ("synthetic_builds".into(), Json::u64(s.synthetic_builds)),
+            ("cache_writes".into(), Json::u64(s.cache_writes)),
+            ("cache_errors".into(), Json::u64(s.cache_errors)),
+            ("evictions".into(), Json::u64(s.evictions)),
+        ]);
+        let doc = Json::Obj(vec![
+            ("dataset".into(), Json::str(id.name())),
+            ("from".into(), Json::str(resolved.from.to_string())),
+            ("nodes".into(), Json::usize(resolved.loaded.graph.num_nodes())),
+            ("edges".into(), Json::usize(resolved.loaded.graph.num_edges())),
+            ("elapsed_us".into(), Json::u64(resolved.elapsed.as_micros() as u64)),
+            ("cache_written".into(), Json::Bool(resolved.cache_written)),
+            ("stats".into(), stats),
+        ]);
+        outln!("{}", doc.render());
     } else {
-        "ies"
+        eprintln!(
+            "# {} resolved from {} in {:.1} ms ({} nodes, {} edges); {}",
+            id.name(),
+            resolved.from,
+            resolved.elapsed.as_secs_f64() * 1e3,
+            resolved.loaded.graph.num_nodes(),
+            resolved.loaded.graph.num_edges(),
+            registry.stats_line()
+        );
     }
+    Ok(())
+}
+
+fn cmd_cache_evict(args: &Args, _: &[String]) -> Result<(), CliError> {
+    let registry = DatasetRegistry::new(args.data_dir.as_deref().unwrap_or_default());
+    let filter = EvictFilter { dataset: args.dataset, scale: args.scale, seed: args.seed };
+    let removed = registry.evict_standins(&filter).map_err(failed("evict failed"))?;
+    let plural = if removed == 1 { "y" } else { "ies" };
+    eprintln!("# evicted {removed} cache entr{plural}; {}", registry.stats_line());
+    Ok(())
 }
