@@ -14,6 +14,7 @@ use dkc_bench::config::ReproConfig;
 use dkc_bench::experiments::{
     ablation, dynamic_sweep, improve, static_sweep, synthetic, table1, table4, table7,
 };
+use dkc_bench::{out, outln};
 use std::time::Duration;
 
 #[global_allocator]
@@ -65,20 +66,20 @@ macro_rules! experiment {
 const REPRO: Cli<Opts> = Cli {
     program: "repro",
     commands: &[
-        experiment!("table1", |c| print!("{}", table1::run(c))),
-        experiment!("table2", |c| print!("{}", static_sweep::render_table2(&static_sweep::run_sweep(c)))),
-        experiment!("table3", |c| print!("{}", static_sweep::render_table3(&static_sweep::run_sweep(c)))),
-        experiment!("table4", |c| print!("{}", table4::run(c))),
-        experiment!("table5", |c| print!("{}", synthetic::render_table5(&synthetic::run_sweep(c)))),
-        experiment!("table6", |c| print!("{}", synthetic::render_table6(&synthetic::run_sweep(c)))),
-        experiment!("table7", |c| print!("{}", table7::run(c))),
-        experiment!("table8", |c| print!("{}", dynamic_sweep::render_table8(&dynamic_sweep::run_sweep(c)))),
-        experiment!("fig6", |c| print!("{}", static_sweep::render_fig6(&static_sweep::run_sweep(c)))),
-        experiment!("fig7", |c| print!("{}", dynamic_sweep::render_fig7(&dynamic_sweep::run_sweep(c)))),
+        experiment!("table1", |c| out!("{}", table1::run(c))),
+        experiment!("table2", |c| out!("{}", static_sweep::render_table2(&static_sweep::run_sweep(c)))),
+        experiment!("table3", |c| out!("{}", static_sweep::render_table3(&static_sweep::run_sweep(c)))),
+        experiment!("table4", |c| out!("{}", table4::run(c))),
+        experiment!("table5", |c| out!("{}", synthetic::render_table5(&synthetic::run_sweep(c)))),
+        experiment!("table6", |c| out!("{}", synthetic::render_table6(&synthetic::run_sweep(c)))),
+        experiment!("table7", |c| out!("{}", table7::run(c))),
+        experiment!("table8", |c| out!("{}", dynamic_sweep::render_table8(&dynamic_sweep::run_sweep(c)))),
+        experiment!("fig6", |c| out!("{}", static_sweep::render_fig6(&static_sweep::run_sweep(c)))),
+        experiment!("fig7", |c| out!("{}", dynamic_sweep::render_fig7(&dynamic_sweep::run_sweep(c)))),
         experiment!("ablation", |c| {
-            print!("{}\n{}", ablation::run_ordering(c), ablation::run_pruning_and_scores(c))
+            out!("{}\n{}", ablation::run_ordering(c), ablation::run_pruning_and_scores(c))
         }),
-        experiment!("improve", |c| print!("{}", improve::run(c))),
+        experiment!("improve", |c| out!("{}", improve::run(c))),
         experiment!("all", all),
     ],
     notes: "",
@@ -107,20 +108,20 @@ fn run_experiment(opts: &Opts, experiment: &str, body: fn(&ReproConfig)) -> Resu
 
 /// Every experiment in turn, each printed as soon as it is done.
 fn all(cfg: &ReproConfig) {
-    println!("{}", table1::run(cfg));
+    outln!("{}", table1::run(cfg));
     let sweep = static_sweep::run_sweep(cfg);
-    println!("{}", static_sweep::render_fig6(&sweep));
-    println!("{}", static_sweep::render_table2(&sweep));
-    println!("{}", static_sweep::render_table3(&sweep));
-    println!("{}", table4::run(cfg));
+    outln!("{}", static_sweep::render_fig6(&sweep));
+    outln!("{}", static_sweep::render_table2(&sweep));
+    outln!("{}", static_sweep::render_table3(&sweep));
+    outln!("{}", table4::run(cfg));
     let syn = synthetic::run_sweep(cfg);
-    println!("{}", synthetic::render_table5(&syn));
-    println!("{}", synthetic::render_table6(&syn));
-    println!("{}", table7::run(cfg));
+    outln!("{}", synthetic::render_table5(&syn));
+    outln!("{}", synthetic::render_table6(&syn));
+    outln!("{}", table7::run(cfg));
     let dy = dynamic_sweep::run_sweep(cfg);
-    println!("{}", dynamic_sweep::render_fig7(&dy));
-    println!("{}", dynamic_sweep::render_table8(&dy));
-    println!("{}", ablation::run_ordering(cfg));
-    println!("{}", ablation::run_pruning_and_scores(cfg));
-    print!("{}", improve::run(cfg));
+    outln!("{}", dynamic_sweep::render_fig7(&dy));
+    outln!("{}", dynamic_sweep::render_table8(&dy));
+    outln!("{}", ablation::run_ordering(cfg));
+    outln!("{}", ablation::run_pruning_and_scores(cfg));
+    out!("{}", improve::run(cfg));
 }

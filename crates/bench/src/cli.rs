@@ -6,7 +6,8 @@
 //! usage text is generated from the rows. [`run`] is the one exit
 //! path: [`CliError::Usage`] exits 2 with the usage text, and
 //! [`CliError::Failed`] exits 1. [`Value`] holds the shared value parsers,
-//! so each range check is written once.
+//! so each range check is written once. Both binaries print their output
+//! through [`out!`](crate::out) and [`outln!`](crate::outln).
 
 #![warn(clippy::exit)]
 
@@ -175,7 +176,8 @@ impl<A: Default> Cli<A> {
 
 /// A binary's `main`: parses the process arguments against `cli` and runs
 /// the chosen command; if that fails, prints why and exits 1 (failure) or
-/// 2 (usage). The only `process::exit` of the command line.
+/// 2 (usage). The only other `process::exit` of the command line is
+/// [`write_stdout`]'s.
 #[allow(clippy::exit)]
 pub fn run<A: Default>(cli: &Cli<A>) {
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -189,6 +191,39 @@ pub fn run<A: Default>(cli: &Cli<A>) {
     };
     eprintln!("{msg}");
     std::process::exit(code)
+}
+
+/// `print!` for everything a binary streams to stdout. A reader that
+/// closes the pipe early (`dkc solve … | head -1`) ends the process with
+/// exit 0 instead of the panic `print!` raises on `EPIPE`; any other write
+/// error exits 1.
+#[macro_export]
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::cli::write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// [`out!`] plus a newline.
+#[macro_export]
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        $crate::out!("{}\n", format_args!($($arg)*))
+    };
+}
+
+/// The body of [`out!`]: writes `args` to stdout, exiting 0 on a closed
+/// pipe and 1 on any other write error.
+#[allow(clippy::exit)]
+pub fn write_stdout(args: std::fmt::Arguments) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("failed writing to stdout: {e}");
+        std::process::exit(1);
+    }
 }
 
 /// A flag's value text and the shared parsers; every error names the flag.

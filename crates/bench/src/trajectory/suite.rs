@@ -291,8 +291,6 @@ pub fn run_suite(cfg: &SuiteConfig) -> Result<SuiteOutcome, SuiteError> {
             ops_per_connection: cfg.serve_ops.max(1),
             warmup_ops: cfg.serve_warmup,
             update_fraction: 0.3,
-            improve_fraction: 0.0,
-            improve_steps: 64,
             batch: 8,
             nodes: (g.num_nodes() as dkc_graph::NodeId).max(2),
             seed: cfg.seed,
@@ -330,8 +328,6 @@ pub fn run_suite(cfg: &SuiteConfig) -> Result<SuiteOutcome, SuiteError> {
             ops_per_connection: cfg.serve_ops.max(1),
             warmup_ops: cfg.serve_warmup,
             update_fraction: 0.0,
-            improve_fraction: 0.0,
-            improve_steps: 64,
             batch: 8,
             nodes: (g.num_nodes() as dkc_graph::NodeId).max(2),
             seed: cfg.seed,

@@ -1,7 +1,8 @@
 //! `repro` refuses a bad command line with a usage error (exit 2 and a
-//! message), never a panic, and before any dataset is generated.
+//! message), never a panic, and before any dataset is generated; a reader
+//! that closes its stdout ends it with exit 0.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn repro(args: &[&str]) -> (Option<i32>, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_repro")).args(args).output().unwrap();
@@ -40,4 +41,21 @@ fn a_good_command_line_runs_with_the_default_sweep() {
     assert!(out.status.success(), "{stderr}");
     assert!(stderr.contains("# repro table1: scale=0.2 seed=42 k=[3, 4] updates=2000"), "{stderr}");
     assert!(String::from_utf8_lossy(&out.stdout).contains("FTB"));
+}
+
+#[test]
+fn a_closed_stdout_ends_repro_with_exit_zero() {
+    // The read end is closed before `repro` writes its table, so the write
+    // fails with a broken pipe: that ends the run cleanly, not in a panic.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["table1", "--datasets", "FTB", "--scale", "0.05", "--kmax", "3"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    drop(child.stdout.take());
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }

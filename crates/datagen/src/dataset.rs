@@ -107,17 +107,16 @@ pub struct EvictFilter {
 /// policy. See the module docs.
 pub struct DatasetRegistry {
     data_dir: Option<PathBuf>,
-    write_cache: bool,
     par: ParConfig,
     counters: Counters,
 }
 
 impl DatasetRegistry {
-    /// A registry rooted at `data_dir`, with cache write-back enabled.
+    /// A registry rooted at `data_dir`, which writes resolved graphs back
+    /// to its snapshot cache.
     pub fn new<P: Into<PathBuf>>(data_dir: P) -> Self {
         DatasetRegistry {
             data_dir: Some(data_dir.into()),
-            write_cache: true,
             par: ParConfig::default(),
             counters: Counters::default(),
         }
@@ -126,23 +125,12 @@ impl DatasetRegistry {
     /// A registry with no data directory: every resolution is synthetic
     /// and nothing touches the filesystem.
     pub fn in_memory() -> Self {
-        DatasetRegistry {
-            data_dir: None,
-            write_cache: false,
-            par: ParConfig::default(),
-            counters: Counters::default(),
-        }
+        DatasetRegistry { data_dir: None, par: ParConfig::default(), counters: Counters::default() }
     }
 
     /// Overrides the parallelism used for text parsing.
     pub fn with_par(mut self, par: ParConfig) -> Self {
         self.par = par;
-        self
-    }
-
-    /// Enables or disables snapshot write-back.
-    pub fn with_cache_writeback(mut self, on: bool) -> Self {
-        self.write_cache = on && self.data_dir.is_some();
         self
     }
 
@@ -247,9 +235,7 @@ impl DatasetRegistry {
     }
 
     fn write_back(&self, key: &str, loaded: &LoadedGraph) -> bool {
-        if !self.write_cache {
-            return false;
-        }
+        // In-memory registries have no cache to write.
         let Some(cache) = self.cache_path(key) else { return false };
         let write = || -> Result<(), GraphError> {
             if let Some(parent) = cache.parent() {

@@ -60,10 +60,7 @@ mod state;
 mod view;
 
 pub use index::{CandId, CandidateIndex};
-pub use log::{
-    parse_records, render_improve_record, render_record, FsyncPolicy, LogError, LogRecord,
-    UpdateLog,
-};
+pub use log::{parse_records, render_record, FsyncPolicy, LogError, UpdateLog};
 pub use serving::{stats_from_json, stats_to_json, ServeStateError, ServingSolver};
 pub use solver::{BatchOutcome, DynamicSolver, EdgeUpdate, UpdateOutcome, UpdateStats};
 pub use state::{CliqueId, SolutionState};

@@ -12,23 +12,21 @@
 //! - 3 4        delete edge (3, 4)
 //! + 5 6
 //! c            commit marker — the batch is durable
-//! i 256 42     improvement record: 256 local-search steps, seed 42
-//! c            improvement records commit like batches
 //! ```
 //!
-//! A record only counts once its `c` commit marker is on disk, so a
-//! process killed mid-append leaves a *truncated tail* that replay
-//! silently discards — exactly the record the writer never acknowledged.
-//! Malformed bytes before a commit marker are corruption and surface as
-//! [`LogError::Corrupt`].
+//! The batch is the only record kind: replay yields each committed batch
+//! as its `Vec<EdgeUpdate>`, in append order. A record only counts once
+//! its `c` commit marker is on disk, so a process killed mid-append leaves
+//! a *truncated tail* that replay silently discards — exactly the record
+//! the writer never acknowledged. Malformed bytes before a commit marker
+//! are corruption and surface as [`LogError::Corrupt`].
 //!
-//! Two record kinds exist (see [`LogRecord`]): edge-update batches (`b`)
-//! and improvement records (`i`, since PR 9). An improvement record logs
-//! the *parameters* of a deterministic [`dkc_improve`] run, not its moves
-//! — replaying the same (steps, seed) against the same state reproduces
-//! the same improved solution, which is what keeps restored and replicated
-//! views bit-identical to the live one. Journals written before PR 9
-//! contain only `b` records and parse unchanged.
+//! Older journals could also hold improvement records (an `i <steps>
+//! <seed>` line and its `c`) from a served local search that no longer
+//! exists. Replay cannot reproduce one, so a committed `i` record is
+//! refused as an unknown record tag rather than skipped; an uncommitted
+//! `i` at the tail is a torn record like any other and is discarded.
+//! Batch-only journals parse unchanged under the same header.
 
 use crate::EdgeUpdate;
 use dkc_graph::NodeId;
@@ -89,23 +87,6 @@ impl std::str::FromStr for FsyncPolicy {
     }
 }
 
-/// One committed journal record: what replay must re-apply to reach the
-/// logged epoch.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LogRecord {
-    /// An edge-update batch (`b … + … - … c`).
-    Batch(Vec<EdgeUpdate>),
-    /// A deterministic improvement run (`i <steps> <seed>` + `c`): replay
-    /// re-runs the local search with these parameters and must apply the
-    /// identical moves.
-    Improve {
-        /// Step budget the run was invoked with.
-        steps: u64,
-        /// Seed the run was invoked with.
-        seed: u64,
-    },
-}
-
 /// Renders one batch as its on-disk/on-wire record text (`b … + … c`).
 ///
 /// This is the only batch formatter: [`UpdateLog::append_batch`] writes
@@ -132,17 +113,10 @@ where
     out
 }
 
-/// Renders one improvement record as its on-disk/on-wire text
-/// (`i <steps> <seed>` + commit marker) — the byte sequence
-/// [`UpdateLog::append_improve`] writes and the hub replicates.
-pub fn render_improve_record(steps: u64, seed: u64) -> String {
-    format!("i {steps} {seed}\nc\n")
-}
-
-/// Parses committed records from log-format `text` (header optional — a
+/// Parses the committed batches of log-format `text` (header optional — a
 /// replication tail stream carries bare records). A trailing record
 /// without its commit marker is discarded, exactly like file replay.
-pub fn parse_records(text: &str) -> Result<Vec<LogRecord>, LogError> {
+pub fn parse_records(text: &str) -> Result<Vec<Vec<EdgeUpdate>>, LogError> {
     parse_log(text)
 }
 
@@ -240,19 +214,6 @@ impl UpdateLog {
         I::IntoIter: Clone,
     {
         self.writer.write_all(render_record(updates).as_bytes())?;
-        self.commit()
-    }
-
-    /// Appends one improvement record (`i <steps> <seed>` + commit
-    /// marker), applying the same [`FsyncPolicy`] handling as
-    /// [`UpdateLog::append_batch`].
-    pub fn append_improve(&mut self, steps: u64, seed: u64) -> Result<(), LogError> {
-        self.writer.write_all(render_improve_record(steps, seed).as_bytes())?;
-        self.commit()
-    }
-
-    /// Applies the [`FsyncPolicy`] to the record just appended.
-    fn commit(&mut self) -> Result<(), LogError> {
         match self.policy {
             FsyncPolicy::PerCommit => {
                 self.writer.flush()?;
@@ -285,24 +246,22 @@ impl UpdateLog {
         Ok(())
     }
 
-    /// Replaces the journal at `path` with exactly `records` (header +
+    /// Replaces the journal at `path` with exactly `batches` (header +
     /// committed records, synced), returning a fresh append handle. The
     /// restore path uses this to drop a torn tail record before new
     /// appends land behind it.
-    pub fn rewrite(path: impl Into<PathBuf>, records: &[LogRecord]) -> Result<Self, LogError> {
+    pub fn rewrite(
+        path: impl Into<PathBuf>,
+        batches: &[Vec<EdgeUpdate>],
+    ) -> Result<Self, LogError> {
         let path = path.into();
         let tmp = path.with_extension("log.tmp");
         {
             let file = File::create(&tmp)?;
             let mut writer = BufWriter::new(file);
             writeln!(writer, "{HEADER}")?;
-            for record in records {
-                match record {
-                    LogRecord::Batch(batch) => write!(writer, "{}", render_record(batch))?,
-                    LogRecord::Improve { steps, seed } => {
-                        write!(writer, "{}", render_improve_record(*steps, *seed))?
-                    }
-                }
+            for batch in batches {
+                write!(writer, "{}", render_record(batch))?;
             }
             writer.flush()?;
             writer.get_ref().sync_data()?;
@@ -311,11 +270,11 @@ impl UpdateLog {
         Self::open(path)
     }
 
-    /// Reads every **committed** record of the journal at `path`, in
+    /// Reads every **committed** batch of the journal at `path`, in
     /// append order. A trailing record without its commit marker (the
     /// footprint of a killed writer) is discarded; a missing file replays
     /// as empty.
-    pub fn replay(path: impl AsRef<Path>) -> Result<Vec<LogRecord>, LogError> {
+    pub fn replay(path: impl AsRef<Path>) -> Result<Vec<Vec<EdgeUpdate>>, LogError> {
         let path = path.as_ref();
         if !path.exists() {
             return Ok(Vec::new());
@@ -330,16 +289,14 @@ impl UpdateLog {
 enum Pending {
     /// (declared length, updates so far)
     Batch(usize, Vec<EdgeUpdate>),
-    Improve {
-        steps: u64,
-        seed: u64,
-    },
+    /// An improvement record of an older journal, opened at this line.
+    Retired(usize),
 }
 
-fn parse_log(text: &str) -> Result<Vec<LogRecord>, LogError> {
+fn parse_log(text: &str) -> Result<Vec<Vec<EdgeUpdate>>, LogError> {
     let corrupt =
         |line: usize, message: &str| LogError::Corrupt { line, message: message.to_string() };
-    let mut records: Vec<LogRecord> = Vec::new();
+    let mut records: Vec<Vec<EdgeUpdate>> = Vec::new();
     let mut pending: Option<Pending> = None;
     let mut saw_header = false;
     for (idx, line) in text.lines().enumerate() {
@@ -358,12 +315,15 @@ fn parse_log(text: &str) -> Result<Vec<LogRecord>, LogError> {
         let mut tokens = line.split_ascii_whitespace();
         let tag = tokens.next().unwrap_or("");
         match tag {
+            "b" | "i" if pending.is_some() => {
+                // The previous record never committed but a new one
+                // started after it — that is corruption, not a tail.
+                return Err(corrupt(lineno, "new record before previous commit marker"));
+            }
+            // An improvement record of an older journal: refused at its
+            // commit marker, discarded as a torn tail without one.
+            "i" => pending = Some(Pending::Retired(lineno)),
             "b" => {
-                if pending.is_some() {
-                    // The previous record never committed but a new one
-                    // started after it — that is corruption, not a tail.
-                    return Err(corrupt(lineno, "new record before previous commit marker"));
-                }
                 let len: usize = tokens
                     .next()
                     .and_then(|t| t.parse().ok())
@@ -371,20 +331,6 @@ fn parse_log(text: &str) -> Result<Vec<LogRecord>, LogError> {
                 // `len` is untrusted input: the updates grow as their lines
                 // arrive, and a wrong count fails at the commit marker.
                 pending = Some(Pending::Batch(len, Vec::new()));
-            }
-            "i" => {
-                if pending.is_some() {
-                    return Err(corrupt(lineno, "new record before previous commit marker"));
-                }
-                let steps: u64 = tokens
-                    .next()
-                    .and_then(|t| t.parse().ok())
-                    .ok_or_else(|| corrupt(lineno, "bad improve steps"))?;
-                let seed: u64 = tokens
-                    .next()
-                    .and_then(|t| t.parse().ok())
-                    .ok_or_else(|| corrupt(lineno, "bad improve seed"))?;
-                pending = Some(Pending::Improve { steps, seed });
             }
             "+" | "-" => {
                 let Some(Pending::Batch(_, updates)) = pending.as_mut() else {
@@ -410,11 +356,9 @@ fn parse_log(text: &str) -> Result<Vec<LogRecord>, LogError> {
                     if updates.len() != len {
                         return Err(corrupt(lineno, "batch length mismatch"));
                     }
-                    records.push(LogRecord::Batch(updates));
+                    records.push(updates);
                 }
-                Some(Pending::Improve { steps, seed }) => {
-                    records.push(LogRecord::Improve { steps, seed });
-                }
+                Some(Pending::Retired(line)) => return Err(corrupt(line, "unknown record tag")),
             },
             _ => {
                 // An unknown line in the *tail* record could be a torn
@@ -441,10 +385,6 @@ mod tests {
         dir.join("updates.log")
     }
 
-    fn batch(updates: &[EdgeUpdate]) -> LogRecord {
-        LogRecord::Batch(updates.to_vec())
-    }
-
     #[test]
     fn append_then_replay_roundtrips() {
         let path = temp_log("roundtrip");
@@ -455,61 +395,35 @@ mod tests {
         log.append_batch(&b1).unwrap();
         log.append_batch(&b2).unwrap();
         log.sync().unwrap();
-        assert_eq!(UpdateLog::replay(&path).unwrap(), vec![batch(&b1), batch(&b2)]);
+        assert_eq!(UpdateLog::replay(&path).unwrap(), vec![b1.clone(), b2.clone()]);
         // Re-opening appends after the existing records.
         drop(log);
         let mut log = UpdateLog::open(&path).unwrap();
         log.append_batch(&b2).unwrap();
-        assert_eq!(UpdateLog::replay(&path).unwrap(), vec![batch(&b1), batch(&b2), batch(&b2)]);
+        assert_eq!(UpdateLog::replay(&path).unwrap(), vec![b1.clone(), b2.clone(), b2.clone()]);
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn improve_records_interleave_with_batches() {
+    fn improve_records_of_older_journals_are_refused_or_a_torn_tail() {
         let path = temp_log("improve");
         std::fs::remove_file(&path).ok();
         let mut log = UpdateLog::open(&path).unwrap();
         log.append_batch(&[EdgeUpdate::Insert(1, 2)]).unwrap();
-        log.append_improve(256, 42).unwrap();
-        log.append_batch(&[EdgeUpdate::Delete(1, 2)]).unwrap();
-        log.sync().unwrap();
-        let records = UpdateLog::replay(&path).unwrap();
-        assert_eq!(
-            records,
-            vec![
-                batch(&[EdgeUpdate::Insert(1, 2)]),
-                LogRecord::Improve { steps: 256, seed: 42 },
-                batch(&[EdgeUpdate::Delete(1, 2)]),
-            ]
-        );
-        // Rewrite preserves improvement records byte-for-byte.
         drop(log);
-        let before = std::fs::read_to_string(&path).unwrap();
-        drop(UpdateLog::rewrite(&path, &records).unwrap());
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), before);
-        // A torn improve record (no commit marker) is a discarded tail.
-        let mut text = std::fs::read_to_string(&path).unwrap();
-        text.push_str("i 64 7\n");
-        std::fs::write(&path, text).unwrap();
-        assert_eq!(UpdateLog::replay(&path).unwrap(), records);
-        // A malformed committed improve record is corruption.
-        std::fs::write(&path, format!("{HEADER}\ni 64\nc\n")).unwrap();
-        assert!(matches!(UpdateLog::replay(&path), Err(LogError::Corrupt { line: 2, .. })));
+        let committed = std::fs::read_to_string(&path).unwrap();
+        // Committed: replay cannot reproduce it, so the journal is refused.
+        std::fs::write(&path, format!("{committed}i 256 42\nc\n")).unwrap();
+        match UpdateLog::replay(&path) {
+            Err(LogError::Corrupt { line: 5, message }) => {
+                assert_eq!(message, "unknown record tag")
+            }
+            other => panic!("expected an unknown record tag, got {other:?}"),
+        }
+        // Torn (no commit marker): discarded like any torn tail.
+        std::fs::write(&path, format!("{committed}i 256 42\n")).unwrap();
+        assert_eq!(UpdateLog::replay(&path).unwrap(), vec![vec![EdgeUpdate::Insert(1, 2)]]);
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn render_improve_record_matches_the_wire() {
-        assert_eq!(render_improve_record(256, 42), "i 256 42\nc\n");
-        let stream = format!(
-            "{}{}",
-            render_record(&[EdgeUpdate::Insert(1, 2)]),
-            render_improve_record(8, 9)
-        );
-        assert_eq!(
-            parse_records(&stream).unwrap(),
-            vec![batch(&[EdgeUpdate::Insert(1, 2)]), LogRecord::Improve { steps: 8, seed: 9 }]
-        );
     }
 
     #[test]
@@ -524,7 +438,7 @@ mod tests {
         text.push_str("b 2\n+ 7 8\n");
         std::fs::write(&path, text).unwrap();
         let records = UpdateLog::replay(&path).unwrap();
-        assert_eq!(records, vec![batch(&[EdgeUpdate::Insert(1, 2)])]);
+        assert_eq!(records, vec![vec![EdgeUpdate::Insert(1, 2)]]);
         std::fs::remove_file(&path).ok();
     }
 
@@ -546,7 +460,7 @@ mod tests {
         log.append_batch(&[EdgeUpdate::Delete(1, 2)]).unwrap();
         assert_eq!(
             UpdateLog::replay(&path).unwrap(),
-            vec![batch(&[EdgeUpdate::Insert(1, 2)]), batch(&[EdgeUpdate::Delete(1, 2)])]
+            vec![vec![EdgeUpdate::Insert(1, 2)], vec![EdgeUpdate::Delete(1, 2)]]
         );
         std::fs::remove_file(&path).ok();
     }
@@ -575,7 +489,7 @@ mod tests {
                 other => panic!("b {len}: expected a length mismatch, got {other:?}"),
             }
             let torn = format!("{HEADER}\nb {len}\n+ 1 2\n");
-            assert_eq!(parse_records(&torn).unwrap(), Vec::new(), "b {len}");
+            assert!(parse_records(&torn).unwrap().is_empty(), "b {len}");
         }
     }
 
@@ -590,7 +504,7 @@ mod tests {
         // Buffered in the writer: an independent reader sees nothing yet.
         assert!(UpdateLog::replay(&path).unwrap().is_empty());
         log.sync().unwrap();
-        assert_eq!(UpdateLog::replay(&path).unwrap(), vec![batch(&[EdgeUpdate::Insert(1, 2)])]);
+        assert_eq!(UpdateLog::replay(&path).unwrap(), vec![vec![EdgeUpdate::Insert(1, 2)]]);
         // Per-commit lands immediately (and additionally fsyncs).
         log.set_policy(FsyncPolicy::PerCommit);
         log.append_batch(&[EdgeUpdate::Delete(1, 2)]).unwrap();
@@ -619,7 +533,7 @@ mod tests {
         // A headerless stream of records parses like a replayed file.
         let stream = format!("{record}{}", render_record(&[]));
         let parsed = parse_records(&stream).unwrap();
-        assert_eq!(parsed, vec![LogRecord::Batch(batch), LogRecord::Batch(Vec::new())]);
+        assert_eq!(parsed, vec![batch, Vec::new()]);
         // A torn tail in the stream is discarded, not an error.
         let torn = parse_records("b 2\n+ 1 2\n").unwrap();
         assert!(torn.is_empty());
@@ -641,15 +555,13 @@ mod tests {
         let mut log = UpdateLog::open(&path).unwrap();
         log.append_batch(&mixed).unwrap();
         log.append_batch(&[]).unwrap();
-        log.append_improve(64, 9).unwrap();
         log.append_batch(groups.iter().flat_map(|g| g.iter())).unwrap();
         log.sync().unwrap();
         let flat: Vec<EdgeUpdate> = groups.concat();
         let expected = format!(
-            "{HEADER}\n{}{}{}{}",
+            "{HEADER}\n{}{}{}",
             render_record(&mixed),
             render_record(&[]),
-            render_improve_record(64, 9),
             render_record(&flat)
         );
         assert_eq!(std::fs::read_to_string(&path).unwrap(), expected);
@@ -669,7 +581,7 @@ mod tests {
         log.truncate().unwrap();
         assert!(UpdateLog::replay(&path).unwrap().is_empty());
         log.append_batch(&[EdgeUpdate::Delete(9, 9)]).unwrap();
-        assert_eq!(UpdateLog::replay(&path).unwrap(), vec![batch(&[EdgeUpdate::Delete(9, 9)])]);
+        assert_eq!(UpdateLog::replay(&path).unwrap(), vec![vec![EdgeUpdate::Delete(9, 9)]]);
         std::fs::remove_file(&path).ok();
     }
 }

@@ -51,9 +51,9 @@
 //! sets, so no insertion order or id history leaks into later updates. A
 //! restore rebuilds the solver from the snapshot's graph and `S`, which is
 //! the live process's state at that epoch, and then both apply identical
-//! record sequences; the deterministic update and improvement algorithms do
-//! the rest. Replicas bootstrapped by [`ServingSolver::import_state`] rely
-//! on the same property.
+//! record sequences; the deterministic update algorithms do the rest.
+//! Replicas bootstrapped by [`ServingSolver::import_state`] rely on the
+//! same property.
 //!
 //! Cold start: [`ServingSolver::create`] is one engine solve, one
 //! (parallel) candidate-index build and one base-snapshot write straight
@@ -62,14 +62,13 @@
 //! checked against the base graph before any solver is built, so a
 //! damaged state directory is an error, never a panic or a wrong index.
 
-use crate::log::{FsyncPolicy, LogError, LogRecord, UpdateLog};
+use crate::log::{FsyncPolicy, LogError, UpdateLog};
 use crate::solver::{BatchOutcome, DynamicSolver, EdgeUpdate, UpdateStats};
 use crate::view::{SharedView, SolutionView};
 use dkc_clique::{Clique, MAX_K};
 use dkc_core::{Solution, SolveError, SolveRequest, MIN_K};
 use dkc_graph::io::{read_snapshot_path, write_csr_snapshot_path};
 use dkc_graph::{CsrGraph, GraphError, NodeId};
-use dkc_improve::ImproveStats;
 use dkc_json::Json;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -231,26 +230,15 @@ impl ServingSolver {
             DynamicSolver::from_solution_with_request(&loaded.graph, solution, request);
         solver.set_stats(stats);
         let log_path = dir.join(log_file(gen));
-        let records = UpdateLog::replay(&log_path)?;
-        let mut epoch = base_epoch;
-        for record in &records {
-            match record {
-                LogRecord::Batch(batch) => {
-                    solver.apply_batch(batch.iter().copied());
-                }
-                // An improve record is journaled only when the live run
-                // applied at least one move; determinism over the identical
-                // state makes this replay apply the same moves.
-                LogRecord::Improve { steps, seed } => {
-                    solver.improve(*steps, *seed);
-                }
-            }
-            epoch += 1;
+        let batches = UpdateLog::replay(&log_path)?;
+        for batch in &batches {
+            solver.apply_batch(batch.iter().copied());
         }
+        let epoch = base_epoch + batches.len() as u64;
         // Rewrite the journal to exactly its committed records: a torn
         // tail left by a kill mid-append must not sit in front of future
         // appends (replay would reject the resulting interleaving).
-        let log = UpdateLog::rewrite(&log_path, &records)?;
+        let log = UpdateLog::rewrite(&log_path, &batches)?;
         Ok(Self::wrap(solver, epoch, Some(Store { dir, gen, log })))
     }
 
@@ -289,8 +277,7 @@ impl ServingSolver {
         }
     }
 
-    /// The current epoch: number of batches and applied improvement
-    /// slices since creation.
+    /// The current epoch: number of batches since creation.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -349,36 +336,6 @@ impl ServingSolver {
         self.epoch += 1;
         let view = self.publish();
         Ok((outcomes, view))
-    }
-
-    /// Runs one bounded improvement slice: proposes up to `steps` local-
-    /// search moves ([`dkc_improve::improve`]) against the current state.
-    ///
-    /// When no move applies the state is already converged for this
-    /// (steps, seed): the current view is returned unchanged — no journal
-    /// record, no epoch bump — so an idle server polling improvement does
-    /// not grow the journal or the epoch counter. When at least one move
-    /// applies, the `(steps, seed)` pair is journaled **before** the
-    /// improved solution is installed (write-ahead, like batches), the
-    /// epoch bumps and the new view is published. Replaying the record on
-    /// restore re-runs the same deterministic slice against the same
-    /// state and lands on the identical view.
-    pub fn improve(
-        &mut self,
-        steps: u64,
-        seed: u64,
-    ) -> Result<(ImproveStats, Arc<SolutionView>), ServeStateError> {
-        let out = self.solver.propose_improvement(steps, seed);
-        if out.stats.moves_applied == 0 {
-            return Ok((out.stats, self.view()));
-        }
-        if let Some(store) = &mut self.store {
-            store.log.append_improve(steps, seed)?;
-        }
-        self.solver.install_improvement(&out.cliques);
-        self.epoch += 1;
-        let view = self.publish();
-        Ok((out.stats, view))
     }
 
     fn publish(&mut self) -> Arc<SolutionView> {
@@ -833,7 +790,7 @@ mod tests {
 
     /// A central triangle {0,1,2} that blocks one planted triangle per
     /// member: HG under the identity ordering roots at node 0, picks
-    /// {0,1,2}, and every other root is then blocked — a size-1 bootstrap
+    /// {0,1,2}, and every other root is then blocked — a size-1 solve
     /// whose dissolve-and-recombine optimum is 3.
     fn blocker_graph() -> CsrGraph {
         CsrGraph::from_edges(
@@ -856,50 +813,34 @@ mod tests {
         .unwrap()
     }
 
-    fn blocker_request() -> SolveRequest {
-        SolveRequest::new(Algo::Hg, 3).with_ordering(dkc_graph::OrderingKind::Identity)
-    }
-
     #[test]
-    fn improve_journals_bumps_the_epoch_and_replays_on_restore() {
+    fn a_committed_improve_record_is_refused_on_restore() {
+        // Improvement is a solve pass: the bootstrap itself is improved,
+        // at epoch 0, with nothing journaled.
         let dir = temp_dir("improve");
-        let g = blocker_graph();
-        let mut live = ServingSolver::create(&dir, &g, blocker_request()).unwrap();
-        assert_eq!(live.view().len(), 1, "HG bootstrap picks the blocker");
-        let (stats, view) = live.improve(256, 7).unwrap();
-        assert!(stats.moves_applied >= 1);
-        assert_eq!(stats.uplift, 2);
-        assert_eq!(view.len(), 3);
-        assert_eq!(view.epoch(), 1, "an applied slice is one epoch");
-        live.solver().validate().unwrap();
-        // The slice went to the journal write-ahead, as parameters.
-        let records = UpdateLog::replay(dir.join(log_file(0))).unwrap();
-        assert_eq!(records, vec![LogRecord::Improve { steps: 256, seed: 7 }]);
-        // A converged slice is free: no journal record, no epoch bump.
-        let (stats2, view2) = live.improve(256, 8).unwrap();
-        assert_eq!(stats2.moves_applied, 0);
-        assert_eq!(view2.epoch(), 1);
-        assert_eq!(UpdateLog::replay(dir.join(log_file(0))).unwrap().len(), 1);
-        // Mix in a batch after the improvement, then restart: replaying
-        // the (improve, batch) tail lands on the identical view.
-        live.apply_batch(&[EdgeUpdate::Delete(3, 4)]).unwrap();
+        let request = SolveRequest::new(Algo::Hg, 3)
+            .with_ordering(dkc_graph::OrderingKind::Identity)
+            .with_budget(dkc_core::Budget::default().with_improve_steps(256).with_improve_seed(7));
+        let live = ServingSolver::create(&dir, &blocker_graph(), request).unwrap();
+        assert_eq!((live.view().epoch(), live.view().len()), (0, 3));
         let live_view = live.view();
-        drop(live); // "kill" — no compaction
+        drop(live);
+        // An `i` record of an older journal cannot be replayed: refused.
+        let log_path = dir.join(log_file(0));
+        let header = std::fs::read_to_string(&log_path).unwrap();
+        std::fs::write(&log_path, format!("{header}i 256 42\nc\n")).unwrap();
+        match ServingSolver::restore(&dir) {
+            Err(ServeStateError::Log(LogError::Corrupt { line: 2, message })) => {
+                assert_eq!(message, "unknown record tag")
+            }
+            Err(e) => panic!("expected an unknown record tag, got {e}"),
+            Ok(_) => panic!("a committed improve record must not restore"),
+        }
+        // Torn, it is a discarded tail like any other.
+        std::fs::write(&log_path, format!("{header}i 256 42\n")).unwrap();
         let restored = ServingSolver::restore(&dir).unwrap();
-        assert_eq!(restored.epoch(), 2);
-        assert_eq!(*restored.view(), *live_view, "replayed slice must be bit-identical");
-        restored.solver().validate().unwrap();
+        assert_eq!(*restored.view(), *live_view);
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn improve_on_in_memory_states_skips_the_journal_machinery() {
-        let g = blocker_graph();
-        let mut s = ServingSolver::in_memory(&g, blocker_request()).unwrap();
-        let (stats, view) = s.improve(128, 0).unwrap();
-        assert_eq!(stats.uplift, 2);
-        assert_eq!((view.epoch(), view.len()), (1, 3));
-        s.solver().validate().unwrap();
     }
 
     #[test]

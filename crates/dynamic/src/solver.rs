@@ -3,7 +3,6 @@ use crate::state::{CliqueId, SolutionState};
 use dkc_clique::Clique;
 use dkc_core::{Algo, Engine, Solution, SolveError, SolveReport, SolveRequest};
 use dkc_graph::{CsrGraph, DynGraph, NodeId};
-use dkc_improve::{ImproveConfig, ImproveOutcome, ImproveStats};
 use std::collections::{BTreeSet, VecDeque};
 
 /// Cumulative counters over a solver's lifetime.
@@ -230,41 +229,6 @@ impl DynamicSolver {
     /// path carries them across process boundaries).
     pub(crate) fn set_stats(&mut self, stats: UpdateStats) {
         self.stats = stats;
-    }
-
-    /// Runs the deterministic local search ([`dkc_improve::improve`]) over
-    /// the current solution **without mutating the solver** — the propose
-    /// half of the improvement write path. The request's executor
-    /// configuration is reused; the outcome is a pure function of
-    /// (graph, solution, seed, steps).
-    pub fn propose_improvement(&self, steps: u64, seed: u64) -> ImproveOutcome {
-        let cfg = ImproveConfig { steps, seed, par: self.request.par };
-        let solution = self.solution();
-        dkc_improve::improve(&self.graph, self.k, solution.store(), &cfg)
-    }
-
-    /// Replaces the solution with an improved clique set and rebuilds the
-    /// candidate index — the install half of the improvement write path.
-    /// Only the cliques that changed touch the group pages.
-    pub fn install_improvement(&mut self, cliques: &[Clique]) {
-        let mut improved = Solution::new(self.k);
-        for &c in cliques {
-            improved.push(c);
-        }
-        self.state.replace(&improved);
-        self.index = CandidateIndex::build(&self.graph, &self.state, self.request.par);
-    }
-
-    /// Budgeted local-search improvement: propose, then install when any
-    /// move applied. Deterministic: the same (state, steps, seed) always
-    /// yields the same solution, which is what lets the serving journal
-    /// log just the parameters and replay the identical improvement.
-    pub fn improve(&mut self, steps: u64, seed: u64) -> ImproveStats {
-        let out = self.propose_improvement(steps, seed);
-        if out.stats.moves_applied > 0 {
-            self.install_improvement(&out.cliques);
-        }
-        out.stats
     }
 
     /// **Insertion** (Algorithm 6).

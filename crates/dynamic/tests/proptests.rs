@@ -220,10 +220,9 @@ proptest! {
 
     /// The serving bootstrap (`create` and `in_memory`) yields exactly the
     /// solver of `from_scratch`. Both then stay in lockstep through
-    /// node-growing batches and improvement slices, while the serving side
-    /// is compacted, restored from its state directory (durable cases) or
-    /// replaced by `import_state` of its own `export_state` (in-memory
-    /// cases). The reference is never touched by any of those: a solver
+    /// node-growing batches, while the serving side is compacted, restored
+    /// from its state directory (durable cases) or replaced by
+    /// `import_state` of its own `export_state` (in-memory cases). The reference is never touched by any of those: a solver
     /// rebuilt from its graph and `S` at any point behaves exactly like
     /// the one that kept running, the restart and replica contract.
     #[test]
@@ -253,10 +252,6 @@ proptest! {
             let (outcome, _) = serving.apply_batch(batch).unwrap();
             prop_assert_eq!(outcome, reference.apply_batch(batch.iter().copied()));
             match actions[i] {
-                0 => {
-                    let (stats, _) = serving.improve(16, i as u64).unwrap();
-                    prop_assert_eq!(stats, reference.improve(16, i as u64));
-                }
                 1 => {
                     serving.compact().unwrap();
                 }
@@ -280,9 +275,8 @@ proptest! {
 
     /// Incrementally maintained views equal from-scratch views. Serving
     /// path: random batch splits whose inserts grow the node range, mixed
-    /// with improvement slices, compactions and export/import round
-    /// trips. Every earlier view is held to the end and must never change
-    /// (copy-on-write isolation).
+    /// with compactions and export/import round trips. Every earlier view
+    /// is held to the end and must never change (copy-on-write isolation).
     #[test]
     fn serving_views_equal_from_scratch_views(
         g in graph_strategy(12, 40),
@@ -302,7 +296,6 @@ proptest! {
             let (_, view) = serving.apply_batch(batch).unwrap();
             held.push((Arc::clone(&view), check_against_reference(&view, serving.solver())?));
             let view = match actions[i] {
-                0 => serving.improve(16, i as u64).unwrap().1,
                 1 => {
                     serving.compact().unwrap();
                     serving.view()
@@ -322,8 +315,8 @@ proptest! {
     }
 
     /// The same equivalence on the bare solver, through the operations
-    /// that replace `S` wholesale: `rebuild`, `improve`, and a solver
-    /// built afresh from its own graph and solution.
+    /// that replace `S` wholesale: `rebuild` and a solver built afresh
+    /// from its own graph and solution.
     #[test]
     fn solver_views_track_reslotting(
         g in graph_strategy(12, 40),
@@ -346,9 +339,6 @@ proptest! {
                     solver.rebuild().unwrap();
                 }
                 1 => solver = rebuilt_from_own_solution(&solver),
-                2 => {
-                    solver.improve(16, i as u64);
-                }
                 _ => {}
             }
             epoch += 1;
@@ -361,8 +351,8 @@ proptest! {
 
     /// Cached page text never goes stale. The bare solver publishes a view
     /// per batch through random batch splits, node-growing inserts,
-    /// `rebuild`, fresh solvers built from the solution, `improve` and
-    /// export/import round trips;
+    /// `rebuild`, fresh solvers built from the solution and export/import
+    /// round trips;
     /// each view must render the tree oracle's bytes when published, and
     /// the retained ones again at the end, at least 20 epochs later. Most
     /// views are dropped right after their render, so the solver's pages
@@ -404,9 +394,6 @@ proptest! {
                     solver.rebuild().unwrap();
                 }
                 1 => solver = rebuilt_from_own_solution(&solver),
-                2 => {
-                    solver.improve(16, i as u64);
-                }
                 3 => {
                     let doc = ServingSolver::from_solver(solver.clone()).export_state();
                     solver = ServingSolver::import_state(&doc).unwrap().solver().clone();
@@ -566,12 +553,11 @@ proptest! {
         ops in ops_strategy(12, 36),
         batch_size in 1usize..8,
         compact_after in 0usize..6,
-        improve_every in 0usize..4,
     ) {
         let dir = std::env::temp_dir().join(format!(
             "dkc_dyn_prop_{}_{:x}",
             std::process::id(),
-            ops.len() * 31 + batch_size * 7 + compact_after + improve_every * 131
+            ops.len() * 31 + batch_size * 7 + compact_after
         ));
         std::fs::remove_dir_all(&dir).ok();
         let req = SolveRequest::new(Algo::Lp, 3);
@@ -580,11 +566,6 @@ proptest! {
             live.apply_batch(chunk).unwrap();
             if i + 1 == compact_after {
                 live.compact().unwrap();
-            }
-            // Background-improvement slices interleave with batches in
-            // production; the journal must replay them in sequence too.
-            if improve_every > 0 && i % improve_every == 0 {
-                live.improve(16, i as u64).unwrap();
             }
         }
         let live_view = live.view();

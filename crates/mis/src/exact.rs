@@ -19,11 +19,6 @@ impl MisBudget {
     pub fn unlimited() -> Self {
         Self::default()
     }
-
-    /// Time-limited budget.
-    pub fn with_time(limit: Duration) -> Self {
-        MisBudget { time_limit: Some(limit), node_limit: None }
-    }
 }
 
 /// Outcome of an exact MIS run.

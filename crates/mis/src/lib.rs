@@ -26,12 +26,10 @@
 mod exact;
 mod graph;
 mod greedy;
-mod local;
 
 pub use exact::{ExactMis, MisBudget, MisResult};
 pub use graph::{AdjGraph, DENSE_NODE_LIMIT};
 pub use greedy::greedy_mis;
-pub use local::local_search_mis;
 
 /// Checks that `set` is an independent set of `g` (no two members adjacent,
 /// no duplicates).

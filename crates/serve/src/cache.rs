@@ -7,9 +7,8 @@
 //! at a given epoch renders and publishes the line (moved into the `Arc`,
 //! not copied), every later reader at that epoch clones the `Arc` and
 //! writes the exact same bytes in one `write`. The writer thread calls
-//! [`ReplyCache::invalidate`] after every publication (update batches and
-//! applied improve slices), so a cached body can never outlive the epoch
-//! it renders.
+//! [`ReplyCache::invalidate`] after every publication (each update
+//! round), so a cached body can never outlive the epoch it renders.
 //!
 //! `stats` replies are *not* cached: they are tiny and they carry the
 //! live hit/miss counters themselves (rendered under `"reply_cache"` on the

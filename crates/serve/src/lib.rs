@@ -22,14 +22,15 @@
 //! |---|---|
 //! | `update` | insert/delete edge batch → journaled, applied, new epoch |
 //! | `query group_of` / `solution` / `stats` | read at one consistent epoch |
-//! | `improve` | one bounded local-search slice → journaled, new epoch if it applied moves |
 //! | `snapshot` | persist state (`.dkcsr` + meta, new generation) and start a fresh log |
 //! | `shutdown` | graceful stop (journal synced) |
 //! | `fetch` / `tail` | replication: full state export / committed-journal stream |
 //!
 //! There is no `solve` command: a from-scratch solve would hold every
 //! queued update behind it on the writer, and `dkc solve` does that job
-//! offline.
+//! offline. Nor is there an `improve` command: the local search runs as a
+//! pass of the bootstrap solve (`dkc serve --improve-steps`), not on the
+//! writer.
 //!
 //! Update commands are bounded: node ids beyond the server's growth cap
 //! ([`ServerConfig::max_node`], derived from the served graph by default)

@@ -5,7 +5,7 @@
 //! and reports throughput plus per-kind latency percentiles — the
 //! measurement harness behind `dkc loadgen`.
 
-use crate::protocol::{render_improve_request, render_query_request, render_update_request, Query};
+use crate::protocol::{render_query_request, render_update_request, Query};
 use crate::server::send_line;
 use dkc_dynamic::EdgeUpdate;
 use dkc_graph::NodeId;
@@ -35,13 +35,6 @@ pub struct LoadgenConfig {
     /// Fraction of operations that are update batches (the rest are
     /// queries), in `[0, 1]`.
     pub update_fraction: f64,
-    /// Fraction of operations that are `improve` slices, carved out of the
-    /// query share (`update_fraction + improve_fraction <= 1`). At `0.0`
-    /// the op stream is byte-identical to a pre-improvement run with the
-    /// same seed.
-    pub improve_fraction: f64,
-    /// Local-search step budget each `improve` operation requests.
-    pub improve_steps: u64,
     /// Edge updates per update operation.
     pub batch: usize,
     /// Node-id range random edges are drawn from (`0..nodes`).
@@ -58,8 +51,6 @@ impl Default for LoadgenConfig {
             ops_per_connection: 200,
             warmup_ops: 0,
             update_fraction: 0.3,
-            improve_fraction: 0.0,
-            improve_steps: 64,
             batch: 8,
             nodes: 100,
             seed: 42,
@@ -127,9 +118,6 @@ pub struct LoadgenReport {
     pub updates: LatencySummary,
     /// Latency percentiles of query operations.
     pub queries: LatencySummary,
-    /// Latency percentiles of `improve` operations (empty unless
-    /// [`LoadgenConfig::improve_fraction`] is positive).
-    pub improves: LatencySummary,
     /// Server epoch observed after the run.
     pub final_epoch: u64,
     /// `|S|` observed after the run.
@@ -155,9 +143,6 @@ impl std::fmt::Display for LoadgenReport {
         )?;
         writeln!(f, "  updates: {}", self.updates)?;
         writeln!(f, "  queries: {}", self.queries)?;
-        if self.improves.count > 0 {
-            writeln!(f, "  improves: {}", self.improves)?;
-        }
         write!(f, "  final: epoch={} |S|={}", self.final_epoch, self.final_size)
     }
 }
@@ -165,7 +150,6 @@ impl std::fmt::Display for LoadgenReport {
 struct ConnResult {
     update_lat: Vec<Duration>,
     query_lat: Vec<Duration>,
-    improve_lat: Vec<Duration>,
     errors: usize,
 }
 
@@ -182,13 +166,11 @@ pub fn run_loadgen(cfg: &LoadgenConfig) -> std::io::Result<LoadgenReport> {
     });
     let mut update_lat = Vec::new();
     let mut query_lat = Vec::new();
-    let mut improve_lat = Vec::new();
     let mut errors = 0usize;
     for r in results {
         let r = r?;
         update_lat.extend(r.update_lat);
         query_lat.extend(r.query_lat);
-        improve_lat.extend(r.improve_lat);
         errors += r.errors;
     }
     let elapsed = started.elapsed();
@@ -196,11 +178,10 @@ pub fn run_loadgen(cfg: &LoadgenConfig) -> std::io::Result<LoadgenReport> {
     let (final_epoch, final_size) = final_stats(&cfg.addr)?;
     Ok(LoadgenReport {
         elapsed,
-        total_ops: update_lat.len() + query_lat.len() + improve_lat.len(),
+        total_ops: update_lat.len() + query_lat.len(),
         errors,
         updates: LatencySummary::of(update_lat),
         queries: LatencySummary::of(query_lat),
-        improves: LatencySummary::of(improve_lat),
         final_epoch,
         final_size,
     })
@@ -212,12 +193,7 @@ fn drive_connection(cfg: &LoadgenConfig, seed: u64) -> std::io::Result<ConnResul
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
     let mut rng = SmallRng::seed_from_u64(seed);
-    let mut result = ConnResult {
-        update_lat: Vec::new(),
-        query_lat: Vec::new(),
-        improve_lat: Vec::new(),
-        errors: 0,
-    };
+    let mut result = ConnResult { update_lat: Vec::new(), query_lat: Vec::new(), errors: 0 };
     let nodes = cfg.nodes.max(2);
     let mut line = String::new();
     // Warmup ops run first on the same connection and rng stream; their
@@ -225,14 +201,7 @@ fn drive_connection(cfg: &LoadgenConfig, seed: u64) -> std::io::Result<ConnResul
     // connection/allocator warmup, but failed replies still count.
     for op in 0..cfg.warmup_ops + cfg.ops_per_connection {
         let measured = op >= cfg.warmup_ops;
-        // One draw partitions [0, 1) into update | improve | query bands,
-        // so an improve_fraction of 0.0 reproduces the pre-improvement op
-        // stream of the same seed byte for byte.
-        let draw = rng.gen_range(0.0..1.0);
-        let is_update = draw < cfg.update_fraction;
-        let is_improve = !is_update
-            && cfg.improve_fraction > 0.0
-            && draw < cfg.update_fraction + cfg.improve_fraction;
+        let is_update = rng.gen_range(0.0..1.0) < cfg.update_fraction;
         let request = if is_update {
             let updates: Vec<EdgeUpdate> = (0..cfg.batch.max(1))
                 .map(|_| {
@@ -249,8 +218,6 @@ fn drive_connection(cfg: &LoadgenConfig, seed: u64) -> std::io::Result<ConnResul
                 })
                 .collect();
             render_update_request(&updates)
-        } else if is_improve {
-            render_improve_request(cfg.improve_steps.max(1), None)
         } else if op % 16 == 7 {
             render_query_request(Query::Stats)
         } else {
@@ -274,8 +241,6 @@ fn drive_connection(cfg: &LoadgenConfig, seed: u64) -> std::io::Result<ConnResul
         }
         if is_update {
             result.update_lat.push(latency);
-        } else if is_improve {
-            result.improve_lat.push(latency);
         } else {
             result.query_lat.push(latency);
         }

@@ -5,7 +5,9 @@
 //! the library error `Display` forms. Node ids on the wire are the
 //! server's dense internal ids. There is no `solve` command: a
 //! from-scratch solve on the writer would hold every queued update behind
-//! it, so run `dkc solve` on the graph offline instead.
+//! it, so run `dkc solve` on the graph offline instead. Nor is there an
+//! `improve` command: improvement is a pass of the solve the server
+//! bootstraps from (`dkc serve --improve-steps`).
 //! A request line longer than [`crate::MAX_REQUEST_LINE_BYTES`] gets an
 //! error reply and the connection is closed.
 //!
@@ -16,8 +18,6 @@
 //! {"cmd":"query","what":"group_of","node":5}
 //! {"cmd":"query","what":"solution"}
 //! {"cmd":"query","what":"stats"}
-//! {"cmd":"improve","steps":256}        — run one bounded local-search slice
-//! {"cmd":"improve","steps":256,"seed":7}
 //! {"cmd":"snapshot"}                   — persist state + truncate the log
 //! {"cmd":"fetch"}                      — full-state bootstrap (replicas)
 //! {"cmd":"tail","from":E}              — stream committed journal records
@@ -32,14 +32,12 @@
 //! solution → {"ok":true,"epoch":E,"k":K,"size":S,"covered_nodes":C,"cliques":[[..],..]}
 //! stats    → {"ok":true,"epoch":E,"k":K,"size":S,"num_nodes":N,"stats":{..update counters..}}
 //!            (a replica adds "primary_silent_ms":T, the time since its primary's last line)
-//! improve  → {"ok":true,"epoch":E,"size":S,"stats":{..ImproveStats..}}
 //! snapshot → {"ok":true,"epoch":E,"durable":B,"path":P}
 //! fetch    → {"ok":true,"epoch":E,"state":{..export_state doc..}}
 //! tail     → {"ok":true,"epoch":E,"from":F} then raw journal-format lines
 //! shutdown → {"ok":true,"epoch":E,"shutdown":true}
 //! ```
 
-use dkc_core::ImproveStats;
 use dkc_dynamic::{stats_to_json, BatchOutcome, EdgeUpdate, SolutionView};
 use dkc_graph::NodeId;
 use dkc_json::Json;
@@ -51,13 +49,6 @@ pub enum Request {
     Update(Vec<EdgeUpdate>),
     /// Read from the latest published view.
     Query(Query),
-    /// Run one bounded improvement slice over the served solution.
-    Improve {
-        /// Local-search step budget for this slice.
-        steps: u64,
-        /// Improvement seed; `None` lets the server pick its own.
-        seed: Option<u64>,
-    },
     /// Persist the serving state and truncate the update log.
     Snapshot,
     /// Serialise the full serving state — the replica bootstrap payload.
@@ -120,19 +111,6 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 other => Err(format!("unknown query {other:?} (try group_of|solution|stats)")),
             }
         }
-        "improve" => {
-            let steps = v
-                .get("steps")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| "improve needs a \"steps\" budget".to_string())?;
-            let seed = match v.get("seed") {
-                None | Some(Json::Null) => None,
-                Some(s) => {
-                    Some(s.as_u64().ok_or_else(|| "improve \"seed\" must be a u64".to_string())?)
-                }
-            };
-            Ok(Request::Improve { steps, seed })
-        }
         "snapshot" => Ok(Request::Snapshot),
         "fetch" => Ok(Request::Fetch),
         "tail" => {
@@ -144,8 +122,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         }
         "shutdown" => Ok(Request::Shutdown),
         other => Err(format!(
-            "unknown command {other:?} \
-             (try update|query|improve|snapshot|fetch|tail|shutdown)"
+            "unknown command {other:?} (try update|query|snapshot|fetch|tail|shutdown)"
         )),
     }
 }
@@ -204,15 +181,6 @@ pub fn render_query_request(query: Query) -> String {
 /// request line.
 pub fn render_command_request(cmd: &str) -> String {
     Json::Obj(vec![("cmd".into(), Json::str(cmd))]).render()
-}
-
-/// Renders an `improve` request line (client side).
-pub fn render_improve_request(steps: u64, seed: Option<u64>) -> String {
-    let mut m = vec![("cmd".into(), Json::str("improve")), ("steps".into(), Json::u64(steps))];
-    if let Some(seed) = seed {
-        m.push(("seed".into(), Json::u64(seed)));
-    }
-    Json::Obj(m).render()
 }
 
 /// Renders a `tail` request line (replica side).
@@ -313,15 +281,6 @@ pub fn stats_reply(view: &SolutionView) -> Json {
     Json::Obj(m)
 }
 
-/// The `improve` reply: the slice's [`ImproveStats`] plus the resulting
-/// epoch and `|S|` (epoch unchanged when the slice applied no move).
-pub fn improve_reply(epoch: u64, stats: &ImproveStats, size: usize) -> Json {
-    let mut m = ok_members(epoch);
-    m.push(("size".into(), Json::usize(size)));
-    m.push(("stats".into(), stats.to_json_value()));
-    Json::Obj(m)
-}
-
 /// The `snapshot` reply.
 pub fn snapshot_reply(epoch: u64, path: Option<&std::path::Path>) -> Json {
     let mut m = ok_members(epoch);
@@ -394,20 +353,6 @@ mod tests {
     }
 
     #[test]
-    fn improve_request_roundtrips() {
-        assert_eq!(
-            parse_request(&render_improve_request(256, None)).unwrap(),
-            Request::Improve { steps: 256, seed: None }
-        );
-        assert_eq!(
-            parse_request(&render_improve_request(64, Some(7))).unwrap(),
-            Request::Improve { steps: 64, seed: Some(7) }
-        );
-        assert!(parse_request(r#"{"cmd":"improve"}"#).is_err());
-        assert!(parse_request(r#"{"cmd":"improve","steps":8,"seed":"x"}"#).is_err());
-    }
-
-    #[test]
     fn bare_commands_parse() {
         assert_eq!(parse_request(r#"{"cmd":"snapshot"}"#).unwrap(), Request::Snapshot);
         assert_eq!(parse_request(&render_command_request("shutdown")).unwrap(), Request::Shutdown);
@@ -452,7 +397,6 @@ mod tests {
             group_of_reply(&view, 5),
             solution_reply(&view),
             stats_reply(&view),
-            improve_reply(3, &ImproveStats { moves_tried: 5, moves_applied: 2, uplift: 1 }, 4),
             snapshot_reply(3, Some(std::path::Path::new("/tmp/base.dkcsr"))),
             snapshot_reply(3, None),
             fetch_reply(3, Json::Obj(vec![("epoch".into(), Json::u64(3))])),

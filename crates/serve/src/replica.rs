@@ -3,14 +3,12 @@
 //! A replica bootstraps by `fetch`ing the primary's full serving
 //! state (graph and solution; a solver built from them behaves exactly
 //! like the primary's), then holds a `tail` connection streaming committed
-//! journal records and applies each one — batches with
-//! [`ServingSolver::apply_batch`], improvement slices by re-running
-//! [`ServingSolver::improve`] with the journaled `(steps, seed)` — giving
-//! bit-identical views at every epoch, because both the dynamic update
-//! algorithms and the local search are deterministic. Every record must
-//! advance the epoch by exactly one, as it did on the primary; one that
-//! does not means the replica diverged, and it re-bootstraps rather than
-//! serve views the primary never published.
+//! journal records and applies each batch with
+//! [`ServingSolver::apply_batch`] — one record, one epoch, as on the
+//! primary — giving bit-identical views at every epoch, because the
+//! dynamic update algorithms are deterministic. Nothing checks that
+//! claim at run time: a replica that diverged would go on serving its own
+//! views.
 //!
 //! Catch-up protocol, in order of escalation:
 //!
@@ -20,8 +18,8 @@
 //!    `from` its current epoch; the primary replays the missed records
 //!    from its in-memory ring;
 //! 3. **re-bootstrap** — if the replica fell further behind than the ring
-//!    retains (the primary says `# stale`), or a record failed to advance
-//!    its epoch, it discards its state and `fetch`es afresh.
+//!    retains (the primary says `# stale`), it discards its state and
+//!    `fetch`es afresh.
 //!
 //! The replica answers the normal query protocol read-only: `query` is
 //! served from its own published [`SolutionView`]; mutating commands get
@@ -36,7 +34,7 @@ use crate::protocol::{
 };
 use crate::queue::{BoundedQueue, Pop};
 use crate::server::{read_line_patiently, read_request, send_line, LineRead};
-use dkc_dynamic::{parse_records, LogRecord, ServingSolver, SharedView};
+use dkc_dynamic::{parse_records, ServingSolver, SharedView};
 use dkc_json::Json;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -347,17 +345,10 @@ fn applier_loop(
             record.push('\n');
             if trimmed == "c" {
                 match parse_records(&record) {
-                    Ok(records) => {
-                        if !records.into_iter().all(|rec| apply_record(&mut serving, rec)) {
-                            rebootstrap(
-                                &mut serving,
-                                cell,
-                                heard,
-                                primary,
-                                bootstrap_timeout,
-                                shutdown,
-                            );
-                            continue 'connect;
+                    Ok(batches) => {
+                        for batch in batches {
+                            // In-memory state: applying cannot fail on I/O.
+                            let _ = serving.apply_batch(&batch);
                         }
                     }
                     Err(_) => {
@@ -372,26 +363,6 @@ fn applier_loop(
         }
         // Disconnected (or shutdown): reconnect from the current epoch.
     }
-}
-
-/// Applies one replicated record. Returns false when the record did not
-/// advance the epoch by exactly one, as it did on the primary that
-/// journaled it (say, an improvement slice that applied no move here): the
-/// replica has diverged and must re-bootstrap.
-fn apply_record(serving: &mut ServingSolver, record: LogRecord) -> bool {
-    let before = serving.epoch();
-    // In-memory state: neither apply can fail on I/O.
-    match record {
-        LogRecord::Batch(batch) => {
-            let _ = serving.apply_batch(&batch);
-        }
-        // Deterministic over the replicated state: the slice applies the
-        // same moves the primary journaled.
-        LogRecord::Improve { steps, seed } => {
-            let _ = serving.improve(steps, seed);
-        }
-    }
-    serving.epoch() == before + 1
 }
 
 /// Replaces the replica's state by a fresh `fetch` from the primary and
@@ -477,7 +448,6 @@ mod tests {
     use super::*;
     use crate::protocol::{fetch_reply, tail_ack};
     use dkc_core::{Algo, SolveRequest};
-    use dkc_dynamic::{render_improve_record, EdgeUpdate};
     use dkc_graph::CsrGraph;
     use std::sync::atomic::AtomicUsize;
 
@@ -490,20 +460,10 @@ mod tests {
     }
 
     #[test]
-    fn a_record_must_advance_the_epoch_by_exactly_one() {
-        let mut serving = primary_state();
-        assert!(apply_record(&mut serving, LogRecord::Batch(vec![EdgeUpdate::Delete(0, 1)])));
-        assert_eq!(serving.epoch(), 1);
-        // A zero-step slice applies no move: the epoch stays put, one
-        // behind a primary that journaled the slice.
-        assert!(!apply_record(&mut serving, LogRecord::Improve { steps: 0, seed: 7 }));
-        assert_eq!(serving.epoch(), 1);
-    }
-
-    #[test]
-    fn a_record_that_leaves_the_epoch_behind_triggers_a_fresh_fetch() {
+    fn a_stale_tail_triggers_a_fresh_fetch() {
         // A stand-in primary: `fetch` returns its epoch-0 state, and
-        // every `tail` streams one improvement slice that applies no move.
+        // every `tail` is answered as the server answers a cursor that
+        // fell out of its ring.
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
         let fetches = Arc::new(AtomicUsize::new(0));
@@ -525,9 +485,8 @@ mod tests {
                             format!("{}\n", fetch_reply(state.epoch(), doc).render())
                         }
                         Ok(Request::Tail { from }) => format!(
-                            "{}\n{}",
-                            tail_ack(state.epoch(), from).render(),
-                            render_improve_record(0, 7)
+                            "{}\n# stale: oldest retained epoch is 5, re-bootstrap with fetch\n",
+                            tail_ack(state.epoch(), from).render()
                         ),
                         _ => continue,
                     };

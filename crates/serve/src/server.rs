@@ -9,7 +9,7 @@
 //!   from the latest published [`SolutionView`] — no writer involvement,
 //!   so reads stay parallel while a batch is applying;
 //! * the single **writer** owns the [`ServingSolver`]. Mutating commands
-//!   (`update`, `improve`, `snapshot`, `fetch`) travel through a *bounded* queue
+//!   (`update`, `snapshot`, `fetch`) travel through a *bounded* queue
 //!   (backpressure instead of unbounded growth). The writer applies
 //!   updates in *rounds* (group commit without a timer): after popping an
 //!   update request it takes every update request already queued behind
@@ -27,8 +27,8 @@
 use crate::cache::{Body, ReplyCache};
 use crate::hub::{ReplicationHub, TailGap};
 use crate::protocol::{
-    error_reply, fetch_reply, group_of_reply, improve_reply, parse_request, shutdown_reply,
-    snapshot_reply, solution_line_into, stats_reply, tail_ack, update_reply, Query, Request,
+    error_reply, fetch_reply, group_of_reply, parse_request, shutdown_reply, snapshot_reply,
+    solution_line_into, stats_reply, tail_ack, update_reply, Query, Request,
 };
 use crate::queue::{BoundedQueue, Pop};
 use dkc_dynamic::{render_record, EdgeUpdate, FsyncPolicy, ServingSolver, SharedView};
@@ -62,15 +62,6 @@ pub struct ServerConfig {
     /// When the update journal is forced to stable storage
     /// (`--fsync <per-commit|per-batch|snapshot>` on the CLI).
     pub fsync: FsyncPolicy,
-    /// Background improvement: local-search steps the writer spends per
-    /// idle slice (`0` = off). Applied slices journal, bump the epoch and
-    /// replicate exactly like the `improve` command; a converged slice is
-    /// remembered per epoch so an idle server stops burning CPU.
-    pub improve_slice: u64,
-    /// Base seed for server-chosen improvement slices (each slice uses
-    /// `improve_seed + slice counter`, so restarts replay identically from
-    /// the journal, not from the counter).
-    pub improve_seed: u64,
 }
 
 impl Default for ServerConfig {
@@ -81,8 +72,6 @@ impl Default for ServerConfig {
             batch_max_updates: 4096,
             max_node: None,
             fsync: FsyncPolicy::default(),
-            improve_slice: 0,
-            improve_seed: 0,
         }
     }
 }
@@ -93,7 +82,6 @@ const TAIL_RING_CAPACITY: usize = 4096;
 
 enum WriterOp {
     Batch { updates: Vec<EdgeUpdate>, reply: mpsc::Sender<String> },
-    Improve { steps: u64, seed: Option<u64>, reply: mpsc::Sender<String> },
     Snapshot { reply: mpsc::Sender<String> },
     Fetch { reply: mpsc::Sender<String> },
 }
@@ -421,13 +409,6 @@ fn handle_connection(
                     })),
                 }
             }
-            Ok(Request::Improve { steps, seed }) => {
-                out.push_str(&round_trip(writer_queue, |reply| WriterOp::Improve {
-                    steps,
-                    seed,
-                    reply,
-                }));
-            }
             Ok(Request::Snapshot) => {
                 out.push_str(&round_trip(writer_queue, |reply| WriterOp::Snapshot { reply }));
             }
@@ -525,50 +506,6 @@ fn round_trip(
     rx.recv().unwrap_or_else(|_| error_reply("writer thread unavailable").render())
 }
 
-/// The writer's improvement bookkeeping: one seed stream shared by the
-/// `improve` command (when the client names no seed) and the background
-/// idle slices, plus the convergence memo that stops idle slices from
-/// re-running against an unchanged epoch.
-struct ImproveDriver {
-    slices: u64,
-    converged_at: Option<u64>,
-}
-
-impl ImproveDriver {
-    fn next_seed(&mut self, base: u64) -> u64 {
-        let seed = base.wrapping_add(self.slices);
-        self.slices += 1;
-        seed
-    }
-
-    /// Runs one slice on the writer thread, replicating an applied slice
-    /// exactly as the journal records it. Returns the reply line.
-    fn run(
-        &mut self,
-        serving: &mut ServingSolver,
-        hub: &ReplicationHub,
-        cache: &ReplyCache,
-        steps: u64,
-        seed: u64,
-    ) -> String {
-        match serving.improve(steps, seed) {
-            Ok((stats, view)) => {
-                if stats.moves_applied > 0 {
-                    // An applied slice bumps the epoch: stale rendered
-                    // bodies must not linger.
-                    cache.invalidate();
-                    hub.publish(view.epoch(), dkc_dynamic::render_improve_record(steps, seed));
-                    self.converged_at = None;
-                } else {
-                    self.converged_at = Some(view.epoch());
-                }
-                improve_reply(view.epoch(), &stats, view.len()).render()
-            }
-            Err(e) => error_reply(e.to_string()).render(),
-        }
-    }
-}
-
 fn writer_loop(
     mut serving: ServingSolver,
     queue: &BoundedQueue<WriterOp>,
@@ -576,20 +513,10 @@ fn writer_loop(
     cache: &ReplyCache,
     config: ServerConfig,
 ) {
-    let mut driver = ImproveDriver { slices: 0, converged_at: None };
     loop {
         match queue.pop_timeout(Duration::from_millis(100)) {
             Pop::Closed => break,
-            Pop::Timeout => {
-                // Idle: spend one bounded improvement slice, unless the
-                // last slice already converged at this epoch (a batch in
-                // between resets the memo by changing the epoch).
-                if config.improve_slice > 0 && driver.converged_at != Some(serving.epoch()) {
-                    let seed = driver.next_seed(config.improve_seed);
-                    driver.run(&mut serving, hub, cache, config.improve_slice, seed);
-                }
-                continue;
-            }
+            Pop::Timeout => continue,
             Pop::Item(WriterOp::Batch { updates, reply }) => {
                 // Group commit: merge the update requests already queued
                 // behind this one (never waiting for more), then apply the
@@ -615,10 +542,10 @@ fn writer_loop(
                 }
                 apply_round(&mut serving, hub, cache, groups);
                 if let Some(op) = carried {
-                    run_writer_op(&mut serving, hub, cache, &mut driver, &config, op);
+                    run_writer_op(&mut serving, cache, op);
                 }
             }
-            Pop::Item(op) => run_writer_op(&mut serving, hub, cache, &mut driver, &config, op),
+            Pop::Item(op) => run_writer_op(&mut serving, cache, op),
         }
     }
     // Graceful exit: force the journal to stable storage and release any
@@ -657,20 +584,9 @@ fn apply_round(
     }
 }
 
-fn run_writer_op(
-    serving: &mut ServingSolver,
-    hub: &ReplicationHub,
-    cache: &ReplyCache,
-    driver: &mut ImproveDriver,
-    config: &ServerConfig,
-    op: WriterOp,
-) {
+fn run_writer_op(serving: &mut ServingSolver, cache: &ReplyCache, op: WriterOp) {
     match op {
         WriterOp::Batch { .. } => unreachable!("batches go through apply_round"),
-        WriterOp::Improve { steps, seed, reply } => {
-            let seed = seed.unwrap_or_else(|| driver.next_seed(config.improve_seed));
-            let _ = reply.send(driver.run(serving, hub, cache, steps, seed));
-        }
         WriterOp::Snapshot { reply } => {
             // Compaction changes no observable state; the cache survives.
             let line = match serving.compact() {
@@ -694,7 +610,7 @@ fn run_writer_op(
 mod tests {
     use super::*;
     use dkc_core::{Algo, SolveRequest};
-    use dkc_dynamic::{parse_records, LogRecord};
+    use dkc_dynamic::parse_records;
     use dkc_graph::CsrGraph;
     use std::path::{Path, PathBuf};
 
@@ -770,14 +686,7 @@ mod tests {
             .collect();
         assert_eq!(logs.len(), 1, "one live journal generation: {logs:?}");
         let text = std::fs::read_to_string(&logs[0]).unwrap();
-        parse_records(&text)
-            .unwrap()
-            .into_iter()
-            .map(|r| match r {
-                LogRecord::Batch(b) => b.len(),
-                other => panic!("unexpected record {other:?}"),
-            })
-            .collect()
+        parse_records(&text).unwrap().iter().map(Vec::len).collect()
     }
 
     /// Restoring the state directory reproduces the live `solution` reply

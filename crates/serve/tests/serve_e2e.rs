@@ -4,7 +4,7 @@
 //! reproduces a byte-identical `SolutionView`, and read replicas converge
 //! to the primary's epoch with byte-identical replies.
 
-use dkc_core::{Algo, SolveRequest};
+use dkc_core::{Algo, Budget, SolveRequest};
 use dkc_datagen::workload::sample_edges;
 use dkc_datagen::DatasetRegistry;
 use dkc_dynamic::{EdgeUpdate, ServingSolver};
@@ -267,14 +267,16 @@ fn malformed_and_unknown_requests_get_structured_errors() {
     let handle = Server::start(listener, serving, ServerConfig::default()).unwrap();
     let mut client = Client::connect(handle.local_addr());
 
-    // Malformed requests and unknown commands (`solve` among them: the
-    // server runs no from-scratch solve) get structured errors, and the
-    // connection keeps serving afterwards.
+    // Malformed requests and unknown commands (`solve` and `improve`
+    // among them: the server runs no from-scratch solve and no local
+    // search) get structured errors, and the connection keeps serving.
     let v = client.call("this is not json");
     assert_eq!(v.get("ok").and_then(Json::as_bool), Some(false));
-    let v = client.call(r#"{"cmd":"solve"}"#);
-    assert_eq!(v.get("ok").and_then(Json::as_bool), Some(false));
-    assert!(v.get("error").and_then(Json::as_str).unwrap().contains("unknown command"));
+    for request in [r#"{"cmd":"solve"}"#, r#"{"cmd":"improve","steps":64}"#] {
+        let v = client.call(request);
+        assert_eq!(v.get("ok").and_then(Json::as_bool), Some(false), "{request}");
+        assert!(v.get("error").and_then(Json::as_str).unwrap().contains("unknown command"));
+    }
     let v = client.call_ok(r#"{"cmd":"query","what":"stats"}"#);
     assert!(v.get("epoch").and_then(Json::as_u64).is_some());
 
@@ -291,8 +293,8 @@ fn malformed_and_unknown_requests_get_structured_errors() {
 }
 
 /// A central triangle {0,1,2} blocking one planted triangle per member:
-/// HG under the identity ordering bootstraps to the size-1 blocker, and
-/// one dissolve-and-recombine improvement slice reaches the optimum 3.
+/// HG under the identity ordering solves to the size-1 blocker, and an
+/// improvement pass over it (dissolve and recombine) reaches the optimum 3.
 fn blocker_graph() -> dkc_graph::CsrGraph {
     dkc_graph::CsrGraph::from_edges(
         9,
@@ -319,9 +321,11 @@ fn blocker_request() -> SolveRequest {
 }
 
 #[test]
-fn improve_verb_journals_replicates_and_survives_restart() {
+fn an_improved_bootstrap_is_served_replicated_and_survives_restart() {
     let dir = temp_dir("improve");
-    let serving = ServingSolver::create(&dir, &blocker_graph(), blocker_request()).unwrap();
+    let request = blocker_request()
+        .with_budget(Budget::default().with_improve_steps(256).with_improve_seed(7));
+    let serving = ServingSolver::create(&dir, &blocker_graph(), request).unwrap();
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let handle = Server::start(listener, serving, ServerConfig::default()).unwrap();
     let primary_addr = handle.local_addr().to_string();
@@ -332,44 +336,30 @@ fn improve_verb_journals_replicates_and_survives_restart() {
     )
     .unwrap();
 
+    // Improvement is a solve pass: the optimum is there at epoch 0.
     let mut client = Client::connect(handle.local_addr());
-    let v = client.call_ok(r#"{"cmd":"query","what":"solution"}"#);
-    assert_eq!(v.get("size").and_then(Json::as_usize), Some(1), "bootstrap picks the blocker");
+    let solution = r#"{"cmd":"query","what":"solution"}"#;
+    let v = client.call_ok(solution);
+    assert_eq!(v.get("size").and_then(Json::as_usize), Some(3), "{}", v.render());
+    assert_eq!(v.get("epoch").and_then(Json::as_u64), Some(0));
 
-    // An applied slice is one epoch; the reply carries the move stats.
-    let v = client.call_ok(r#"{"cmd":"improve","steps":256,"seed":7}"#);
-    assert_eq!(v.get("epoch").and_then(Json::as_u64), Some(1));
-    assert_eq!(v.get("size").and_then(Json::as_usize), Some(3));
-    let stats = v.get("stats").expect("improve stats");
-    assert_eq!(stats.get("uplift").and_then(Json::as_u64), Some(2));
-    assert!(stats.get("moves_applied").and_then(Json::as_u64).unwrap() >= 1);
-
-    // Converged: a further slice applies nothing and costs no epoch.
-    let v = client.call_ok(r#"{"cmd":"improve","steps":256}"#);
-    assert_eq!(v.get("epoch").and_then(Json::as_u64), Some(1));
-    assert_eq!(v.get("stats").and_then(|s| s.get("moves_applied")).and_then(Json::as_u64), Some(0));
-
-    // The replica replays the journaled (steps, seed) record and lands on
-    // the byte-identical improved view at the same epoch.
-    wait_for_epoch(&replica, 1);
-    let primary_solution = client.call_ok(r#"{"cmd":"query","what":"solution"}"#).render();
+    // The replica bootstraps the improved view byte for byte.
+    assert_eq!(replica.epoch(), 0);
+    let primary_solution = client.call_line(solution);
     let mut rclient = Client::connect(replica.local_addr());
-    let replica_solution = rclient.call_ok(r#"{"cmd":"query","what":"solution"}"#).render();
-    assert_eq!(replica_solution, primary_solution, "replicated improvement is byte-identical");
+    assert_eq!(rclient.call_line(solution), primary_solution, "replica line is byte-identical");
     replica.stop();
     replica.join();
     client.call_ok(r#"{"cmd":"shutdown"}"#);
     handle.join();
 
-    // Restart = snapshot + improve-record replay: the monotone-epoch
-    // improved view survives the restart byte for byte.
+    // Restart = snapshot + journal replay: the same bytes come back.
     let restored = ServingSolver::restore(&dir).unwrap();
     restored.solver().validate().expect("restored invariants");
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let handle = Server::start(listener, restored, ServerConfig::default()).unwrap();
     let mut client = Client::connect(handle.local_addr());
-    let solution_after = client.call_ok(r#"{"cmd":"query","what":"solution"}"#).render();
-    assert_eq!(solution_after, primary_solution, "improved view survives restart");
+    assert_eq!(client.call_line(solution), primary_solution, "improved view survives restart");
     client.call_ok(r#"{"cmd":"shutdown"}"#);
     handle.join();
     std::fs::remove_dir_all(&dir).ok();
@@ -562,30 +552,6 @@ fn replica_stats_say_how_long_the_primary_has_been_silent() {
 }
 
 #[test]
-fn background_improvement_slices_run_while_the_writer_is_idle() {
-    let serving = ServingSolver::in_memory(&blocker_graph(), blocker_request()).unwrap();
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let config = ServerConfig { improve_slice: 64, improve_seed: 3, ..ServerConfig::default() };
-    let handle = Server::start(listener, serving, config).unwrap();
-    let mut client = Client::connect(handle.local_addr());
-
-    // No client ever sends `improve`; the writer's idle slices must carry
-    // the blocker bootstrap to the optimum on their own.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        let v = client.call_ok(r#"{"cmd":"query","what":"solution"}"#);
-        if v.get("size").and_then(Json::as_usize) == Some(3) {
-            assert!(v.get("epoch").and_then(Json::as_u64).unwrap() >= 1);
-            break;
-        }
-        assert!(Instant::now() < deadline, "idle slices never improved: {}", v.render());
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    client.call_ok(r#"{"cmd":"shutdown"}"#);
-    handle.join();
-}
-
-#[test]
 fn loadgen_drives_a_server_and_reports() {
     let g = registry_graph();
     let nodes = g.num_nodes() as dkc_graph::NodeId;
@@ -599,8 +565,6 @@ fn loadgen_drives_a_server_and_reports() {
         ops_per_connection: 40,
         warmup_ops: 0,
         update_fraction: 0.4,
-        improve_fraction: 0.0,
-        improve_steps: 64,
         batch: 4,
         nodes,
         seed: 9,

@@ -41,15 +41,14 @@
 //! `replica` bootstraps from a primary (`fetch` + journal tail) and serves
 //! reads on `--port`, bit-identical to the primary at every epoch it has
 //! caught up to. `loadgen` drives a server with a seeded update/query mix
-//! and prints throughput and latency percentiles; `--improve-pct` mixes in
-//! `improve` verbs of `--improve-steps` each. `serve --improve-slice N`
-//! runs an N-step improvement slice whenever the writer is idle, journals
-//! any slice that applied moves and publishes the improved view as a new
-//! epoch; replicas and restarts replay the exact same slices.
+//! and prints throughput and latency percentiles. `serve --improve-steps`
+//! runs the local-search pass inside the bootstrap solve; the server
+//! itself runs no local search.
 
 #![warn(clippy::exit)]
 
 use disjoint_kcliques::bench::cli::{self, failed, Cli, CliError, Command, Flag};
+use disjoint_kcliques::bench::{out, outln};
 use disjoint_kcliques::clique::count_kcliques_parallel;
 use disjoint_kcliques::core::{Algo, Budget, Engine, SolveRequest};
 use disjoint_kcliques::datagen::registry::DatasetId;
@@ -68,35 +67,6 @@ use disjoint_kcliques::serve::{
 use std::net::TcpListener;
 use std::path::Path;
 use std::time::{Duration, Instant};
-
-/// `print!` for everything the CLI streams to stdout. A reader that closes
-/// the pipe early (`dkc solve … | head -1`) ends the process with exit 0
-/// instead of the panic `print!` raises on `EPIPE`; any other write error
-/// exits 1.
-macro_rules! out {
-    ($($arg:tt)*) => {
-        write_stdout(format_args!($($arg)*))
-    };
-}
-
-/// [`out!`] plus a newline.
-macro_rules! outln {
-    ($($arg:tt)*) => {
-        out!("{}\n", format_args!($($arg)*))
-    };
-}
-
-#[allow(clippy::exit)]
-fn write_stdout(args: std::fmt::Arguments) {
-    use std::io::Write;
-    if let Err(e) = std::io::stdout().write_fmt(args) {
-        if e.kind() == std::io::ErrorKind::BrokenPipe {
-            std::process::exit(0);
-        }
-        eprintln!("failed writing to stdout: {e}");
-        std::process::exit(1);
-    }
-}
 
 /// Every allocation in the CLI is counted, so the bench suite's
 /// `list_peak_bytes` / `solve_alloc_count` metrics (and Table I's space
@@ -134,8 +104,6 @@ struct Args {
     update_pct: f64,
     batch: usize,
     nodes: Option<u32>,
-    improve_slice: u64,
-    improve_pct: f64,
     reps: usize,
     bench_out: Option<String>,
     check: Option<String>,
@@ -180,8 +148,6 @@ const READERS: F = F::new("--readers", "N", |a, v| v.count().map(|n| a.readers =
 const BATCH_MAX: F =
     F::new("--batch-max", "N", |a, v| v.count().map(|n| a.batch_max = n)).or("4096");
 const MAX_NODE: F = F::new("--max-node", "N", |a, v| v.num().map(|n| a.max_node = Some(n)));
-const IMPROVE_SLICE: F =
-    F::new("--improve-slice", "N", |a, v| v.num().map(|n| a.improve_slice = n));
 const FSYNC: F =
     F::new("--fsync", "per-commit|per-batch|snapshot", |a, v| v.parse().map(|p| a.fsync = p));
 const CONNS: F = F::new("--conns", "N", |a, v| v.count().map(|n| a.conns = Some(n)));
@@ -189,7 +155,6 @@ const OPS: F = F::new("--ops", "N", |a, v| v.count().map(|n| a.ops = Some(n)));
 const WARMUP: F = F::new("--warmup", "N", |a, v| v.num().map(|n| a.warmup = Some(n)));
 const UPDATE_PCT: F =
     F::new("--update-pct", "P", |a, v| v.pct().map(|p| a.update_pct = p)).or("30");
-const IMPROVE_PCT: F = F::new("--improve-pct", "P", |a, v| v.pct().map(|p| a.improve_pct = p));
 const BATCH: F = F::new("--batch", "N", |a, v| v.count().map(|n| a.batch = n)).or("8");
 const NODES: F = F::new("--nodes", "N", |a, v| v.num().map(|n| a.nodes = Some(n)));
 const REPS: F = F::new("--reps", "N", |a, v| v.count().map(|n| a.reps = n)).or("3");
@@ -220,13 +185,12 @@ const DKC: Cli<Args> = Cli {
                      &IMPROVE_STEPS, &IMPROVE_SEED, &JSON] },
         Command { name: "serve", args: &["<dataset|graph>"], required: &[&K], run: cmd_serve,
             flags: &[&PORT, &STATE_DIR, &DATA_DIR, &SCALE, &SEED, &READERS, &BATCH_MAX, &MAX_NODE,
-                     &IMPROVE_SLICE, &FSYNC, &ALGO, &ORDERING, &THREADS, &MAX_CLIQUES,
-                     &MAX_CONFLICTS, &MIS_NODES, &IMPROVE_STEPS, &IMPROVE_SEED] },
+                     &FSYNC, &ALGO, &ORDERING, &THREADS, &MAX_CLIQUES, &MAX_CONFLICTS,
+                     &MIS_NODES, &IMPROVE_STEPS, &IMPROVE_SEED] },
         Command { name: "replica", args: &["<primary-addr>"], required: &[], run: cmd_replica,
             flags: &[&PORT, &READERS] },
         Command { name: "loadgen", args: &["<host:port>"], required: &[], run: cmd_loadgen,
-            flags: &[&CONNS, &OPS, &WARMUP, &UPDATE_PCT, &IMPROVE_PCT, &IMPROVE_STEPS, &BATCH,
-                     &NODES, &SEED, &JSON] },
+            flags: &[&CONNS, &OPS, &WARMUP, &UPDATE_PCT, &BATCH, &NODES, &SEED, &JSON] },
         Command { name: "bench", args: &[], required: &[], run: cmd_bench,
             flags: &[&DATASET, &SCALE, &SEED, &K, &REPS, &THREADS, &OUT, &CHECK, &STAMP, &HOST,
                      &GIT_REV, &DATA_DIR, &SCRATCH, &CONNS, &OPS, &WARMUP, &BATCHES, &BATCH_SIZE] },
@@ -349,8 +313,6 @@ fn cmd_serve(args: &Args, pos: &[String]) -> Result<(), CliError> {
         batch_max_updates: args.batch_max,
         max_node: args.max_node,
         fsync: args.fsync,
-        improve_slice: args.improve_slice,
-        improve_seed: args.budget.improve_seed.unwrap_or(0),
     };
     let handle = Server::start(bind(args.port)?, serving, config)
         .map_err(failed("failed to start server"))?;
@@ -396,8 +358,6 @@ fn cmd_loadgen(args: &Args, pos: &[String]) -> Result<(), CliError> {
         ops_per_connection: args.ops.unwrap_or(200),
         warmup_ops: args.warmup.unwrap_or(0),
         update_fraction: args.update_pct / 100.0,
-        improve_fraction: args.improve_pct / 100.0,
-        improve_steps: args.budget.improve_steps.unwrap_or(64),
         batch: args.batch,
         nodes: args.nodes.unwrap_or(1000),
         seed: args.seed.unwrap_or(42),
@@ -420,7 +380,6 @@ fn cmd_loadgen(args: &Args, pos: &[String]) -> Result<(), CliError> {
             ("elapsed_us".into(), us(report.elapsed)),
             ("ops_per_sec".into(), Json::u64(report.throughput() as u64)),
             ("updates".into(), summary(&report.updates)),
-            ("improves".into(), summary(&report.improves)),
             ("queries".into(), summary(&report.queries)),
             ("final_epoch".into(), Json::u64(report.final_epoch)),
             ("final_size".into(), Json::usize(report.final_size)),

@@ -65,6 +65,7 @@ fn usage_errors_exit_two() {
             (&["solve", "g.txt", "--k", "3", "--threads", "0"], 2, "usage:"),
             (&["bench", "--reps", "0"], 2, "usage:"),
             (&["loadgen", "127.0.0.1:1", "--update-pct", "101"], 2, "usage:"),
+            // A flag `loadgen` no longer takes is foreign to its line.
             (&["loadgen", "127.0.0.1:1", "--improve-pct", "-1"], 2, "usage:"),
             (&["solve", "g.txt", "--k", "3", "--algo", "nope"], 2, "unknown algorithm"),
             (&["solve", "g.txt", "--k", "3", "--ordering", "nope"], 2, "unknown ordering"),
